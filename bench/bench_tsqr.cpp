@@ -3,11 +3,13 @@
 //
 // For P parties: the combined R (stacked and tree) must match the pooled
 // QR of the full covariate matrix; the tree needs ceil(log2 P) rounds;
-// and each party only ever discloses a K x K triangle. Timings cover the
-// per-merge cost (a 2K x K QR, independent of N).
+// and each party only ever discloses a K x K triangle. Each combination
+// runs as P threads of the per-party R-combine over the in-process mesh.
+// Timings cover the per-merge cost (a 2K x K QR, independent of N).
 
 #include <cmath>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "core/distributed_qr.h"
@@ -21,6 +23,25 @@
 namespace {
 
 using namespace dash;
+
+// Combines the parties' factors as P threads; returns party 0's pooled R
+// and the run's traffic.
+Matrix Combine(const std::vector<Matrix>& local_r, RCombineMode mode,
+               MeshTraffic* traffic) {
+  std::vector<Matrix> pooled(local_r.size());
+  const Status status = RunPartiesInProcess(
+      static_cast<int>(local_r.size()),
+      [&](Transport* t) -> Status {
+        const size_t p = static_cast<size_t>(t->local_party());
+        DASH_ASSIGN_OR_RETURN(DistributedQrResult qr,
+                              CombineRFactorsOverNetwork(t, local_r[p], mode));
+        pooled[p] = std::move(qr.r);
+        return Status::Ok();
+      },
+      traffic);
+  DASH_CHECK(status.ok()) << status;
+  return pooled[0];
+}
 
 int RealMain() {
   std::printf("=== E7 (Figure 5): TSQR combination across parties ===\n");
@@ -41,23 +62,19 @@ int RealMain() {
     }
     const Matrix pooled_r = QrRFactor(VStack(blocks)).value();
 
-    Network stack_net(p);
-    const DistributedQrResult stacked =
-        CombineRFactorsOverNetwork(&stack_net, local_r,
-                                   RCombineMode::kBroadcastStack)
-            .value();
-    Network tree_net(p);
-    const DistributedQrResult tree =
-        CombineRFactorsOverNetwork(&tree_net, local_r,
-                                   RCombineMode::kBinaryTree)
-            .value();
+    MeshTraffic stack_traffic;
+    const Matrix stacked =
+        Combine(local_r, RCombineMode::kBroadcastStack, &stack_traffic);
+    MeshTraffic tree_traffic;
+    const Matrix tree =
+        Combine(local_r, RCombineMode::kBinaryTree, &tree_traffic);
 
-    const double err = std::max(MaxAbsDiff(stacked.r, pooled_r),
-                                MaxAbsDiff(tree.r, pooled_r));
-    std::printf("%-6d %8d %8d %14.2e %14lld %14lld\n", p, tree.rounds,
-                p - 1, err,
-                static_cast<long long>(stack_net.metrics().total_bytes()),
-                static_cast<long long>(tree_net.metrics().total_bytes()));
+    const double err = std::max(MaxAbsDiff(stacked, pooled_r),
+                                MaxAbsDiff(tree, pooled_r));
+    std::printf("%-6d %8d %8d %14.2e %14lld %14lld\n", p,
+                tree_traffic.rounds, p - 1, err,
+                static_cast<long long>(stack_traffic.total_bytes),
+                static_cast<long long>(tree_traffic.total_bytes));
   }
 
   std::printf("\n-- merge kernel timing (2K x K QR per merge) --\n");

@@ -110,51 +110,44 @@ Result<CompressedStudy::SecureOutput> CompressedStudy::SecureAggregate(
     const std::vector<CompressedStudy>& locals,
     const SecureScanOptions& options) {
   if (locals.empty()) return InvalidArgumentError("no parties given");
-  InProcessTransport transport(static_cast<int>(locals.size()));
-  return SecureAggregate(locals, options, &transport);
-}
-
-Result<CompressedStudy::SecureOutput> CompressedStudy::SecureAggregate(
-    const std::vector<CompressedStudy>& locals,
-    const SecureScanOptions& options, Transport* transport) {
-  DASH_CHECK(transport != nullptr);
-  if (locals.empty()) return InvalidArgumentError("no parties given");
-  if (transport->num_parties() != static_cast<int>(locals.size()) ||
-      transport->local_party() != -1) {
-    return InvalidArgumentError(
-        "SecureAggregate needs an in-process transport with one slot per "
-        "accumulator");
-  }
   const int64_t m = locals[0].m_;
   const int64_t k = locals[0].k_;
   const int64_t t = locals[0].t_;
-  std::vector<Vector> flats;
   int64_t total = 0;
   for (size_t p = 0; p < locals.size(); ++p) {
     if (locals[p].m_ != m || locals[p].k_ != k || locals[p].t_ != t) {
       return InvalidArgumentError("party " + std::to_string(p) +
                                   " accumulator has inconsistent shape");
     }
-    flats.push_back(locals[p].Flatten());
     total += locals[p].n_;
   }
 
-  Transport& network = *transport;
-  if (options.trace != nullptr) network.AttachTrace(options.trace);
   SecureSumOptions sum_options;
   sum_options.mode = options.aggregation;
   sum_options.frac_bits = options.frac_bits;
   sum_options.seed = options.seed ^ 0xc0435;
-  SecureVectorSum secure_sum(&network, sum_options);
-  DASH_ASSIGN_OR_RETURN(Vector totals,
-                        secure_sum.Run(ToSecretInputs(std::move(flats))));
+  std::vector<Vector> totals(locals.size());
+  MeshTraffic traffic;
+  DASH_RETURN_IF_ERROR(RunPartiesInProcess(
+      static_cast<int>(locals.size()),
+      [&](Transport* transport) -> Status {
+        const size_t self = static_cast<size_t>(transport->local_party());
+        if (options.trace != nullptr) transport->AttachTrace(options.trace);
+        PartySecureVectorSum secure_sum(transport, sum_options);
+        DASH_ASSIGN_OR_RETURN(
+            totals[self],
+            secure_sum.Run(Secret<Vector>(locals[self].Flatten())));
+        return Status::Ok();
+      },
+      &traffic));
 
+  // Every party revealed the same totals.
   SecureOutput out;
-  DASH_ASSIGN_OR_RETURN(out.study, Unflatten(totals, total, m, k, t));
-  out.metrics.total_bytes = network.metrics().total_bytes();
-  out.metrics.total_messages = network.metrics().total_messages();
-  out.metrics.max_link_bytes = network.metrics().MaxLinkBytes();
-  out.metrics.rounds = network.metrics().rounds();
+  DASH_ASSIGN_OR_RETURN(out.study, Unflatten(totals[0], total, m, k, t));
+  out.metrics.total_bytes = traffic.total_bytes;
+  out.metrics.total_messages = traffic.total_messages;
+  out.metrics.max_link_bytes = traffic.max_link_bytes;
+  out.metrics.rounds = traffic.rounds;
   return out;
 }
 

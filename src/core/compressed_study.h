@@ -45,19 +45,14 @@ class CompressedStudy {
       const SecureScanOptions& options = {});
 
   // Securely aggregates per-party compressed accumulators (all shapes
-  // must match) into one public study. This is the communication step of
-  // the online setting (core/secure_online_scan.h): parties keep merging
-  // local batches into their accumulator and re-aggregate whenever a
-  // fresh result is wanted.
+  // must match) into one public study, simulated as one thread per party
+  // over an in-process mesh (net/network.h). This is the communication
+  // step of the online setting (core/secure_online_scan.h): parties keep
+  // merging local batches into their accumulator and re-aggregate
+  // whenever a fresh result is wanted.
   static Result<SecureOutput> SecureAggregate(
       const std::vector<CompressedStudy>& locals,
       const SecureScanOptions& options = {});
-
-  // Same, over a caller-supplied in-process transport (one slot per
-  // accumulator); the default overload creates a private one.
-  static Result<SecureOutput> SecureAggregate(
-      const std::vector<CompressedStudy>& locals,
-      const SecureScanOptions& options, Transport* transport);
 
   int64_t num_samples() const { return n_; }
   int64_t num_variants() const { return m_; }

@@ -4,7 +4,8 @@
 // numbers, independent of N — the "angles between pairs of permanent
 // covariates"). The parties combine the R_p into the pooled R over the
 // network, then each privately forms its rows of the global Q as
-// Q_p = C_p R⁻¹ (party_local.h).
+// Q_p = C_p R⁻¹ (party_local.h). Each party runs the combination over
+// its own party-bound transport; every party ends with the same R.
 //
 // Combination strategies:
 //  * kBroadcastStack — every party broadcasts R_p; everyone stacks and
@@ -15,8 +16,6 @@
 
 #ifndef DASH_CORE_DISTRIBUTED_QR_H_
 #define DASH_CORE_DISTRIBUTED_QR_H_
-
-#include <vector>
 
 #include "linalg/matrix.h"
 #include "transport/transport.h"
@@ -34,13 +33,14 @@ const char* RCombineModeName(RCombineMode mode);
 struct DistributedQrResult {
   Matrix r;          // pooled K x K factor (identical at every party)
   Matrix r_inverse;  // R⁻¹, used to lift C_p to Q_p
-  int rounds = 0;    // network rounds consumed
 };
 
-// Runs the combination over `network`; local_r[p] is party p's R factor.
-// All factors must be K x K and the network must have one slot per party.
-Result<DistributedQrResult> CombineRFactorsOverNetwork(
-    Transport* network, const std::vector<Matrix>& local_r, RCombineMode mode);
+// Combines this party's K x K factor `own_r` with its peers' over
+// `transport` (this party is transport->local_party()). A peer factor
+// of another shape is a protocol desync (FailedPrecondition).
+Result<DistributedQrResult> CombineRFactorsOverNetwork(Transport* transport,
+                                                       const Matrix& own_r,
+                                                       RCombineMode mode);
 
 }  // namespace dash
 

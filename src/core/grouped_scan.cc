@@ -2,8 +2,8 @@
 
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <string>
+#include <utility>
 
 #include "core/distributed_qr.h"
 #include "core/party_local.h"
@@ -11,7 +11,6 @@
 #include "linalg/qr.h"
 #include "net/network.h"
 #include "stats/distributions.h"
-#include "util/thread_pool.h"
 
 namespace dash {
 namespace {
@@ -206,49 +205,48 @@ Result<SecureGroupedScanOutput> SecureGroupedScan(
     const SecureScanOptions& options) {
   DASH_RETURN_IF_ERROR(ValidateParties(parties));
   DASH_RETURN_IF_ERROR(ValidateGroupShape(parties[0].x.cols(), group_size));
-  const int num_parties = static_cast<int>(parties.size());
   const int64_t k = parties[0].c.cols();
   const int64_t groups = parties[0].x.cols() / group_size;
-
-  Network network(num_parties);
-  Matrix r_inverse(0, 0);
-  if (k > 0) {
-    std::vector<Matrix> local_r;
-    for (const auto& p : parties) {
-      DASH_ASSIGN_OR_RETURN(Matrix r, PartyLocalRFactor(p));
-      local_r.push_back(std::move(r));
-    }
-    DASH_ASSIGN_OR_RETURN(
-        DistributedQrResult qr,
-        CombineRFactorsOverNetwork(&network, local_r, options.r_combine));
-    r_inverse = std::move(qr.r_inverse);
-  }
-
-  std::vector<Vector> flats;
   int64_t total_samples = 0;
-  for (const auto& p : parties) {
-    const Matrix q_p =
-        (k > 0) ? PartyLocalQ(p, r_inverse) : Matrix(p.num_samples(), 0);
-    flats.push_back(ComputeGroupedFlat(p.x, group_size, p.y, q_p));
-    total_samples += p.num_samples();
-  }
+  for (const auto& p : parties) total_samples += p.num_samples();
 
   SecureSumOptions sum_options;
   sum_options.mode = options.aggregation;
   sum_options.frac_bits = options.frac_bits;
   sum_options.seed = options.seed;
-  SecureVectorSum secure_sum(&network, sum_options);
-  DASH_ASSIGN_OR_RETURN(Vector totals,
-                        secure_sum.Run(ToSecretInputs(std::move(flats))));
+  std::vector<GroupedScanResult> results(parties.size());
+  MeshTraffic traffic;
+  DASH_RETURN_IF_ERROR(RunPartiesInProcess(
+      static_cast<int>(parties.size()),
+      [&](Transport* transport) -> Status {
+        const size_t self = static_cast<size_t>(transport->local_party());
+        const PartyData& p = parties[self];
+        Matrix q_p(p.num_samples(), 0);
+        if (k > 0) {
+          DASH_ASSIGN_OR_RETURN(Matrix r, PartyLocalRFactor(p));
+          DASH_ASSIGN_OR_RETURN(
+              DistributedQrResult qr,
+              CombineRFactorsOverNetwork(transport, r, options.r_combine));
+          q_p = PartyLocalQ(p, qr.r_inverse);
+        }
+        PartySecureVectorSum secure_sum(transport, sum_options);
+        DASH_ASSIGN_OR_RETURN(
+            Vector totals,
+            secure_sum.Run(Secret<Vector>(
+                ComputeGroupedFlat(p.x, group_size, p.y, q_p))));
+        DASH_ASSIGN_OR_RETURN(
+            results[self],
+            FinalizeGrouped(totals, total_samples, groups, group_size, k));
+        return Status::Ok();
+      },
+      &traffic));
 
   SecureGroupedScanOutput out;
-  DASH_ASSIGN_OR_RETURN(
-      out.result,
-      FinalizeGrouped(totals, total_samples, groups, group_size, k));
-  out.metrics.total_bytes = network.metrics().total_bytes();
-  out.metrics.total_messages = network.metrics().total_messages();
-  out.metrics.max_link_bytes = network.metrics().MaxLinkBytes();
-  out.metrics.rounds = network.metrics().rounds();
+  out.result = std::move(results[0]);
+  out.metrics.total_bytes = traffic.total_bytes;
+  out.metrics.total_messages = traffic.total_messages;
+  out.metrics.max_link_bytes = traffic.max_link_bytes;
+  out.metrics.rounds = traffic.rounds;
   return out;
 }
 

@@ -13,28 +13,31 @@ Result<SecureImputationOutput> SecureMeanImpute(
   const int64_t m = (*parties)[0].x.cols();
 
   // Each party contributes [column sums | non-missing counts].
-  std::vector<Vector> contributions;
-  contributions.reserve(static_cast<size_t>(num_parties));
   int64_t total_missing = 0;
-  for (const auto& p : *parties) {
-    const ColumnMoments moments = ColumnSumsAndCounts(p.x);
-    total_missing += p.x.size();
-    Vector flat;
-    flat.reserve(static_cast<size_t>(2 * m));
-    flat.insert(flat.end(), moments.sums.begin(), moments.sums.end());
-    flat.insert(flat.end(), moments.counts.begin(), moments.counts.end());
-    for (const double c : moments.counts) total_missing -= static_cast<int64_t>(c);
-    contributions.push_back(std::move(flat));
-  }
+  for (const auto& p : *parties) total_missing += CountMissing(p.x);
 
-  Network network(num_parties);
   SecureSumOptions sum_options;
   sum_options.mode = options.aggregation;
   sum_options.frac_bits = options.frac_bits;
   sum_options.seed = options.seed ^ 0x1255;
-  SecureVectorSum secure_sum(&network, sum_options);
-  DASH_ASSIGN_OR_RETURN(
-      Vector totals, secure_sum.Run(ToSecretInputs(std::move(contributions))));
+  std::vector<Vector> party_totals(static_cast<size_t>(num_parties));
+  MeshTraffic traffic;
+  DASH_RETURN_IF_ERROR(RunPartiesInProcess(
+      num_parties,
+      [&](Transport* transport) -> Status {
+        const size_t self = static_cast<size_t>(transport->local_party());
+        const ColumnMoments moments = ColumnSumsAndCounts((*parties)[self].x);
+        Vector flat;
+        flat.reserve(static_cast<size_t>(2 * m));
+        flat.insert(flat.end(), moments.sums.begin(), moments.sums.end());
+        flat.insert(flat.end(), moments.counts.begin(), moments.counts.end());
+        PartySecureVectorSum secure_sum(transport, sum_options);
+        DASH_ASSIGN_OR_RETURN(party_totals[self],
+                              secure_sum.Run(Secret<Vector>(std::move(flat))));
+        return Status::Ok();
+      },
+      &traffic));
+  const Vector& totals = party_totals[0];
 
   SecureImputationOutput out;
   out.total_missing = total_missing;
@@ -57,10 +60,10 @@ Result<SecureImputationOutput> SecureMeanImpute(
 
   for (auto& p : *parties) ImputeWithMeans(out.means, &p.x);
 
-  out.metrics.total_bytes = network.metrics().total_bytes();
-  out.metrics.total_messages = network.metrics().total_messages();
-  out.metrics.max_link_bytes = network.metrics().MaxLinkBytes();
-  out.metrics.rounds = network.metrics().rounds();
+  out.metrics.total_bytes = traffic.total_bytes;
+  out.metrics.total_messages = traffic.total_messages;
+  out.metrics.max_link_bytes = traffic.max_link_bytes;
+  out.metrics.rounds = traffic.rounds;
   return out;
 }
 

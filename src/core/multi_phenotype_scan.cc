@@ -141,59 +141,57 @@ Result<SecureMultiPhenotypeOutput> SecureMultiPhenotypeScan(
     const std::vector<MultiPhenotypePartyData>& parties,
     const SecureScanOptions& options) {
   DASH_RETURN_IF_ERROR(ValidateMultiParties(parties));
-  const int num_parties = static_cast<int>(parties.size());
   const int64_t m = parties[0].x.cols();
   const int64_t k = parties[0].c.cols();
   const int64_t t_count = parties[0].ys.cols();
-
-  Network network(num_parties);
-
-  // R combination (as in the single-phenotype protocol).
-  Matrix r_inverse(0, 0);
-  if (k > 0) {
-    std::vector<Matrix> local_r;
-    for (const auto& p : parties) {
-      DASH_ASSIGN_OR_RETURN(Matrix r, QrRFactor(p.c));
-      local_r.push_back(std::move(r));
-    }
-    DASH_ASSIGN_OR_RETURN(
-        DistributedQrResult qr,
-        CombineRFactorsOverNetwork(&network, local_r, options.r_combine));
-    r_inverse = std::move(qr.r_inverse);
-  }
-
-  std::unique_ptr<ThreadPool> pool;
-  if (options.num_threads > 1) {
-    pool = std::make_unique<ThreadPool>(options.num_threads);
-  }
-  std::vector<Vector> flattened;
   int64_t total_samples = 0;
-  for (const auto& p : parties) {
-    const Matrix q_p =
-        (k > 0) ? MatMul(p.c, r_inverse) : Matrix(p.num_samples(), 0);
-    const Vector zero_y(static_cast<size_t>(p.num_samples()), 0.0);
-    const ScanSufficientStats shared =
-        ComputeLocalStats(p.x, zero_y, q_p, pool.get());
-    const PhenotypeSideStats ps = ComputePhenotypeSide(p.x, p.ys, q_p);
-    flattened.push_back(FlattenMulti(ps, shared.xx, shared.qtx));
-    total_samples += p.num_samples();
-  }
+  for (const auto& p : parties) total_samples += p.num_samples();
 
   SecureSumOptions sum_options;
   sum_options.mode = options.aggregation;
   sum_options.frac_bits = options.frac_bits;
   sum_options.seed = options.seed;
-  SecureVectorSum secure_sum(&network, sum_options);
-  DASH_ASSIGN_OR_RETURN(Vector flat_totals,
-                        secure_sum.Run(ToSecretInputs(std::move(flattened))));
+  std::vector<std::vector<ScanResult>> results(parties.size());
+  MeshTraffic traffic;
+  DASH_RETURN_IF_ERROR(RunPartiesInProcess(
+      static_cast<int>(parties.size()),
+      [&](Transport* transport) -> Status {
+        const size_t self = static_cast<size_t>(transport->local_party());
+        const MultiPhenotypePartyData& p = parties[self];
+        // R combination, as in the single-phenotype protocol.
+        Matrix q_p(p.num_samples(), 0);
+        if (k > 0) {
+          DASH_ASSIGN_OR_RETURN(Matrix r, QrRFactor(p.c));
+          DASH_ASSIGN_OR_RETURN(
+              DistributedQrResult qr,
+              CombineRFactorsOverNetwork(transport, r, options.r_combine));
+          q_p = MatMul(p.c, qr.r_inverse);
+        }
+        std::unique_ptr<ThreadPool> pool;
+        if (options.num_threads > 1) {
+          pool = std::make_unique<ThreadPool>(options.num_threads);
+        }
+        const Vector zero_y(static_cast<size_t>(p.num_samples()), 0.0);
+        const ScanSufficientStats shared =
+            ComputeLocalStats(p.x, zero_y, q_p, pool.get());
+        const PhenotypeSideStats ps = ComputePhenotypeSide(p.x, p.ys, q_p);
+        PartySecureVectorSum secure_sum(transport, sum_options);
+        DASH_ASSIGN_OR_RETURN(Vector flat_totals,
+                              secure_sum.Run(Secret<Vector>(
+                                  FlattenMulti(ps, shared.xx, shared.qtx))));
+        DASH_ASSIGN_OR_RETURN(
+            results[self],
+            FinalizeAll(flat_totals, total_samples, m, k, t_count));
+        return Status::Ok();
+      },
+      &traffic));
 
   SecureMultiPhenotypeOutput out;
-  DASH_ASSIGN_OR_RETURN(
-      out.results, FinalizeAll(flat_totals, total_samples, m, k, t_count));
-  out.metrics.total_bytes = network.metrics().total_bytes();
-  out.metrics.total_messages = network.metrics().total_messages();
-  out.metrics.max_link_bytes = network.metrics().MaxLinkBytes();
-  out.metrics.rounds = network.metrics().rounds();
+  out.results = std::move(results[0]);
+  out.metrics.total_bytes = traffic.total_bytes;
+  out.metrics.total_messages = traffic.total_messages;
+  out.metrics.max_link_bytes = traffic.max_link_bytes;
+  out.metrics.rounds = traffic.rounds;
   return out;
 }
 

@@ -3,7 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "net/network.h"
 #include "util/check.h"
 
 namespace dash {
@@ -59,12 +58,6 @@ int64_t SecureOnlineScan::samples_seen() const {
 }
 
 Result<SecureScanOutput> SecureOnlineScan::Finalize() const {
-  InProcessTransport transport(num_parties());
-  return Finalize(&transport);
-}
-
-Result<SecureScanOutput> SecureOnlineScan::Finalize(
-    Transport* transport) const {
   if (samples_seen() <= num_covariates_ + 1) {
     return FailedPreconditionError(
         "need N > K + 1 accumulated samples before finalizing (have " +
@@ -72,7 +65,7 @@ Result<SecureScanOutput> SecureOnlineScan::Finalize(
   }
   DASH_ASSIGN_OR_RETURN(
       CompressedStudy::SecureOutput aggregated,
-      CompressedStudy::SecureAggregate(accumulators_, options_, transport));
+      CompressedStudy::SecureAggregate(accumulators_, options_));
   SecureScanOutput out;
   DASH_ASSIGN_OR_RETURN(out.result, aggregated.study.ScanAllCovariates(0));
   out.metrics = aggregated.metrics;

@@ -92,11 +92,14 @@ struct SecureScanOptions {
   uint64_t seed = 0xda5b;
 
   // Optional transcript recorder (net/trace.h); when non-null, every
-  // protocol message's metadata is appended to it. Must outlive Run().
+  // protocol message's metadata is appended to it. The simulator hands
+  // it to every party. Must outlive Run().
   ProtocolTrace* trace = nullptr;
 };
 
-// Cost accounting captured from the simulated network and timers.
+// Cost accounting captured from the transport and timers. A party's
+// run counts its own sends; the simulator sums bytes and messages over
+// the parties and takes the maximum of max_link_bytes and the timers.
 struct SecureScanMetrics {
   int64_t total_bytes = 0;
   int64_t total_messages = 0;
@@ -126,18 +129,13 @@ class SecureAssociationScan {
  public:
   explicit SecureAssociationScan(const SecureScanOptions& options = {});
 
-  // Runs the full protocol across all parties in-process (over a private
-  // InProcessTransport) and returns the revealed scan (identical at
-  // every party) plus cost metrics.
+  // Simulates the protocol: P threads, each running RunPartySecureScan
+  // (transport/party_runner.h) as one party over an in-process mesh
+  // (net/network.h). Returns the revealed scan (identical at every
+  // party) plus cost metrics, or the failure that started the run's
+  // collapse. To run ONE party over a real network, call
+  // RunPartySecureScan directly.
   Result<SecureScanOutput> Run(const std::vector<PartyData>& parties) const;
-
-  // Same, but over a caller-supplied transport, so callers can inspect
-  // per-link metrics or attach a trace at the transport level. The
-  // transport must carry all parties in-process (local_party() == -1)
-  // and have one slot per party; to run ONE party of the protocol over a
-  // real network, use RunPartySecureScan (transport/party_runner.h).
-  Result<SecureScanOutput> Run(const std::vector<PartyData>& parties,
-                               Transport* transport) const;
 
   const SecureScanOptions& options() const { return options_; }
 

@@ -1,5 +1,6 @@
 #include "core/streaming_stats.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -111,8 +112,10 @@ Result<StreamingStatsResult> ComputeLocalStatsStreamed(
     if (q_panel.rows() != rows || q_panel.cols() != k) {
       q_panel = Matrix(rows, k);
     }
-    std::memcpy(q_panel.data(), q.row_data(r0),
-                static_cast<size_t>(rows * k) * sizeof(double));
+    if (k > 0) {  // with no covariates both buffers are null
+      std::memcpy(q_panel.data(), q.row_data(r0),
+                  static_cast<size_t>(rows * k) * sizeof(double));
+    }
 
     ComputeStatsColumnsPacked(*panel, y_panel, q_panel, 0, m, view,
                               options.pool);
@@ -152,8 +155,7 @@ Result<StreamingStatsResult> ComputeLocalStatsStreamed(
   // (FillHeader in suff_stats.cc), so the header is bit-identical too.
   result.flat[static_cast<size_t>(layout.yy_offset())] = SquaredNorm(y);
   const Vector qty = TransposeMatVec(q, y);
-  std::memcpy(result.flat.data() + layout.qty_offset(), qty.data(),
-              static_cast<size_t>(k) * sizeof(double));
+  std::copy(qty.begin(), qty.end(), result.flat.begin() + layout.qty_offset());
   return result;
 }
 

@@ -70,7 +70,8 @@ Result<Masked<RingVector>> AccumulateAdditiveShares(
   RingVector partial = own_share.Reveal(MpcPass::Get());
   for (const RingVector& share : received_shares) {
     if (share.size() != partial.size()) {
-      return InternalError("additive share length mismatch");
+      return FailedPreconditionError(
+          "protocol desync: additive share length mismatch");
     }
     for (size_t e = 0; e < partial.size(); ++e) partial[e] += share[e];
   }
@@ -83,7 +84,8 @@ Result<Vector> OpenAdditiveTotal(const Masked<RingVector>& own_partial,
   RingVector total = own_partial.wire();
   for (const RingVector& peer : peer_partials) {
     if (peer.size() != total.size()) {
-      return InternalError("partial sum length mismatch");
+      return FailedPreconditionError(
+          "protocol desync: partial sum length mismatch");
     }
     for (size_t e = 0; e < total.size(); ++e) total[e] += peer[e];
   }

@@ -35,7 +35,8 @@ Result<Vector> OpenMaskedTotal(const Masked<RingVector>& own_masked,
   RingVector total = own_masked.wire();
   for (const RingVector& peer : peer_masked) {
     if (peer.size() != total.size()) {
-      return InternalError("masked vector length mismatch");
+      return FailedPreconditionError(
+          "protocol desync: masked vector length mismatch");
     }
     for (size_t e = 0; e < total.size(); ++e) total[e] += peer[e];
   }

@@ -21,8 +21,14 @@
 // Fixed-point note: products carry 2*frac_bits fractional bits and are
 // only rescaled after the final opening (no intermediate truncation, so
 // the integer arithmetic is exact). Headroom therefore shrinks twice as
-// fast in frac_bits; Validate() enforces the bound and the default of
-// 20 bits covers |summand| up to ~480 per entry at K=8, P=4.
+// fast in frac_bits; Run() enforces the bound and the default of 20 bits
+// covers |summand| up to ~480 per entry at K=8, P=4.
+//
+// Each party runs its own SecureProjectedAggregation over its own
+// party-bound transport, like every other round. The triples come from
+// a simulated trusted dealer (mpc/beaver.h) whose seeded output every
+// party replays, keeping only its own shares; a deployment would take
+// them from a real offline phase instead.
 
 #ifndef DASH_MPC_SECURE_PROJECTION_H_
 #define DASH_MPC_SECURE_PROJECTION_H_
@@ -54,24 +60,22 @@ struct ProjectedStats {
 
 class SecureProjectedAggregation {
  public:
-  // `network` must outlive this object; one slot per party.
-  SecureProjectedAggregation(Transport* network,
+  // `transport` is this party's endpoint and must outlive this object.
+  SecureProjectedAggregation(Transport* transport,
                              const SecureProjectionOptions& options);
 
-  // qty_summands[p] is party p's K-vector summand of Qᵀy;
-  // qtx_summands[p] its K x M summand of QᵀX. Shapes must agree across
-  // parties; values must fit the fixed-point headroom (OutOfRange
-  // otherwise). Summands are per-party private data, hence Secret
+  // `qty` is this party's K-vector summand of Qᵀy, `qtx` its K x M
+  // summand of QᵀX. Summands are per-party private data, hence Secret
   // (mpc/secrecy.h); only the masked d/e openings and the opened result
-  // scalars cross the wire.
-  Result<ProjectedStats> Run(
-      const std::vector<Secret<Vector>>& qty_summands,
-      const std::vector<Secret<Matrix>>& qtx_summands);
+  // scalars cross the wire. Values must fit the fixed-point headroom
+  // (OutOfRange otherwise); a peer whose shapes differ is a protocol
+  // desync (FailedPrecondition).
+  Result<ProjectedStats> Run(const Secret<Vector>& qty,
+                             const Secret<Matrix>& qtx);
 
  private:
-  Transport* network_;
+  Transport* net_;
   SecureProjectionOptions options_;
-  DealerTripleProvider dealer_;
 };
 
 }  // namespace dash

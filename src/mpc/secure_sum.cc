@@ -1,6 +1,5 @@
 #include "mpc/secure_sum.h"
 
-#include <cmath>
 #include <string>
 #include <utility>
 
@@ -10,8 +9,6 @@
 #include "mpc/shamir.h"
 #include "net/round_annotations.h"
 #include "net/serialization.h"
-#include "util/check.h"
-#include "util/logging.h"
 
 namespace dash {
 
@@ -29,397 +26,275 @@ const char* AggregationModeName(AggregationMode mode) {
   return "unknown";
 }
 
-SecureVectorSum::SecureVectorSum(Transport* network,
-                                 const SecureSumOptions& options)
-    : network_(network), options_(options), codec_(options.frac_bits) {
-  DASH_CHECK(network != nullptr);
-  const int p = network->num_parties();
-  party_rngs_.reserve(static_cast<size_t>(p));
+namespace {
+
+// Party `local`'s randomness: the local-th output of the SplitMix64
+// chain over the shared seed. A nonzero mask_domain (the session id of
+// a multiplexed job) perturbs the chain's starting point, so concurrent
+// sessions with the same protocol seed draw DISJOINT randomness and
+// never share a DH exponent or pairwise mask key; domain 0 preserves
+// the historical chain bit for bit.
+Rng PartyRng(const SecureSumOptions& options, int local) {
   uint64_t seed_state = options.seed;
-  for (int i = 0; i < p; ++i) {
-    party_rngs_.emplace_back(SplitMix64(&seed_state));
+  if (options.mask_domain != 0) {
+    uint64_t domain_state = options.mask_domain;
+    seed_state ^= SplitMix64(&domain_state);
   }
+  uint64_t seed = SplitMix64(&seed_state);
+  for (int i = 0; i < local; ++i) seed = SplitMix64(&seed_state);
+  return Rng(seed);
 }
 
-Status SecureVectorSum::Setup() {
+}  // namespace
+
+// Secrecy discipline (mpc/secrecy.h, DESIGN.md §11): the party's
+// contribution arrives as Secret<Vector> and this class never reads it
+// directly — every buffer handed to the transport is produced by a
+// blessed reveal point (SerializeShareForHolder, MaskAndSerialize,
+// DiffieHellman::PublicValue) except the public-share baseline, whose
+// plaintext broadcast is an explicit DASH_DECLASSIFY.
+PartySecureVectorSum::PartySecureVectorSum(Transport* transport,
+                                           const SecureSumOptions& options)
+    : net_(transport),
+      local_(transport->local_party()),
+      options_(options),
+      codec_(options.frac_bits),
+      rng_(PartyRng(options, transport->local_party())) {}
+
+Status PartySecureVectorSum::Setup() {
   if (setup_done_) return Status::Ok();
-  const int p = network_->num_parties();
+  const int p = net_->num_parties();
   if (options_.mode == AggregationMode::kMasked && p > 1) {
-    // Diffie-Hellman: every party broadcasts g^a_p, then derives one key
-    // per peer. One 8-byte message per ordered pair.
-    network_->BeginRound();
-    std::vector<Secret<uint64_t>> privates(static_cast<size_t>(p));
-    for (int i = 0; i < p; ++i) {
-      privates[static_cast<size_t>(i)] =
-          DiffieHellman::GeneratePrivate(&party_rngs_[static_cast<size_t>(i)]);
-      ByteWriter w;
-      w.PutU64(DiffieHellman::PublicValue(privates[static_cast<size_t>(i)]));
+    // Diffie-Hellman: broadcast g^a, then derive one key per peer. One
+    // 8-byte message per ordered pair.
+    net_->BeginRound();
+    const Secret<uint64_t> private_key = DiffieHellman::GeneratePrivate(&rng_);
+    ByteWriter w;
+    w.PutU64(DiffieHellman::PublicValue(private_key));
+    DASH_ROUND(phase0b_keyagree, kPublicKey);
+    DASH_RETURN_IF_ERROR(
+        net_->Broadcast(local_, MessageTag::kPublicKey, w.Take()));
+    pairwise_keys_.assign(static_cast<size_t>(p), Secret<ChaCha20Rng::Key>{});
+    for (int q = 0; q < p; ++q) {
+      if (q == local_) continue;
       DASH_ROUND(phase0b_keyagree, kPublicKey);
-      DASH_RETURN_IF_ERROR(
-          network_->Broadcast(i, MessageTag::kPublicKey, w.Take()));
+      DASH_ASSIGN_OR_RETURN(Message msg,
+                            net_->Receive(local_, q, MessageTag::kPublicKey));
+      ByteReader r(msg.payload);
+      DASH_ASSIGN_OR_RETURN(uint64_t peer_public, r.GetU64());
+      pairwise_keys_[static_cast<size_t>(q)] = DiffieHellman::DeriveKey(
+          DiffieHellman::SharedSecret(private_key, peer_public));
     }
-    pairwise_keys_.assign(
-        static_cast<size_t>(p),
-        std::vector<Secret<ChaCha20Rng::Key>>(static_cast<size_t>(p)));
-    for (int i = 0; i < p; ++i) {
-      for (int q = 0; q < p; ++q) {
-        if (q == i) continue;
-        DASH_ROUND(phase0b_keyagree, kPublicKey);
-        DASH_ASSIGN_OR_RETURN(Message msg,
-                              network_->Receive(i, q, MessageTag::kPublicKey));
-        ByteReader r(msg.payload);
-        DASH_ASSIGN_OR_RETURN(uint64_t peer_public, r.GetU64());
-        const Secret<uint64_t> shared = DiffieHellman::SharedSecret(
-            privates[static_cast<size_t>(i)], peer_public);
-        pairwise_keys_[static_cast<size_t>(i)][static_cast<size_t>(q)] =
-            DiffieHellman::DeriveKey(shared);
-      }
-    }
-    DASH_LOG(Info) << "masked-aggregation key agreement complete for " << p
-                   << " parties";
   }
   setup_done_ = true;
   return Status::Ok();
 }
 
-std::vector<Secret<Vector>> ToSecretInputs(std::vector<Vector> inputs) {
-  std::vector<Secret<Vector>> out;
-  out.reserve(inputs.size());
-  for (auto& v : inputs) out.emplace_back(std::move(v));
-  return out;
-}
-
-Status SecureVectorSum::ValidateInputs(
-    const std::vector<Secret<Vector>>& inputs) const {
-  if (static_cast<int>(inputs.size()) != network_->num_parties()) {
-    return InvalidArgumentError(
-        "expected one input vector per party (" +
-        std::to_string(network_->num_parties()) + "), got " +
-        std::to_string(inputs.size()));
-  }
-  // Shape is public metadata; reading it stays inside the MPC layer.
-  const size_t len = inputs[0].Reveal(MpcPass::Get()).size();
-  for (const auto& v : inputs) {
-    if (v.Reveal(MpcPass::Get()).size() != len) {
-      return InvalidArgumentError("party inputs disagree in length");
-    }
-  }
-  return Status::Ok();
-}
-
-Result<Vector> SecureVectorSum::Run(const std::vector<Secret<Vector>>& inputs) {
+Result<Vector> PartySecureVectorSum::Run(const Secret<Vector>& input) {
   DASH_RETURN_IF_ERROR(Setup());
-  DASH_RETURN_IF_ERROR(ValidateInputs(inputs));
-  if (network_->num_parties() == 1) {
+  if (net_->num_parties() == 1) {
     return DASH_DECLASSIFY(
-        inputs[0], "phase2-single: a single party's total IS its own input");
+        input, "phase2-single: a single party's total IS its own input");
   }
   ++round_nonce_;
   switch (options_.mode) {
     case AggregationMode::kPublicShare:
-      return RunPublic(inputs);
+      return RunPublic(input);
     case AggregationMode::kAdditive:
-      return RunAdditive(inputs);
+      return RunAdditive(input);
     case AggregationMode::kMasked:
-      return RunMasked(inputs);
+      return RunMasked(input);
     case AggregationMode::kShamir:
-      return RunShamir(inputs);
+      return RunShamir(input);
   }
   return InternalError("unknown aggregation mode");
 }
 
-Result<double> SecureVectorSum::RunScalar(const std::vector<double>& inputs) {
-  std::vector<Secret<Vector>> wrapped;
-  wrapped.reserve(inputs.size());
-  for (const double x : inputs) wrapped.emplace_back(Vector{x});
-  DASH_ASSIGN_OR_RETURN(Vector total, Run(wrapped));
-  return total[0];
-}
-
-Result<Vector> SecureVectorSum::RunPublic(
-    const std::vector<Secret<Vector>>& inputs) {
-  const int p = network_->num_parties();
+Result<Vector> PartySecureVectorSum::RunPublic(
+    const Secret<Vector>& secret_input) {
+  const int p = net_->num_parties();
   // The public-share baseline deliberately reveals every summand; this
   // is the protocol's documented insecure mode, not a leak.
-  std::vector<Vector> plain;
-  plain.reserve(inputs.size());
-  for (const auto& input : inputs) {
-    plain.push_back(DASH_DECLASSIFY(
-        input, "phase2-public: baseline broadcasts plaintext summands"));
-  }
-  network_->BeginRound();
-  for (int i = 0; i < p; ++i) {
-    ByteWriter w;
-    w.PutDoubleVector(plain[static_cast<size_t>(i)]);
-    DASH_ROUND(phase2_public, kPlainStats);
-    DASH_RETURN_IF_ERROR(
-        network_->Broadcast(i, MessageTag::kPlainStats, w.Take()));
-  }
-  // Every party computes the identical total; we return party 0's view.
-  Vector total = plain[0];
-  for (int q = 1; q < p; ++q) {
-    DASH_ROUND(phase2_public, kPlainStats);
-    DASH_ASSIGN_OR_RETURN(Message msg,
-                          network_->Receive(0, q, MessageTag::kPlainStats));
-    ByteReader r(msg.payload);
-    DASH_ASSIGN_OR_RETURN(Vector v, r.GetDoubleVector());
-    if (v.size() != total.size()) {
-      return InternalError("public-share length mismatch");
+  const Vector input = DASH_DECLASSIFY(
+      secret_input, "phase2-public: baseline broadcasts plaintext summands");
+  net_->BeginRound();
+  ByteWriter w;
+  w.PutDoubleVector(input);
+  DASH_ROUND(phase2_public, kPlainStats);
+  DASH_RETURN_IF_ERROR(
+      net_->Broadcast(local_, MessageTag::kPlainStats, w.Take()));
+  // Sum in ascending party order — float addition is order-sensitive,
+  // so every party must reduce 0, 1, ..., P-1.
+  Vector total;
+  for (int q = 0; q < p; ++q) {
+    Vector v;
+    if (q == local_) {
+      v = input;
+    } else {
+      DASH_ROUND(phase2_public, kPlainStats);
+      DASH_ASSIGN_OR_RETURN(
+          Message msg, net_->Receive(local_, q, MessageTag::kPlainStats));
+      ByteReader r(msg.payload);
+      DASH_ASSIGN_OR_RETURN(v, r.GetDoubleVector());
     }
-    for (size_t e = 0; e < total.size(); ++e) total[e] += v[e];
-  }
-  // Drain the symmetric copies the other parties received.
-  for (int i = 1; i < p; ++i) {
-    for (int q = 0; q < p; ++q) {
-      if (q == i) continue;
-      DASH_ROUND_DRAIN(phase2_public, kPlainStats);
-      DASH_RETURN_IF_ERROR(
-          network_->Receive(i, q, MessageTag::kPlainStats).status());
+    if (q == 0) {
+      total = std::move(v);
+    } else {
+      if (v.size() != total.size()) {
+        return FailedPreconditionError(
+            "protocol desync: public-share vector length mismatch");
+      }
+      for (size_t e = 0; e < total.size(); ++e) total[e] += v[e];
     }
   }
   return total;
 }
 
-Result<Vector> SecureVectorSum::RunAdditive(
-    const std::vector<Secret<Vector>>& inputs) {
-  const int p = network_->num_parties();
+Result<Vector> PartySecureVectorSum::RunAdditive(const Secret<Vector>& input) {
+  const int p = net_->num_parties();
 
-  // Phase 1: share distribution. Party i keeps its own share and sends
-  // share j to party j (one share per holder — the sanctioned
-  // SerializeShareForHolder reveal point).
-  network_->BeginRound();
-  std::vector<Secret<RingVector>> kept(static_cast<size_t>(p));
-  for (int i = 0; i < p; ++i) {
-    DASH_ASSIGN_OR_RETURN(
-        Secret<RingVector> encoded,
-        codec_.EncodeSecretVector(inputs[static_cast<size_t>(i)]));
-    auto shares =
-        AdditiveShareVector(encoded, p, &party_rngs_[static_cast<size_t>(i)]);
-    kept[static_cast<size_t>(i)] = std::move(shares[static_cast<size_t>(i)]);
-    for (int j = 0; j < p; ++j) {
-      if (j == i) continue;
-      DASH_ROUND(phase2_additive_share, kAdditiveShare);
-      DASH_RETURN_IF_ERROR(
-          network_->Send(i, j, MessageTag::kAdditiveShare,
-                         SerializeShareForHolder(shares[static_cast<size_t>(j)])));
-    }
-  }
-
-  // Phase 2: each party sums the shares it holds and broadcasts the
-  // partial; partials are uniformly random individually (hence Masked).
-  network_->BeginRound();
-  std::vector<Masked<RingVector>> partials(static_cast<size_t>(p));
+  // Round 1: keep our own share, send share j to party j (one share per
+  // holder — the sanctioned SerializeShareForHolder reveal point).
+  net_->BeginRound();
+  DASH_ASSIGN_OR_RETURN(Secret<RingVector> encoded,
+                        codec_.EncodeSecretVector(input));
+  auto shares = AdditiveShareVector(encoded, p, &rng_);
+  const Secret<RingVector> own = std::move(shares[static_cast<size_t>(local_)]);
   for (int j = 0; j < p; ++j) {
-    std::vector<RingVector> received;
-    received.reserve(static_cast<size_t>(p - 1));
-    for (int i = 0; i < p; ++i) {
-      if (i == j) continue;
-      DASH_ROUND(phase2_additive_share, kAdditiveShare);
-      DASH_ASSIGN_OR_RETURN(
-          Message msg, network_->Receive(j, i, MessageTag::kAdditiveShare));
-      ByteReader r(msg.payload);
-      DASH_ASSIGN_OR_RETURN(RingVector share, r.GetU64Vector());
-      received.push_back(std::move(share));
-    }
-    DASH_ASSIGN_OR_RETURN(
-        Masked<RingVector> partial,
-        AccumulateAdditiveShares(kept[static_cast<size_t>(j)], received));
-    DASH_ROUND(phase2_additive_reveal, kPartialSum);
-    DASH_RETURN_IF_ERROR(network_->Broadcast(j, MessageTag::kPartialSum,
-                                             MaskAndSerialize(partial)));
-    partials[static_cast<size_t>(j)] = std::move(partial);
+    if (j == local_) continue;
+    DASH_ROUND(phase2_additive_share, kAdditiveShare);
+    DASH_RETURN_IF_ERROR(
+        net_->Send(local_, j, MessageTag::kAdditiveShare,
+                   SerializeShareForHolder(shares[static_cast<size_t>(j)])));
   }
 
-  // Phase 3: everyone opens the total from the partials; we return
-  // party 0's view and drain the symmetric messages.
+  // Round 2: sum the shares we hold and broadcast the partial; partials
+  // are uniformly random individually (hence Masked), and all of them
+  // open the total.
+  net_->BeginRound();
+  std::vector<RingVector> received;
+  received.reserve(static_cast<size_t>(p - 1));
+  for (int i = 0; i < p; ++i) {
+    if (i == local_) continue;
+    DASH_ROUND(phase2_additive_share, kAdditiveShare);
+    DASH_ASSIGN_OR_RETURN(
+        Message msg, net_->Receive(local_, i, MessageTag::kAdditiveShare));
+    ByteReader r(msg.payload);
+    DASH_ASSIGN_OR_RETURN(RingVector share, r.GetU64Vector());
+    received.push_back(std::move(share));
+  }
+  DASH_ASSIGN_OR_RETURN(Masked<RingVector> partial,
+                        AccumulateAdditiveShares(own, received));
+  DASH_ROUND(phase2_additive_reveal, kPartialSum);
+  DASH_RETURN_IF_ERROR(net_->Broadcast(local_, MessageTag::kPartialSum,
+                                       MaskAndSerialize(partial)));
+
   std::vector<RingVector> peer_partials;
   peer_partials.reserve(static_cast<size_t>(p - 1));
-  for (int q = 1; q < p; ++q) {
+  for (int q = 0; q < p; ++q) {
+    if (q == local_) continue;
     DASH_ROUND(phase2_additive_reveal, kPartialSum);
     DASH_ASSIGN_OR_RETURN(Message msg,
-                          network_->Receive(0, q, MessageTag::kPartialSum));
+                          net_->Receive(local_, q, MessageTag::kPartialSum));
     ByteReader r(msg.payload);
-    DASH_ASSIGN_OR_RETURN(RingVector partial, r.GetU64Vector());
-    peer_partials.push_back(std::move(partial));
+    DASH_ASSIGN_OR_RETURN(RingVector peer, r.GetU64Vector());
+    peer_partials.push_back(std::move(peer));
   }
-  for (int i = 1; i < p; ++i) {
-    for (int q = 0; q < p; ++q) {
-      if (q == i) continue;
-      DASH_ROUND_DRAIN(phase2_additive_reveal, kPartialSum);
-      DASH_RETURN_IF_ERROR(
-          network_->Receive(i, q, MessageTag::kPartialSum).status());
-    }
-  }
-  return OpenAdditiveTotal(partials[0], peer_partials, codec_);
+  return OpenAdditiveTotal(partial, peer_partials, codec_);
 }
 
-Result<Vector> SecureVectorSum::RunMasked(
-    const std::vector<Secret<Vector>>& inputs) {
-  const int p = network_->num_parties();
+Result<Vector> PartySecureVectorSum::RunMasked(const Secret<Vector>& input) {
+  const int p = net_->num_parties();
 
-  // Single round: broadcast masked contributions. Party 0's sealed
-  // vector doubles as its own summand when opening the total below
-  // (ChaCha20 streams are deterministic, so this is bit-identical to
-  // recomputing it).
-  network_->BeginRound();
-  Masked<RingVector> own_masked;
-  for (int i = 0; i < p; ++i) {
-    DASH_ASSIGN_OR_RETURN(
-        Secret<RingVector> encoded,
-        codec_.EncodeSecretVector(inputs[static_cast<size_t>(i)]));
-    Masked<RingVector> masked = ApplyPairwiseMasks(
-        i, encoded, pairwise_keys_[static_cast<size_t>(i)], round_nonce_);
-    DASH_ROUND(phase2_masked, kMaskedValue);
-    DASH_RETURN_IF_ERROR(network_->Broadcast(i, MessageTag::kMaskedValue,
-                                             MaskAndSerialize(masked)));
-    if (i == 0) own_masked = std::move(masked);
-  }
+  // One round: broadcast our masked contribution; the masks cancel in
+  // the sum over all P masked vectors, our own included.
+  net_->BeginRound();
+  DASH_ASSIGN_OR_RETURN(Secret<RingVector> encoded,
+                        codec_.EncodeSecretVector(input));
+  const Masked<RingVector> masked =
+      ApplyPairwiseMasks(local_, encoded, pairwise_keys_, round_nonce_);
+  DASH_ROUND(phase2_masked, kMaskedValue);
+  DASH_RETURN_IF_ERROR(net_->Broadcast(local_, MessageTag::kMaskedValue,
+                                       MaskAndSerialize(masked)));
 
-  // Every party sums all P masked vectors (its own included); the masks
-  // cancel pairwise. Party 0's view is returned, the rest drained.
-  std::vector<RingVector> peer_masked;
-  peer_masked.reserve(static_cast<size_t>(p - 1));
-  for (int q = 1; q < p; ++q) {
+  std::vector<RingVector> peers;
+  peers.reserve(static_cast<size_t>(p - 1));
+  for (int q = 0; q < p; ++q) {
+    if (q == local_) continue;
     DASH_ROUND(phase2_masked, kMaskedValue);
     DASH_ASSIGN_OR_RETURN(Message msg,
-                          network_->Receive(0, q, MessageTag::kMaskedValue));
+                          net_->Receive(local_, q, MessageTag::kMaskedValue));
     ByteReader r(msg.payload);
-    DASH_ASSIGN_OR_RETURN(RingVector masked, r.GetU64Vector());
-    peer_masked.push_back(std::move(masked));
+    DASH_ASSIGN_OR_RETURN(RingVector peer, r.GetU64Vector());
+    peers.push_back(std::move(peer));
   }
-  for (int i = 1; i < p; ++i) {
-    for (int q = 0; q < p; ++q) {
-      if (q == i) continue;
-      DASH_ROUND_DRAIN(phase2_masked, kMaskedValue);
-      DASH_RETURN_IF_ERROR(
-          network_->Receive(i, q, MessageTag::kMaskedValue).status());
-    }
-  }
-  return OpenMaskedTotal(own_masked, peer_masked, codec_);
+  return OpenMaskedTotal(masked, peers, codec_);
 }
 
-Result<Vector> SecureVectorSum::RunShamir(
-    const std::vector<Secret<Vector>>& inputs) {
-  const int p = network_->num_parties();
-  const int threshold =
-      (options_.shamir_threshold >= 0) ? options_.shamir_threshold
-                                       : (p - 1) / 2;
+Result<Vector> PartySecureVectorSum::RunShamir(const Secret<Vector>& input) {
+  const int p = net_->num_parties();
+  const int threshold = (options_.shamir_threshold >= 0)
+                            ? options_.shamir_threshold
+                            : (p - 1) / 2;
   if (threshold >= p) {
     return InvalidArgumentError("Shamir threshold must be < num parties");
   }
-  // The 61-bit field offers less headroom than the 64-bit ring.
-  const double field_max =
-      std::ldexp(1.0, 60 - options_.frac_bits) / static_cast<double>(p);
-  for (const auto& input : inputs) {
-    for (const double x : input.Reveal(MpcPass::Get())) {
-      if (!(x > -field_max && x < field_max)) {
-        return OutOfRangeError(
-            "input exceeds Shamir field headroom; lower frac_bits");
-      }
-    }
+  // Field-encodes AND validates headroom — deliberately before
+  // BeginRound so validation failures precede any traffic.
+  DASH_ASSIGN_OR_RETURN(Secret<RingVector> encoded,
+                        ShamirFieldEncode(codec_, input, p));
+
+  // Round 1: distribute shares of our input (party j gets the
+  // evaluation at x = j+1); keep our own.
+  net_->BeginRound();
+  DASH_ASSIGN_OR_RETURN(
+      auto shares, ShamirShareVectorForParties(encoded, p, threshold, &rng_));
+  const Secret<RingVector> own = std::move(shares[static_cast<size_t>(local_)]);
+  for (int j = 0; j < p; ++j) {
+    if (j == local_) continue;
+    DASH_ROUND(phase2_shamir_share, kShamirShare);
+    DASH_RETURN_IF_ERROR(
+        net_->Send(local_, j, MessageTag::kShamirShare,
+                   SerializeShareForHolder(shares[static_cast<size_t>(j)])));
   }
 
-  // Phase 1: distribute shares (party j gets the evaluation at x = j+1,
-  // one share per holder via SerializeShareForHolder).
-  network_->BeginRound();
-  std::vector<Secret<RingVector>> own_kept(static_cast<size_t>(p));
+  // Round 2: sum the shares we hold (a share of the total by linearity —
+  // individually uniform, hence Masked) and exchange the sum shares.
+  net_->BeginRound();
+  std::vector<RingVector> received;
+  received.reserve(static_cast<size_t>(p - 1));
   for (int i = 0; i < p; ++i) {
-    // Field-encode the fixed-point quantization of each element.
-    DASH_ASSIGN_OR_RETURN(
-        Secret<RingVector> encoded,
-        ShamirFieldEncode(codec_, inputs[static_cast<size_t>(i)], p));
-    DASH_ASSIGN_OR_RETURN(
-        auto shares,
-        ShamirShareVectorForParties(encoded, p, threshold,
-                                    &party_rngs_[static_cast<size_t>(i)]));
-    for (int j = 0; j < p; ++j) {
-      if (j == i) {
-        own_kept[static_cast<size_t>(j)] =
-            std::move(shares[static_cast<size_t>(j)]);
-      } else {
-        DASH_ROUND(phase2_shamir_share, kShamirShare);
-        DASH_RETURN_IF_ERROR(network_->Send(
-            i, j, MessageTag::kShamirShare,
-            SerializeShareForHolder(shares[static_cast<size_t>(j)])));
-      }
-    }
+    if (i == local_) continue;
+    DASH_ROUND(phase2_shamir_share, kShamirShare);
+    DASH_ASSIGN_OR_RETURN(Message msg,
+                          net_->Receive(local_, i, MessageTag::kShamirShare));
+    ByteReader r(msg.payload);
+    DASH_ASSIGN_OR_RETURN(RingVector ys, r.GetU64Vector());
+    received.push_back(std::move(ys));
+  }
+  DASH_ASSIGN_OR_RETURN(Masked<RingVector> held,
+                        AccumulateShamirShares(own, received));
+  const std::vector<uint8_t> payload = MaskAndSerialize(held);
+  for (int to = 0; to < p; ++to) {
+    if (to == local_) continue;
+    DASH_ROUND(phase2_shamir_reveal, kPartialSum);
+    DASH_RETURN_IF_ERROR(
+        net_->Send(local_, to, MessageTag::kPartialSum, payload));
   }
 
-  // Fault injection: the last `dropouts` parties crash here — after
-  // their inputs were share-distributed, before contributing sum shares.
-  const int dropouts = options_.simulate_shamir_dropouts;
-  if (dropouts < 0 || (dropouts > 0 && p - dropouts < threshold + 1)) {
-    return InvalidArgumentError(
-        "cannot drop " + std::to_string(dropouts) + " of " +
-        std::to_string(p) + " parties at threshold " +
-        std::to_string(threshold) + "; need >= t+1 survivors");
-  }
-  const int survivors = p - dropouts;
-
-  // Phase 2: each surviving party sums the shares it holds (a share of
-  // the total by linearity — individually uniform, hence Masked) and
-  // broadcasts it to the other survivors.
-  network_->BeginRound();
-  std::vector<Masked<RingVector>> held(static_cast<size_t>(survivors));
-  for (int j = 0; j < survivors; ++j) {
-    std::vector<RingVector> received;
-    received.reserve(static_cast<size_t>(p - 1));
-    for (int i = 0; i < p; ++i) {
-      if (i == j) continue;
-      DASH_ROUND(phase2_shamir_share, kShamirShare);
-      DASH_ASSIGN_OR_RETURN(Message msg,
-                            network_->Receive(j, i, MessageTag::kShamirShare));
-      ByteReader r(msg.payload);
-      DASH_ASSIGN_OR_RETURN(RingVector ys, r.GetU64Vector());
-      received.push_back(std::move(ys));
-    }
-    DASH_ASSIGN_OR_RETURN(
-        held[static_cast<size_t>(j)],
-        AccumulateShamirShares(own_kept[static_cast<size_t>(j)], received));
-    const std::vector<uint8_t> payload =
-        MaskAndSerialize(held[static_cast<size_t>(j)]);
-    for (int to = 0; to < survivors; ++to) {
-      if (to == j) continue;
-      DASH_ROUND(phase2_shamir_reveal, kPartialSum);
-      DASH_RETURN_IF_ERROR(
-          network_->Send(j, to, MessageTag::kPartialSum, payload));
-    }
-  }
-  // Crashed parties' queued incoming shares are abandoned, as they would
-  // be on a real network; drain them so the simulation's bookkeeping
-  // stays clean.
-  for (int j = survivors; j < p; ++j) {
-    for (int i = 0; i < p; ++i) {
-      if (i == j) continue;
-      while (network_->HasPending(j, i)) {
-        DASH_ROUND_DRAIN(phase2_shamir_share, kShamirShare);
-        DASH_RETURN_IF_ERROR(
-            network_->Receive(j, i, MessageTag::kShamirShare).status());
-      }
-    }
-  }
-
-  // Phase 3: survivors reconstruct at x = 0 from their own evaluation
-  // points. The crashed parties' INPUTS are still in the total: every
-  // survivor's sum share already includes the shares those parties
-  // distributed in phase 1.
-  std::vector<RingVector> sum_shares(static_cast<size_t>(survivors));
-  for (int q = 1; q < survivors; ++q) {
+  // Reconstruct at x = 0 from all P sum shares (our own slot comes from
+  // `held`; the vector's local slot stays empty).
+  std::vector<RingVector> sum_shares(static_cast<size_t>(p));
+  for (int q = 0; q < p; ++q) {
+    if (q == local_) continue;
     DASH_ROUND(phase2_shamir_reveal, kPartialSum);
     DASH_ASSIGN_OR_RETURN(Message msg,
-                          network_->Receive(0, q, MessageTag::kPartialSum));
+                          net_->Receive(local_, q, MessageTag::kPartialSum));
     ByteReader r(msg.payload);
-    DASH_ASSIGN_OR_RETURN(sum_shares[static_cast<size_t>(q)], r.GetU64Vector());
+    DASH_ASSIGN_OR_RETURN(sum_shares[static_cast<size_t>(q)],
+                          r.GetU64Vector());
   }
-  for (int i = 1; i < survivors; ++i) {
-    for (int q = 0; q < survivors; ++q) {
-      if (q == i) continue;
-      DASH_ROUND_DRAIN(phase2_shamir_reveal, kPartialSum);
-      DASH_RETURN_IF_ERROR(
-          network_->Receive(i, q, MessageTag::kPartialSum).status());
-    }
-  }
-  return OpenShamirTotal(held[0], /*own_index=*/0, sum_shares, codec_);
+  return OpenShamirTotal(held, local_, sum_shares, codec_);
 }
 
 }  // namespace dash

@@ -1,4 +1,4 @@
-// Secure multi-party vector summation over the simulated network.
+// Secure multi-party vector summation: one party's end of it.
 //
 // This is the protocol the paper's §3 invokes to combine the parties'
 // sufficient-statistic summands "by computing their internal summands and
@@ -14,11 +14,16 @@
 //  * kMasked — pairwise ChaCha20 masks that cancel in the total
 //    (Bonawitz-style); one vector round after a one-time key agreement.
 //  * kShamir — Shamir sharing over F_(2^61-1) with threshold
-//    floor((P-1)/2); tolerates dropouts; two vector rounds.
+//    floor((P-1)/2); two vector rounds.
 //
 // All modes reveal exactly the element-wise sum to every party and cost
 // O(length) bytes per link, independent of the per-party sample counts —
 // the communication property experiment E3 verifies.
+//
+// PartySecureVectorSum is the protocol's only implementation. Each party
+// runs its own instance over its own party-bound transport: one TCP
+// process per party in a deployment, one thread per party over the
+// in-process mesh in the simulator (net/network.h).
 
 #ifndef DASH_MPC_SECURE_SUM_H_
 #define DASH_MPC_SECURE_SUM_H_
@@ -57,13 +62,6 @@ struct SecureSumOptions {
   // Shamir reconstruction threshold; -1 selects floor((P-1)/2).
   int shamir_threshold = -1;
 
-  // Fault-injection: this many parties (the highest-indexed ones) crash
-  // after distributing their input shares but before broadcasting their
-  // sum shares. Shamir mode still recovers the full total — including
-  // the crashed parties' inputs — as long as
-  // P - dropouts >= threshold + 1; other modes cannot tolerate any.
-  int simulate_shamir_dropouts = 0;
-
   // Seed for the per-party randomness (shares, masks, DH exponents).
   uint64_t seed = 0xda5b;
 
@@ -77,51 +75,57 @@ struct SecureSumOptions {
   uint64_t mask_domain = 0;
 };
 
-// Wraps each party's plaintext contribution for Run(). Wrapping is
-// always safe — it is reading BACK that the secrecy types gate — so
-// this is the standard bridge for in-process drivers and tests whose
-// per-party inputs are generated locally.
-[[nodiscard]] std::vector<Secret<Vector>> ToSecretInputs(
-    std::vector<Vector> inputs);
-
-// Drives all parties of the sum protocol in-process over `network`.
-// The object owns per-party state (RNGs, pairwise keys) so repeated
-// Run() calls reuse the one-time setup, as a long-lived deployment would.
-class SecureVectorSum {
+// One party's end of the sum protocol, over a party-bound transport
+// (this party is transport->local_party()). It performs the sends this
+// party makes and consumes the messages addressed to it, in a fixed
+// per-link order and round structure, so every party reveals the same
+// bits:
+//  * public     — every party sums the plaintext vectors in ascending
+//                 party order;
+//  * additive   — Z_2^64 wrapping adds are commutative/associative, so
+//                 receive order cannot change the total;
+//  * masked     — same ring argument after the pairwise masks cancel;
+//  * shamir     — F_(2^61-1) adds are exact; reconstruction weights are
+//                 a deterministic function of the fixed points 1..P.
+//
+// Party i draws its share/mask/DH randomness from the i-th output of
+// the SplitMix64 chain over options.seed, so two deployments with equal
+// seeds exchange identical ciphertexts. The object keeps that state
+// (RNG, pairwise keys) so repeated Run() calls reuse the one-time
+// setup, as a long-lived deployment would.
+//
+// A peer vector of the wrong length fails every mode with
+// FailedPrecondition ("protocol desync").
+class PartySecureVectorSum {
  public:
-  // `network` must outlive this object.
-  SecureVectorSum(Transport* network, const SecureSumOptions& options);
+  // `transport` must outlive this object.
+  PartySecureVectorSum(Transport* transport, const SecureSumOptions& options);
 
   // One-time setup. For kMasked this runs the Diffie-Hellman pairwise
-  // key agreement over the network; other modes are no-ops. Idempotent.
+  // key agreement; other modes are no-ops. Idempotent.
   Status Setup();
 
-  // inputs[p] is party p's PRIVATE contribution (mpc/secrecy.h); all
-  // must share one length. Returns the element-wise total — the one
-  // value the protocol declares public — as revealed to every party.
-  // Runs Setup() on first use if the caller did not.
-  Result<Vector> Run(const std::vector<Secret<Vector>>& inputs);
-
-  // Scalar convenience (tests and small drivers); wraps each summand
-  // before any protocol work.
-  Result<double> RunScalar(const std::vector<double>& inputs);
+  // `input` is this party's PRIVATE contribution (mpc/secrecy.h); all
+  // parties' must share one length. Returns the element-wise total —
+  // the one value the protocol declares public. Runs Setup() on first
+  // use if the caller did not.
+  Result<Vector> Run(const Secret<Vector>& input);
 
   const SecureSumOptions& options() const { return options_; }
 
  private:
-  Status ValidateInputs(const std::vector<Secret<Vector>>& inputs) const;
-  Result<Vector> RunPublic(const std::vector<Secret<Vector>>& inputs);
-  Result<Vector> RunAdditive(const std::vector<Secret<Vector>>& inputs);
-  Result<Vector> RunMasked(const std::vector<Secret<Vector>>& inputs);
-  Result<Vector> RunShamir(const std::vector<Secret<Vector>>& inputs);
+  Result<Vector> RunPublic(const Secret<Vector>& input);
+  Result<Vector> RunAdditive(const Secret<Vector>& input);
+  Result<Vector> RunMasked(const Secret<Vector>& input);
+  Result<Vector> RunShamir(const Secret<Vector>& input);
 
-  Transport* network_;
+  Transport* net_;
+  int local_;
   SecureSumOptions options_;
   FixedPointCodec codec_;
-  std::vector<Rng> party_rngs_;
-  // pairwise_keys_[p][q]: key party p shares with party q (kMasked only).
-  // Mask keys are secret material (mpc/secrecy.h).
-  std::vector<std::vector<Secret<ChaCha20Rng::Key>>> pairwise_keys_;
+  Rng rng_;
+  // [q] = mask key shared with party q; secret material (mpc/secrecy.h).
+  std::vector<Secret<ChaCha20Rng::Key>> pairwise_keys_;
   uint64_t round_nonce_ = 0;
   bool setup_done_ = false;
 };

@@ -155,7 +155,8 @@ Result<Masked<RingVector>> AccumulateShamirShares(
   RingVector held = own_share.Reveal(MpcPass::Get());
   for (const RingVector& ys : received_shares) {
     if (ys.size() != held.size()) {
-      return InternalError("Shamir share length mismatch");
+      return FailedPreconditionError(
+          "protocol desync: Shamir share length mismatch");
     }
     for (size_t e = 0; e < held.size(); ++e) held[e] = FieldAdd(held[e], ys[e]);
   }
@@ -166,28 +167,29 @@ Result<Vector> OpenShamirTotal(const Masked<RingVector>& own_partial,
                                int own_index,
                                const std::vector<RingVector>& partials_by_party,
                                const FixedPointCodec& codec) {
-  const int survivors = static_cast<int>(partials_by_party.size());
-  if (own_index < 0 || own_index >= survivors) {
-    return InvalidArgumentError("own_index outside the survivor set");
+  const int parties = static_cast<int>(partials_by_party.size());
+  if (own_index < 0 || own_index >= parties) {
+    return InvalidArgumentError("own_index outside the party set");
   }
   const RingVector& own = own_partial.wire();
   const size_t len = own.size();
-  std::vector<uint64_t> xs(static_cast<size_t>(survivors));
-  for (int j = 0; j < survivors; ++j) {
+  std::vector<uint64_t> xs(static_cast<size_t>(parties));
+  for (int j = 0; j < parties; ++j) {
     xs[static_cast<size_t>(j)] = static_cast<uint64_t>(j) + 1;
   }
   DASH_ASSIGN_OR_RETURN(std::vector<uint64_t> weights,
                         LagrangeWeightsAtZero(xs));
-  for (int j = 0; j < survivors; ++j) {
+  for (int j = 0; j < parties; ++j) {
     if (j == own_index) continue;
     if (partials_by_party[static_cast<size_t>(j)].size() != len) {
-      return InternalError("Shamir sum share length mismatch");
+      return FailedPreconditionError(
+          "protocol desync: Shamir sum share length mismatch");
     }
   }
   Vector result(len);
   for (size_t e = 0; e < len; ++e) {
     uint64_t acc = 0;
-    for (int j = 0; j < survivors; ++j) {
+    for (int j = 0; j < parties; ++j) {
       const uint64_t y = (j == own_index)
                              ? own[e]
                              : partials_by_party[static_cast<size_t>(j)][e];

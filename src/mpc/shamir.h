@@ -59,7 +59,7 @@ Result<std::vector<uint64_t>> LagrangeWeightsAtZero(
 // split it (party j's share is the evaluation at x = j+1, carried as a
 // bare y-vector), accumulate the shares a party holds into its partial
 // (individually uniform, hence Masked), and open the total from every
-// survivor's partial.
+// party's partial.
 
 // Fixed-point + field encoding of a private contribution, with the
 // headroom check for the 61-bit field shared among `num_parties`.
@@ -79,10 +79,11 @@ Result<Masked<RingVector>> AccumulateShamirShares(
     const Secret<RingVector>& own_share,
     const std::vector<RingVector>& received_shares);
 
-// Lagrange-reconstructs the total at x = 0 from the survivors'
-// partials and decodes it. partials_by_party has one slot per survivor
-// (evaluation point j+1); the slot at `own_index` is taken from
-// own_partial and may be left empty. Reveal point (round-key
+// Lagrange-reconstructs the total at x = 0 from the parties' partials
+// and decodes it. partials_by_party has one slot per party (evaluation
+// point j+1); the slot at `own_index` is taken from own_partial and may
+// be left empty. A peer partial of the wrong length is a protocol
+// desync (FailedPrecondition). Reveal point (round-key
 // phase2-shamir): >= t+1 sum shares interpolate to exactly the
 // aggregate total the protocol reveals.
 Result<Vector> OpenShamirTotal(const Masked<RingVector>& own_partial,

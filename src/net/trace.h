@@ -1,11 +1,15 @@
 // Protocol transcript recording for audit and debugging.
 //
-// Attach a ProtocolTrace to a Network and every message's metadata
+// Attach a ProtocolTrace to a Transport and every message's metadata
 // (sequence, round, endpoints, tag, wire bytes — never payloads) is
 // captured. Deployments use such transcripts to verify after the fact
 // that a protocol run exchanged exactly the message pattern it was
 // supposed to: the privacy argument of the paper is precisely a claim
 // about which bytes flow where.
+//
+// Record is safe for concurrent callers: the simulator attaches one
+// trace to all P party endpoints, each on its own thread. The readers
+// below expect recording to have stopped (the run joined).
 
 #ifndef DASH_NET_TRACE_H_
 #define DASH_NET_TRACE_H_
@@ -15,6 +19,7 @@
 #include <vector>
 
 #include "net/message.h"
+#include "util/mutex.h"
 #include "util/status.h"
 
 namespace dash {
@@ -30,11 +35,14 @@ struct TraceEvent {
 
 class ProtocolTrace {
  public:
-  void Record(int round, const Message& msg);
-  void Clear() { events_.clear(); }
+  void Record(int round, const Message& msg) DASH_EXCLUDES(mu_);
+  void Clear() DASH_EXCLUDES(mu_);
 
-  const std::vector<TraceEvent>& events() const { return events_; }
-  int64_t size() const { return static_cast<int64_t>(events_.size()); }
+  const std::vector<TraceEvent>& events() const
+      DASH_NO_THREAD_SAFETY_ANALYSIS(
+          "read after the recording threads joined; a reference cannot "
+          "carry the lock");
+  int64_t size() const { return static_cast<int64_t>(events().size()); }
 
   // Events carrying a particular tag.
   int64_t CountTag(MessageTag tag) const;
@@ -46,7 +54,8 @@ class ProtocolTrace {
   std::string Summary() const;
 
  private:
-  std::vector<TraceEvent> events_;
+  mutable Mutex mu_{LockRank::kLeaf};
+  std::vector<TraceEvent> events_ DASH_GUARDED_BY(mu_);
 };
 
 }  // namespace dash

@@ -163,12 +163,7 @@ Status FaultInjectingTransport::Send(int from, int to, MessageTag tag,
         // Swallowed: the sender proceeds believing the message left.
         break;
       case FaultKind::kDelay:
-        // Lockstep in-process calls have no wall clock between them, so
-        // sleeping there would only slow the test down.
-        if (inner_->local_party() >= 0 && rule->delay_ms > 0) {
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(rule->delay_ms));
-        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(rule->delay_ms));
         sent = ForwardSend(from, to, tag, std::move(payload));
         break;
       case FaultKind::kDuplicate: {

@@ -1,9 +1,10 @@
 // Deterministic fault injection for any Transport.
 //
-// FaultInjectingTransport decorates a backend (the in-process simulator
-// or a TcpTransport endpoint) and applies a seeded FaultPlan: a list of
-// rules keyed by (round, sender, receiver, nth matching message). The
-// plan is pure data, so the SAME plan handed to every party of a run
+// FaultInjectingTransport decorates one party's transport (an endpoint
+// of the in-process mesh or a TcpTransport) and applies a seeded
+// FaultPlan: a list of rules keyed by (round, sender, receiver, nth
+// matching message). The plan is pure data, so the SAME plan handed to
+// every party of a run
 // describes one global fault schedule; because the protocol's send and
 // receive sequences are deterministic and every party calls BeginRound
 // at the same protocol points, the sender-side decorator and the
@@ -15,10 +16,10 @@
 //   kDrop        sender swallows the message; the receiver's matching
 //                Receive reports DeadlineExceeded (TCP would time out)
 //                without consuming anything.
-//   kDelay       sender sleeps delay_ms before forwarding (skipped on
-//                the in-process backend, where no wall clock exists
-//                between lockstep calls). Outlasting the peer's
-//                receive_timeout_ms turns this into a timeout fault.
+//   kDelay       sender sleeps delay_ms before forwarding. Outlasting
+//                a TCP peer's receive_timeout_ms turns this into a
+//                timeout fault; the in-process mesh has no timeout, so
+//                there a delay only slows the run down.
 //   kDuplicate   sender forwards the message twice; the receiver's
 //                matching Receive consumes both copies and delivers
 //                one. The run must stay bit-identical to fault-free.

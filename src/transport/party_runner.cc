@@ -12,388 +12,17 @@
 #include "core/streaming_stats.h"
 #include "core/suff_stats.h"
 #include "linalg/qr.h"
-#include "linalg/tsqr.h"
-#include "mpc/additive_sharing.h"
-#include "mpc/fixed_point.h"
-#include "mpc/key_exchange.h"
-#include "mpc/masked_aggregation.h"
 #include "mpc/secrecy.h"
-#include "mpc/shamir.h"
+#include "mpc/secure_projection.h"
 #include "net/abort.h"
 #include "net/round_annotations.h"
 #include "net/serialization.h"
 #include "util/logging.h"
-#include "util/random.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace dash {
 namespace {
-
-// Party-local projection of SecureVectorSum (mpc/secure_sum.cc): performs
-// the sends party `local` makes and the receives addressed to it, in the
-// same per-link order and round structure. The bit-identity argument per
-// mode:
-//  * public     — every party sums the plaintext vectors in ascending
-//                 party order, matching the in-process reduction;
-//  * additive   — Z_2^64 wrapping adds are commutative/associative, so
-//                 receive order cannot change the total;
-//  * masked     — same ring argument after the pairwise masks cancel;
-//  * shamir     — F_(2^61-1) adds are exact; reconstruction weights are
-//                 a deterministic function of the fixed points 1..P.
-//
-// Secrecy discipline (mpc/secrecy.h, DESIGN.md §11): the party's
-// contribution arrives as Secret<Vector> and this class never reads it
-// directly — every buffer handed to the transport is produced by a
-// blessed reveal point (SerializeShareForHolder, MaskAndSerialize,
-// DiffieHellman::PublicValue) except the public-share baseline, whose
-// plaintext broadcast is an explicit DASH_DECLASSIFY.
-class PartySecureVectorSum {
- public:
-  PartySecureVectorSum(Transport* transport, const SecureSumOptions& options)
-      : net_(transport),
-        local_(transport->local_party()),
-        options_(options),
-        codec_(options.frac_bits),
-        rng_([&] {
-          // Party i's randomness is the i-th output of the SplitMix64
-          // chain over the shared seed — the exact seeding the in-process
-          // driver applies to its per-party RNG array. A nonzero
-          // mask_domain (the session id of a multiplexed job) perturbs
-          // the chain's starting point, so concurrent sessions with the
-          // same protocol seed draw DISJOINT randomness and never share
-          // a DH exponent or pairwise mask key; domain 0 preserves the
-          // historical chain bit for bit.
-          uint64_t seed_state = options.seed;
-          if (options.mask_domain != 0) {
-            uint64_t domain_state = options.mask_domain;
-            seed_state ^= SplitMix64(&domain_state);
-          }
-          uint64_t seed = SplitMix64(&seed_state);
-          for (int i = 0; i < transport->local_party(); ++i) {
-            seed = SplitMix64(&seed_state);
-          }
-          return Rng(seed);
-        }()) {}
-
-  Result<Vector> Run(const Secret<Vector>& input) {
-    DASH_RETURN_IF_ERROR(Setup());
-    if (net_->num_parties() == 1) {
-      return DASH_DECLASSIFY(
-          input, "phase2-single: a single party's total IS its own input");
-    }
-    ++round_nonce_;
-    switch (options_.mode) {
-      case AggregationMode::kPublicShare:
-        return RunPublic(input);
-      case AggregationMode::kAdditive:
-        return RunAdditive(input);
-      case AggregationMode::kMasked:
-        return RunMasked(input);
-      case AggregationMode::kShamir:
-        return RunShamir(input);
-    }
-    return InternalError("unknown aggregation mode");
-  }
-
- private:
-  Status Setup() {
-    if (setup_done_) return Status::Ok();
-    const int p = net_->num_parties();
-    if (options_.mode == AggregationMode::kMasked && p > 1) {
-      net_->BeginRound();
-      const Secret<uint64_t> private_key =
-          DiffieHellman::GeneratePrivate(&rng_);
-      ByteWriter w;
-      w.PutU64(DiffieHellman::PublicValue(private_key));
-      DASH_ROUND(phase0b_keyagree, kPublicKey);
-      DASH_RETURN_IF_ERROR(
-          net_->Broadcast(local_, MessageTag::kPublicKey, w.Take()));
-      pairwise_keys_.assign(static_cast<size_t>(p),
-                            Secret<ChaCha20Rng::Key>{});
-      for (int q = 0; q < p; ++q) {
-        if (q == local_) continue;
-        DASH_ROUND(phase0b_keyagree, kPublicKey);
-        DASH_ASSIGN_OR_RETURN(
-            Message msg, net_->Receive(local_, q, MessageTag::kPublicKey));
-        ByteReader r(msg.payload);
-        DASH_ASSIGN_OR_RETURN(uint64_t peer_public, r.GetU64());
-        pairwise_keys_[static_cast<size_t>(q)] = DiffieHellman::DeriveKey(
-            DiffieHellman::SharedSecret(private_key, peer_public));
-      }
-    }
-    setup_done_ = true;
-    return Status::Ok();
-  }
-
-  Result<Vector> RunPublic(const Secret<Vector>& secret_input) {
-    const int p = net_->num_parties();
-    // The public-share baseline deliberately reveals every summand; this
-    // is the protocol's documented insecure mode, not a leak.
-    const Vector input = DASH_DECLASSIFY(
-        secret_input, "phase2-public: baseline broadcasts plaintext summands");
-    net_->BeginRound();
-    ByteWriter w;
-    w.PutDoubleVector(input);
-    DASH_ROUND(phase2_public, kPlainStats);
-    DASH_RETURN_IF_ERROR(
-        net_->Broadcast(local_, MessageTag::kPlainStats, w.Take()));
-    // Sum in ascending party order — float addition is order-sensitive
-    // and the in-process reduction goes 0, 1, ..., P-1.
-    Vector total;
-    for (int q = 0; q < p; ++q) {
-      Vector v;
-      if (q == local_) {
-        v = input;
-      } else {
-        DASH_ROUND(phase2_public, kPlainStats);
-        DASH_ASSIGN_OR_RETURN(
-            Message msg, net_->Receive(local_, q, MessageTag::kPlainStats));
-        ByteReader r(msg.payload);
-        DASH_ASSIGN_OR_RETURN(v, r.GetDoubleVector());
-      }
-      if (q == 0) {
-        total = std::move(v);
-      } else {
-        if (v.size() != total.size()) {
-          return InternalError("public-share length mismatch");
-        }
-        for (size_t e = 0; e < total.size(); ++e) total[e] += v[e];
-      }
-    }
-    return total;
-  }
-
-  Result<Vector> RunAdditive(const Secret<Vector>& input) {
-    const int p = net_->num_parties();
-
-    net_->BeginRound();
-    DASH_ASSIGN_OR_RETURN(Secret<RingVector> encoded,
-                          codec_.EncodeSecretVector(input));
-    auto shares = AdditiveShareVector(encoded, p, &rng_);
-    const Secret<RingVector> own =
-        std::move(shares[static_cast<size_t>(local_)]);
-    for (int j = 0; j < p; ++j) {
-      if (j == local_) continue;
-      DASH_ROUND(phase2_additive_share, kAdditiveShare);
-      DASH_RETURN_IF_ERROR(
-          net_->Send(local_, j, MessageTag::kAdditiveShare,
-                     SerializeShareForHolder(shares[static_cast<size_t>(j)])));
-    }
-
-    net_->BeginRound();
-    std::vector<RingVector> received;
-    received.reserve(static_cast<size_t>(p - 1));
-    for (int i = 0; i < p; ++i) {
-      if (i == local_) continue;
-      DASH_ROUND(phase2_additive_share, kAdditiveShare);
-      DASH_ASSIGN_OR_RETURN(
-          Message msg, net_->Receive(local_, i, MessageTag::kAdditiveShare));
-      ByteReader r(msg.payload);
-      DASH_ASSIGN_OR_RETURN(RingVector share, r.GetU64Vector());
-      received.push_back(std::move(share));
-    }
-    DASH_ASSIGN_OR_RETURN(Masked<RingVector> partial,
-                          AccumulateAdditiveShares(own, received));
-    DASH_ROUND(phase2_additive_reveal, kPartialSum);
-    DASH_RETURN_IF_ERROR(net_->Broadcast(local_, MessageTag::kPartialSum,
-                                         MaskAndSerialize(partial)));
-
-    std::vector<RingVector> peer_partials;
-    peer_partials.reserve(static_cast<size_t>(p - 1));
-    for (int q = 0; q < p; ++q) {
-      if (q == local_) continue;
-      DASH_ROUND(phase2_additive_reveal, kPartialSum);
-      DASH_ASSIGN_OR_RETURN(Message msg,
-                            net_->Receive(local_, q, MessageTag::kPartialSum));
-      ByteReader r(msg.payload);
-      DASH_ASSIGN_OR_RETURN(RingVector peer, r.GetU64Vector());
-      peer_partials.push_back(std::move(peer));
-    }
-    return OpenAdditiveTotal(partial, peer_partials, codec_);
-  }
-
-  Result<Vector> RunMasked(const Secret<Vector>& input) {
-    const int p = net_->num_parties();
-
-    net_->BeginRound();
-    DASH_ASSIGN_OR_RETURN(Secret<RingVector> encoded,
-                          codec_.EncodeSecretVector(input));
-    const Masked<RingVector> masked =
-        ApplyPairwiseMasks(local_, encoded, pairwise_keys_, round_nonce_);
-    DASH_ROUND(phase2_masked, kMaskedValue);
-    DASH_RETURN_IF_ERROR(net_->Broadcast(local_, MessageTag::kMaskedValue,
-                                         MaskAndSerialize(masked)));
-
-    std::vector<RingVector> peers;
-    peers.reserve(static_cast<size_t>(p - 1));
-    for (int q = 0; q < p; ++q) {
-      if (q == local_) continue;
-      DASH_ROUND(phase2_masked, kMaskedValue);
-      DASH_ASSIGN_OR_RETURN(Message msg,
-                            net_->Receive(local_, q, MessageTag::kMaskedValue));
-      ByteReader r(msg.payload);
-      DASH_ASSIGN_OR_RETURN(RingVector peer, r.GetU64Vector());
-      peers.push_back(std::move(peer));
-    }
-    return OpenMaskedTotal(masked, peers, codec_);
-  }
-
-  Result<Vector> RunShamir(const Secret<Vector>& input) {
-    const int p = net_->num_parties();
-    if (options_.simulate_shamir_dropouts != 0) {
-      return UnimplementedError(
-          "Shamir dropout simulation is an in-process experiment; real "
-          "dropouts surface as transport errors");
-    }
-    const int threshold = (options_.shamir_threshold >= 0)
-                              ? options_.shamir_threshold
-                              : (p - 1) / 2;
-    if (threshold >= p) {
-      return InvalidArgumentError("Shamir threshold must be < num parties");
-    }
-    // Field-encodes AND validates headroom — deliberately before
-    // BeginRound so validation failures precede any traffic.
-    DASH_ASSIGN_OR_RETURN(Secret<RingVector> encoded,
-                          ShamirFieldEncode(codec_, input, p));
-
-    // Phase 1: distribute shares of our input; keep our own.
-    net_->BeginRound();
-    DASH_ASSIGN_OR_RETURN(
-        auto shares, ShamirShareVectorForParties(encoded, p, threshold, &rng_));
-    const Secret<RingVector> own =
-        std::move(shares[static_cast<size_t>(local_)]);
-    for (int j = 0; j < p; ++j) {
-      if (j == local_) continue;
-      DASH_ROUND(phase2_shamir_share, kShamirShare);
-      DASH_RETURN_IF_ERROR(
-          net_->Send(local_, j, MessageTag::kShamirShare,
-                     SerializeShareForHolder(shares[static_cast<size_t>(j)])));
-    }
-
-    // Phase 2: sum the shares we hold; exchange sum shares.
-    net_->BeginRound();
-    std::vector<RingVector> received;
-    received.reserve(static_cast<size_t>(p - 1));
-    for (int i = 0; i < p; ++i) {
-      if (i == local_) continue;
-      DASH_ROUND(phase2_shamir_share, kShamirShare);
-      DASH_ASSIGN_OR_RETURN(Message msg,
-                            net_->Receive(local_, i, MessageTag::kShamirShare));
-      ByteReader r(msg.payload);
-      DASH_ASSIGN_OR_RETURN(RingVector ys, r.GetU64Vector());
-      received.push_back(std::move(ys));
-    }
-    DASH_ASSIGN_OR_RETURN(Masked<RingVector> held,
-                          AccumulateShamirShares(own, received));
-    {
-      const std::vector<uint8_t> payload = MaskAndSerialize(held);
-      for (int to = 0; to < p; ++to) {
-        if (to == local_) continue;
-        DASH_ROUND(phase2_shamir_reveal, kPartialSum);
-        DASH_RETURN_IF_ERROR(
-            net_->Send(local_, to, MessageTag::kPartialSum, payload));
-      }
-    }
-
-    // Phase 3: reconstruct at x = 0 from all P sum shares (our own slot
-    // comes from `held`; the vector's local slot stays empty).
-    std::vector<RingVector> sum_shares(static_cast<size_t>(p));
-    for (int q = 0; q < p; ++q) {
-      if (q == local_) continue;
-      DASH_ROUND(phase2_shamir_reveal, kPartialSum);
-      DASH_ASSIGN_OR_RETURN(Message msg,
-                            net_->Receive(local_, q, MessageTag::kPartialSum));
-      ByteReader r(msg.payload);
-      DASH_ASSIGN_OR_RETURN(sum_shares[static_cast<size_t>(q)],
-                            r.GetU64Vector());
-    }
-    return OpenShamirTotal(held, local_, sum_shares, codec_);
-  }
-
-  Transport* net_;
-  int local_;
-  SecureSumOptions options_;
-  FixedPointCodec codec_;
-  Rng rng_;
-  // [q] = mask key shared with party q; secret material (mpc/secrecy.h).
-  std::vector<Secret<ChaCha20Rng::Key>> pairwise_keys_;
-  uint64_t round_nonce_ = 0;
-  bool setup_done_ = false;
-};
-
-// Party-local projection of CombineRFactorsOverNetwork (broadcast-stack
-// mode): every party ends up factoring the identical stack.
-Result<Matrix> CombineBroadcastStack(Transport* net, int local,
-                                     const Matrix& own_r) {
-  const int p = net->num_parties();
-  net->BeginRound();
-  ByteWriter w;
-  w.PutMatrix(own_r);
-  DASH_ROUND(phase1_rfactor, kRFactor);
-  DASH_RETURN_IF_ERROR(net->Broadcast(local, MessageTag::kRFactor, w.Take()));
-  std::vector<Matrix> stack(static_cast<size_t>(p));
-  stack[static_cast<size_t>(local)] = own_r;
-  for (int q = 0; q < p; ++q) {
-    if (q == local) continue;
-    DASH_ROUND(phase1_rfactor, kRFactor);
-    DASH_ASSIGN_OR_RETURN(Message msg,
-                          net->Receive(local, q, MessageTag::kRFactor));
-    ByteReader r(msg.payload);
-    DASH_ASSIGN_OR_RETURN(stack[static_cast<size_t>(q)], r.GetMatrix());
-  }
-  return CombineRFactors(stack);
-}
-
-// Party-local projection of the binary tree: the merge schedule is a
-// deterministic function of (P, stride), so each party can replay the
-// full activity pattern locally and only perform its own sends/receives.
-Result<Matrix> CombineBinaryTree(Transport* net, int local,
-                                 const Matrix& own_r) {
-  const int p = net->num_parties();
-  Matrix current = own_r;
-  std::vector<bool> active(static_cast<size_t>(p), true);
-  for (int stride = 1; stride < p; stride *= 2) {
-    net->BeginRound();
-    if (active[static_cast<size_t>(local)] && (local / stride) % 2 == 1 &&
-        local - stride >= 0) {
-      ByteWriter w;
-      w.PutMatrix(current);
-      DASH_ROUND(phase1_tree_merge, kTreeR);
-      DASH_RETURN_IF_ERROR(
-          net->Send(local, local - stride, MessageTag::kTreeR, w.Take()));
-    } else if (active[static_cast<size_t>(local)] && local + stride < p &&
-               active[static_cast<size_t>(local + stride)]) {
-      DASH_ROUND(phase1_tree_merge, kTreeR);
-      DASH_ASSIGN_OR_RETURN(
-          Message msg, net->Receive(local, local + stride, MessageTag::kTreeR));
-      ByteReader r(msg.payload);
-      DASH_ASSIGN_OR_RETURN(Matrix peer, r.GetMatrix());
-      DASH_ASSIGN_OR_RETURN(current, QrRFactor(VStack({current, peer})));
-    }
-    // Replay the round's deactivations for every party.
-    for (int i = 0; i < p; ++i) {
-      if (active[static_cast<size_t>(i)] && (i / stride) % 2 == 1 &&
-          i - stride >= 0) {
-        active[static_cast<size_t>(i)] = false;
-      }
-    }
-  }
-  // Party 0 broadcasts the pooled R.
-  net->BeginRound();
-  if (local == 0) {
-    ByteWriter w;
-    w.PutMatrix(current);
-    DASH_ROUND(phase1_tree_root, kRFactor);
-    DASH_RETURN_IF_ERROR(net->Broadcast(0, MessageTag::kRFactor, w.Take()));
-    return current;
-  }
-  DASH_ROUND(phase1_tree_root, kRFactor);
-  DASH_ASSIGN_OR_RETURN(Message msg,
-                        net->Receive(local, 0, MessageTag::kRFactor));
-  ByteReader r(msg.payload);
-  return r.GetMatrix();
-}
 
 // Local-only digest of everything Phase 1 depends on: the party's
 // (preprocessed) covariate slab, its sample count, and the Phase-1
@@ -436,12 +65,19 @@ Result<SecureScanOutput> RunPartyScanProtocol(
     const StreamingPartyScan* stream) {
   const int local = transport->local_party();
   const int num_parties = transport->num_parties();
-  if (options.projection == ProjectionSecurity::kBeaverDotProducts) {
-    return UnimplementedError(
-        "Beaver-triple projection is not wired for party-bound transports "
-        "yet; use ProjectionSecurity::kRevealProjectedSums");
+  const bool beaver =
+      options.projection == ProjectionSecurity::kBeaverDotProducts;
+  if (beaver && options.pipeline_block_variants > 0) {
+    return InvalidArgumentError(
+        "pipeline_block_variants requires kRevealProjectedSums; the Beaver "
+        "projection consumes whole K-vectors and cannot be blocked");
   }
   if (stream != nullptr) {
+    if (beaver) {
+      return InvalidArgumentError(
+          "streamed scan: the Beaver projection needs the structured "
+          "summands; stream with kRevealProjectedSums");
+    }
     if (stream->source == nullptr) {
       return InvalidArgumentError("streamed scan: no PanelSource supplied");
     }
@@ -467,8 +103,8 @@ Result<SecureScanOutput> RunPartyScanProtocol(
   if (options.trace != nullptr) transport->AttachTrace(options.trace);
 
   // Per-party preprocessing: centering is a within-party operation, so
-  // the single-element call reproduces the in-process preprocessing of
-  // this slice exactly.
+  // the single-element call is exactly the pooled preprocessing of this
+  // slice.
   const PartyData* party = &input_party;
   std::vector<PartyData> centered;
   int64_t absorbed_params = 0;
@@ -595,16 +231,10 @@ Result<SecureScanOutput> RunPartyScanProtocol(
     // Stage 2 (network): combine R factors; we learn R⁻¹.
     protocol_timer.Reset();
     if (k > 0) {
-      Matrix r(0, 0);
-      if (num_parties == 1) {
-        r = local_r;
-      } else if (options.r_combine == RCombineMode::kBroadcastStack) {
-        DASH_ASSIGN_OR_RETURN(r,
-                              CombineBroadcastStack(transport, local, local_r));
-      } else {
-        DASH_ASSIGN_OR_RETURN(r, CombineBinaryTree(transport, local, local_r));
-      }
-      DASH_ASSIGN_OR_RETURN(r_inverse, InvertUpperTriangular(r));
+      DASH_ASSIGN_OR_RETURN(
+          DistributedQrResult qr,
+          CombineRFactorsOverNetwork(transport, local_r, options.r_combine));
+      r_inverse = std::move(qr.r_inverse);
     }
     protocol_seconds += protocol_timer.ElapsedSeconds();
 
@@ -634,11 +264,53 @@ Result<SecureScanOutput> RunPartyScanProtocol(
   sum_options.mask_domain = transport->session_id();
   PartySecureVectorSum secure_sum(transport, sum_options);
 
+  ScanResult result;
   Vector flat_totals;
   int64_t resumed_from_panel = 0;
   int64_t panels_streamed = 0;
   int64_t checkpoints_written = 0;
-  if (stream != nullptr) {
+  if (beaver) {
+    // Stage 3+4 (Beaver): the orthogonal statistics (y.y, X.y, X.X) are
+    // summed as usual, but the projected K-vectors never leave the party
+    // — only the dot products Lemma 2.1 consumes are opened
+    // (mpc/secure_projection.h). Needs the structured summands, so no
+    // zero-copy arena here.
+    local_timer.Reset();
+    const ScanSufficientStats stats = PartyLocalStats(*party, q_p, pool.get());
+    Vector plain;
+    plain.reserve(static_cast<size_t>(1 + 2 * m));
+    plain.push_back(stats.yy);
+    plain.insert(plain.end(), stats.xy.begin(), stats.xy.end());
+    plain.insert(plain.end(), stats.xx.begin(), stats.xx.end());
+    local_seconds += local_timer.ElapsedSeconds();
+
+    protocol_timer.Reset();
+    DASH_ASSIGN_OR_RETURN(Vector plain_totals,
+                          secure_sum.Run(Secret<Vector>(std::move(plain))));
+    SecureProjectionOptions proj_options;
+    proj_options.frac_bits = options.projection_frac_bits;
+    proj_options.seed = options.seed ^ 0xbea7e5;
+    DASH_ASSIGN_OR_RETURN(
+        ProjectedStats projected,
+        SecureProjectedAggregation(transport, proj_options)
+            .Run(Secret<Vector>(stats.qty), Secret<Matrix>(stats.qtx)));
+    protocol_seconds += protocol_timer.ElapsedSeconds();
+
+    // Stage 5 (local, public): Lemma 2.1 on the opened dot products.
+    local_timer.Reset();
+    ProjectedSufficientStats totals;
+    totals.num_samples = total_samples - absorbed_params;
+    totals.num_covariates = k;
+    totals.yy = plain_totals[0];
+    totals.xy.assign(plain_totals.begin() + 1, plain_totals.begin() + 1 + m);
+    totals.xx.assign(plain_totals.begin() + 1 + m,
+                     plain_totals.begin() + 1 + 2 * m);
+    totals.qty_qty = projected.qty_qty;
+    totals.qtx_qty = std::move(projected.qtx_qty);
+    totals.qtx_qtx = std::move(projected.qtx_qtx);
+    DASH_ASSIGN_OR_RETURN(result, FinalizeScanProjected(totals));
+    local_seconds += local_timer.ElapsedSeconds();
+  } else if (stream != nullptr) {
     // Stage 3 (local, out-of-core): stream X's panels into the
     // wire-order summand, checkpointing as configured. Bit-identical to
     // the in-memory arena below (core/streaming_stats.h).
@@ -669,10 +341,9 @@ Result<SecureScanOutput> RunPartyScanProtocol(
                           secure_sum.Run(Secret<Vector>(streamed.flat)));
     protocol_seconds += protocol_timer.ElapsedSeconds();
   } else if (options.pipeline_block_variants > 0) {
-    // Stage 3+4 (pipelined): the round schedule of core/scan_pipeline.h,
-    // identical to the in-process driver's — header round, then one
-    // round per variant block, with block b+1 computed while block b's
-    // aggregate is in flight on the transport.
+    // Stage 3+4 (pipelined): the round schedule of core/scan_pipeline.h
+    // — header round, then one round per variant block, with block b+1
+    // computed while block b's aggregate is in flight on the transport.
     const PipelinePlan plan{m, k, options.pipeline_block_variants};
     const int64_t num_blocks = plan.num_blocks();
 
@@ -732,14 +403,16 @@ Result<SecureScanOutput> RunPartyScanProtocol(
     protocol_seconds += protocol_timer.ElapsedSeconds();
   }
 
-  // Stage 5 (local, public): Lemma 2.1 finalization.
-  local_timer.Reset();
-  DASH_ASSIGN_OR_RETURN(ScanSufficientStats totals,
-                        UnflattenStats(flat_totals, m, k));
-  totals.num_samples = total_samples;
-  DASH_ASSIGN_OR_RETURN(ScanResult result,
-                        FinalizeScanWithAbsorbedParams(totals, absorbed_params));
-  local_seconds += local_timer.ElapsedSeconds();
+  if (!beaver) {
+    // Stage 5 (local, public): Lemma 2.1 finalization.
+    local_timer.Reset();
+    DASH_ASSIGN_OR_RETURN(ScanSufficientStats totals,
+                          UnflattenStats(flat_totals, m, k));
+    totals.num_samples = total_samples;
+    DASH_ASSIGN_OR_RETURN(
+        result, FinalizeScanWithAbsorbedParams(totals, absorbed_params));
+    local_seconds += local_timer.ElapsedSeconds();
+  }
 
   // Commit round: broadcast the checksum of the result we are about to
   // reveal and require every peer's to match. This is the last line of
@@ -809,12 +482,6 @@ Result<SecureScanOutput> RunPartyScanWithAbortPropagation(
     const StreamingPartyScan* stream) {
   DASH_CHECK(transport != nullptr);
   const int local = transport->local_party();
-  if (local < 0) {
-    return InvalidArgumentError(
-        "RunPartySecureScan needs a party-bound transport "
-        "(local_party() >= 0); in-process simulations go through "
-        "SecureAssociationScan::Run");
-  }
   Result<SecureScanOutput> out =
       RunPartyScanProtocol(transport, input_party, options, phase1, stream);
   if (out.ok()) return out;

@@ -1,29 +1,25 @@
-// One party's end of the secure association scan, for party-bound
-// transports (one OS process per party, e.g. TcpTransport).
+// One party's end of the secure association scan — the protocol's only
+// implementation.
 //
-// SecureAssociationScan::Run drives ALL parties in one address space,
-// which is ideal for simulation but impossible over a real network.
-// RunPartySecureScan is the per-party projection of exactly the same
-// protocol: it performs the sends party `transport->local_party()` would
-// perform and consumes the messages addressed to it, in the same
-// per-link order, with the same round structure, so
+// RunPartySecureScan performs the sends party transport->local_party()
+// makes and consumes the messages addressed to it. A deployment runs it
+// once per OS process over a TcpTransport (or a SessionChannel in the
+// daemon); the simulator, SecureAssociationScan::Run, runs it on P
+// threads over the endpoints of an in-process mesh (net/network.h). So
 //
-//   * the revealed ScanResult matches the in-process scan bit for bit
-//     (ring/field sums are order-independent; the public mode and all
-//     plaintext reductions fix party-index summation order; doubles
+//   * every party, on every backend, reveals the same ScanResult bit for
+//     bit (ring/field sums are order-independent; the public mode and
+//     all plaintext reductions fix party-index summation order; doubles
 //     travel as exact IEEE-754 bit patterns), and
-//   * the union of the parties' per-link traffic equals the in-process
-//     trace as a multiset of (round, from, to, tag, bytes).
+//   * the union of the parties' per-link traffic is the same multiset of
+//     (round, from, to, tag, bytes) on every backend.
 //
 // Protocol randomness is replicated from the shared options.seed: party
 // i draws its share/mask/DH randomness from the i-th output of the
-// SplitMix64 seed chain, exactly as the in-process driver seeds its
-// per-party RNGs — so two deployments with equal seeds exchange
-// identical ciphertexts.
+// SplitMix64 seed chain (mpc/secure_sum.h), so two deployments with
+// equal seeds exchange identical ciphertexts.
 //
-// Not supported per-party (returns Unimplemented):
-// ProjectionSecurity::kBeaverDotProducts and Shamir dropout simulation,
-// both of which only exist for in-process experiments.
+// The runner builds into dash_core and depends on no transport backend.
 
 #ifndef DASH_TRANSPORT_PARTY_RUNNER_H_
 #define DASH_TRANSPORT_PARTY_RUNNER_H_
@@ -71,10 +67,9 @@ struct Phase1State {
   Secret<Matrix> q_p;          // this party's Q_p rows (private)
 };
 
-// Runs the scan as party transport->local_party() (which must be >= 0,
-// i.e. a party-bound transport) holding rows `party`. Blocks until the
-// protocol completes; every party returns the identical revealed result.
-// Metrics cover this party's sends only.
+// Runs the scan as party transport->local_party() holding rows `party`.
+// Blocks until the protocol completes; every party returns the identical
+// revealed result. Metrics cover this party's sends only.
 Result<SecureScanOutput> RunPartySecureScan(Transport* transport,
                                             const PartyData& party,
                                             const SecureScanOptions& options);
@@ -116,9 +111,10 @@ struct StreamingPartyScan {
 // covariates C stay RAM-resident (they are all Phases 0–1 need), X
 // streams from stream.source during Phase 2. Incompatible with
 // center_per_party (X is immutable on disk — pre-center before
-// packing) and with pipeline_block_variants (both restructure Phase
-// 2). On success the checkpoint file, if any, is removed; on failure
-// it is left behind so the next run resumes.
+// packing), with pipeline_block_variants (both restructure Phase 2) and
+// with the Beaver projection (it needs the structured summands). On
+// success the checkpoint file, if any, is removed; on failure it is
+// left behind so the next run resumes.
 Result<SecureScanOutput> RunPartySecureScanStreamed(
     Transport* transport, const Vector& y, const Matrix& c,
     const StreamingPartyScan& stream, const SecureScanOptions& options,

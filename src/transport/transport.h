@@ -1,28 +1,28 @@
 // Abstract message transport between P parties.
 //
 // Transport is the seam between the protocol layer and the bytes-moving
-// layer. Protocol code (distributed QR, secure sums, the secure scan
-// drivers) talks only to this interface, so the same protocol runs
-// unchanged over
+// layer. Every Transport is bound to ONE party (local_party()), and the
+// per-party protocol code (transport/party_runner.h, the per-party
+// secure sum and R-combine) talks only to this interface, so the same
+// protocol runs unchanged over
 //
-//  * the in-process simulated network (net/network.h, the historical
-//    `Network`, now one Transport implementation) — all P parties live
-//    in one process and one thread; and
+//  * the in-process mesh (net/network.h) — the simulator runs P threads,
+//    one endpoint each, in one process; and
 //  * a real TCP mesh (transport/tcp_transport.h) — this process is ONE
 //    party and every Send/Receive crosses a socket.
 //
 // Accounting is part of the interface contract: every message is counted
 // once, BY ITS SENDER, with Message::WireSize() bytes (payload + the
-// 16-byte logical header). Both backends therefore report identical
-// TrafficMetrics and ProtocolTrace entries for the same protocol run,
-// which is what keeps the paper's O(M) communication claim verifiable on
-// real wire bytes (a TCP party's metrics are its outgoing half of the
-// global picture; union over parties == the in-process view).
+// 16-byte logical header). A party's metrics are therefore its outgoing
+// half of the global picture on every backend, and the union over the
+// parties is the whole run's traffic — which keeps the paper's O(M)
+// communication claim verifiable on real wire bytes.
 //
 // Threading: a Transport instance is single-threaded — all calls must
-// come from one thread. Distinct instances (e.g. several TcpTransport
-// endpoints in one test process) are independent. See net/network.h and
-// transport/tcp_transport.h for backend-specific notes.
+// come from one thread. Distinct instances (the P endpoints of one mesh,
+// or several TcpTransport endpoints in one test process) are
+// independent. See net/network.h and transport/tcp_transport.h for
+// backend-specific notes.
 
 #ifndef DASH_TRANSPORT_TRANSPORT_H_
 #define DASH_TRANSPORT_TRANSPORT_H_
@@ -94,11 +94,9 @@ class Transport {
 
   int num_parties() const { return num_parties_; }
 
-  // The party this endpoint acts for, or -1 when the transport carries
-  // every party in-process (the simulation backend). Backends bound to
-  // one party reject Send with a foreign `from` and Receive with a
-  // foreign `to`.
-  virtual int local_party() const { return -1; }
+  // The party this endpoint acts for. Backends reject Send with a
+  // foreign `from` and Receive with a foreign `to`.
+  virtual int local_party() const = 0;
 
   // Queues/transmits a message; from/to must be distinct valid party ids.
   virtual Status Send(int from, int to, MessageTag tag,
@@ -108,12 +106,12 @@ class Transport {
   virtual Status Broadcast(int from, MessageTag tag,
                            const std::vector<uint8_t>& payload);
 
-  // Delivers the next message queued from -> to. Backend semantics
-  // differ only in how "not there yet" is reported: the in-process
-  // backend fails immediately with FailedPrecondition (an absent message
-  // is a protocol bug when every party runs in one thread), while the
-  // TCP backend blocks up to its configured timeout and then fails with
-  // DeadlineExceeded. A tag mismatch is FailedPrecondition on every
+  // Delivers the next message queued from -> to, blocking until it is
+  // there. Backends differ only in how a message that never comes is
+  // reported: the in-process mesh fails when the sender has departed
+  // (Unavailable) or every party is blocked (FailedPrecondition), while
+  // the TCP backend waits up to its configured timeout and then fails
+  // with DeadlineExceeded. A tag mismatch is FailedPrecondition on every
   // backend (protocol desync).
   virtual Result<Message> Receive(int to, int from,
                                   MessageTag expected_tag) = 0;

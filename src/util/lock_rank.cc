@@ -20,6 +20,8 @@ const char* LockRankName(LockRank rank) {
       return "kThreadPool";
     case LockRank::kTransportStats:
       return "kTransportStats";
+    case LockRank::kInProcessMesh:
+      return "kInProcessMesh";
     case LockRank::kSecrecyAudit:
       return "kSecrecyAudit";
     case LockRank::kPanelPrefetch:

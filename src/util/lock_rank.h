@@ -23,6 +23,8 @@
 //    40   SessionMux::mu_                       (leaf)
 //    50   ThreadPool::mu_                       (leaf)
 //    60   TcpTransport::stats_mutex_            (leaf)
+//    65   InProcessMesh::mu_                    (leaf; the simulator's
+//                                               shared link queues)
 //    70   SecrecyAudit registry                 (leaf)
 //    80   PanelPrefetcher::mu_                  (leaf; hand-off between
 //                                               the prefetch I/O thread
@@ -50,6 +52,7 @@ enum class LockRank : int32_t {
   kSessionMux = 40,
   kThreadPool = 50,
   kTransportStats = 60,
+  kInProcessMesh = 65,
   kSecrecyAudit = 70,
   kPanelPrefetch = 80,
   kLeaf = 90,

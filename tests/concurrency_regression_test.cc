@@ -57,56 +57,60 @@ namespace {
 // TrafficMetrics: protocol thread records, monitoring thread reads.
 
 TEST(ConcurrencyRegressionTest, MetricsMonitorThreadDoesNotRace) {
-  InProcessTransport net(3);
+  InProcessMesh mesh(3);
+  Transport* sender = mesh.endpoint(0);
+  Transport* receiver = mesh.endpoint(1);
   std::atomic<bool> done{false};
 
   // Monitoring thread: the read half of the documented contract.
   int64_t last_bytes = 0;
   std::thread monitor([&] {
     while (!done.load(std::memory_order_acquire)) {
-      const int64_t bytes = net.metrics().total_bytes();
+      const int64_t bytes = sender->metrics().total_bytes();
       EXPECT_GE(bytes, last_bytes);  // counters are monotone until Reset
       last_bytes = bytes;
-      (void)net.metrics().total_messages();
-      (void)net.metrics().rounds();
-      (void)net.metrics().MaxLinkBytes();
-      (void)net.metrics().BytesSentBy(0);
+      (void)sender->metrics().total_messages();
+      (void)sender->metrics().rounds();
+      (void)sender->metrics().MaxLinkBytes();
+      (void)sender->metrics().BytesSentBy(0);
     }
   });
 
   // Protocol thread (this one): hammer Send/BeginRound.
   for (int round = 0; round < 500; ++round) {
-    net.BeginRound();
+    sender->BeginRound();
     ByteWriter w;
     w.PutU64(static_cast<uint64_t>(round));
-    ASSERT_TRUE(net.Send(0, 1, MessageTag::kPlainStats, w.Take()).ok());
-    const auto msg = net.Receive(1, 0, MessageTag::kPlainStats);
+    ASSERT_TRUE(sender->Send(0, 1, MessageTag::kPlainStats, w.Take()).ok());
+    const auto msg = receiver->Receive(1, 0, MessageTag::kPlainStats);
     ASSERT_TRUE(msg.ok()) << msg.status();
   }
   done.store(true, std::memory_order_release);
   monitor.join();
 
-  EXPECT_EQ(net.metrics().total_messages(), 500);
-  EXPECT_EQ(net.metrics().rounds(), 500);
+  EXPECT_EQ(sender->metrics().total_messages(), 500);
+  EXPECT_EQ(sender->metrics().rounds(), 500);
 }
 
 TEST(ConcurrencyRegressionTest, MetricsResetRacingRecordStaysSane) {
-  InProcessTransport net(2);
+  InProcessMesh mesh(2);
+  Transport* sender = mesh.endpoint(0);
+  Transport* receiver = mesh.endpoint(1);
   std::atomic<bool> done{false};
   std::thread resetter([&] {
     while (!done.load(std::memory_order_acquire)) {
-      net.metrics().Reset();
+      sender->metrics().Reset();
     }
   });
   for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(net.Send(0, 1, MessageTag::kPlainStats, {1, 2, 3}).ok());
-    ASSERT_TRUE(net.Receive(1, 0, MessageTag::kPlainStats).ok());
+    ASSERT_TRUE(sender->Send(0, 1, MessageTag::kPlainStats, {1, 2, 3}).ok());
+    ASSERT_TRUE(receiver->Receive(1, 0, MessageTag::kPlainStats).ok());
   }
   done.store(true, std::memory_order_release);
   resetter.join();
   // Post-join reads are exact: whatever survived the last Reset.
-  EXPECT_GE(net.metrics().total_messages(), 0);
-  EXPECT_LE(net.metrics().total_messages(), 300);
+  EXPECT_GE(sender->metrics().total_messages(), 0);
+  EXPECT_LE(sender->metrics().total_messages(), 300);
 }
 
 // ---------------------------------------------------------------------

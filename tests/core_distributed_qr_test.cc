@@ -25,6 +25,25 @@ std::vector<PartyData> MakeParties(const std::vector<int64_t>& sizes,
   return parties;
 }
 
+// Runs the combination as P threads, party p holding local_r[p]; every
+// party must end with the same factor. Returns party 0's result.
+Result<DistributedQrResult> Combine(const std::vector<Matrix>& local_r,
+                                    RCombineMode mode,
+                                    MeshTraffic* traffic = nullptr) {
+  std::vector<DistributedQrResult> out(local_r.size());
+  DASH_RETURN_IF_ERROR(RunPartiesInProcess(
+      static_cast<int>(local_r.size()),
+      [&](Transport* t) -> Status {
+        const size_t p = static_cast<size_t>(t->local_party());
+        DASH_ASSIGN_OR_RETURN(out[p],
+                              CombineRFactorsOverNetwork(t, local_r[p], mode));
+        return Status::Ok();
+      },
+      traffic));
+  for (const auto& r : out) EXPECT_EQ(MaxAbsDiff(r.r, out[0].r), 0.0);
+  return out[0];
+}
+
 class DistributedQrModeTest : public testing::TestWithParam<RCombineMode> {};
 
 TEST_P(DistributedQrModeTest, MatchesPooledFactorization) {
@@ -35,9 +54,7 @@ TEST_P(DistributedQrModeTest, MatchesPooledFactorization) {
     local_r.push_back(PartyLocalRFactor(p).value());
     blocks.push_back(p.c);
   }
-  Network net(4);
-  const DistributedQrResult result =
-      CombineRFactorsOverNetwork(&net, local_r, GetParam()).value();
+  const DistributedQrResult result = Combine(local_r, GetParam()).value();
   const Matrix pooled_r = QrRFactor(VStack(blocks)).value();
   EXPECT_LT(MaxAbsDiff(result.r, pooled_r), 1e-11);
   EXPECT_LT(MaxAbsDiff(MatMul(result.r, result.r_inverse),
@@ -49,9 +66,7 @@ TEST_P(DistributedQrModeTest, PartyLocalQsAssembleGlobalBasis) {
   const auto parties = MakeParties({8, 30, 14}, 2, 2);
   std::vector<Matrix> local_r;
   for (const auto& p : parties) local_r.push_back(PartyLocalRFactor(p).value());
-  Network net(3);
-  const DistributedQrResult result =
-      CombineRFactorsOverNetwork(&net, local_r, GetParam()).value();
+  const DistributedQrResult result = Combine(local_r, GetParam()).value();
   std::vector<Matrix> qs;
   for (const auto& p : parties) qs.push_back(PartyLocalQ(p, result.r_inverse));
   const Matrix q = VStack(qs);
@@ -70,17 +85,15 @@ TEST(DistributedQrTest, TreeUsesLogRounds) {
     for (const auto& pd : parties) {
       local_r.push_back(PartyLocalRFactor(pd).value());
     }
-    Network net(p);
-    const DistributedQrResult result =
-        CombineRFactorsOverNetwork(&net, local_r, RCombineMode::kBinaryTree)
-            .value();
+    MeshTraffic traffic;
+    ASSERT_TRUE(Combine(local_r, RCombineMode::kBinaryTree, &traffic).ok());
     int expected = 0;
     int cover = 1;
     while (cover < p) {
       cover *= 2;
       ++expected;
     }
-    EXPECT_EQ(result.rounds, expected + 1) << "P=" << p;  // +1 final broadcast
+    EXPECT_EQ(traffic.rounds, expected + 1) << "P=" << p;  // +1 final broadcast
   }
 }
 
@@ -91,17 +104,12 @@ TEST(DistributedQrTest, TreeMovesFewerBytesThanBroadcastForManyParties) {
   std::vector<Matrix> local_r;
   for (const auto& pd : parties) local_r.push_back(PartyLocalRFactor(pd).value());
 
-  Network broadcast_net(p);
-  (void)CombineRFactorsOverNetwork(&broadcast_net, local_r,
-                                   RCombineMode::kBroadcastStack)
-      .value();
-  Network tree_net(p);
-  (void)CombineRFactorsOverNetwork(&tree_net, local_r,
-                                   RCombineMode::kBinaryTree)
-      .value();
+  MeshTraffic broadcast;
+  ASSERT_TRUE(Combine(local_r, RCombineMode::kBroadcastStack, &broadcast).ok());
+  MeshTraffic tree;
+  ASSERT_TRUE(Combine(local_r, RCombineMode::kBinaryTree, &tree).ok());
   // Broadcast: P(P-1) R messages; tree: (P-1) merges + (P-1) broadcast.
-  EXPECT_LT(tree_net.metrics().total_bytes(),
-            broadcast_net.metrics().total_bytes());
+  EXPECT_LT(tree.total_bytes, broadcast.total_bytes);
 }
 
 TEST(DistributedQrTest, RBytesAreIndependentOfSampleCounts) {
@@ -112,42 +120,46 @@ TEST(DistributedQrTest, RBytesAreIndependentOfSampleCounts) {
   {
     std::vector<Matrix> rs;
     for (const auto& pd : small) rs.push_back(PartyLocalRFactor(pd).value());
-    Network net(3);
-    (void)CombineRFactorsOverNetwork(&net, rs, RCombineMode::kBroadcastStack)
-        .value();
-    bytes_small = net.metrics().total_bytes();
+    MeshTraffic traffic;
+    ASSERT_TRUE(Combine(rs, RCombineMode::kBroadcastStack, &traffic).ok());
+    bytes_small = traffic.total_bytes;
   }
   {
     std::vector<Matrix> rs;
     for (const auto& pd : large) rs.push_back(PartyLocalRFactor(pd).value());
-    Network net(3);
-    (void)CombineRFactorsOverNetwork(&net, rs, RCombineMode::kBroadcastStack)
-        .value();
-    bytes_large = net.metrics().total_bytes();
+    MeshTraffic traffic;
+    ASSERT_TRUE(Combine(rs, RCombineMode::kBroadcastStack, &traffic).ok());
+    bytes_large = traffic.total_bytes;
   }
   EXPECT_EQ(bytes_small, bytes_large);
 }
 
 TEST(DistributedQrTest, SinglePartySkipsTheNetwork) {
   const auto parties = MakeParties({25}, 3, 6);
-  Network net(1);
+  MeshTraffic traffic;
   const DistributedQrResult result =
-      CombineRFactorsOverNetwork(&net, {PartyLocalRFactor(parties[0]).value()},
-                                 RCombineMode::kBroadcastStack)
+      Combine({PartyLocalRFactor(parties[0]).value()},
+              RCombineMode::kBroadcastStack, &traffic)
           .value();
-  EXPECT_EQ(net.metrics().total_bytes(), 0);
+  EXPECT_EQ(traffic.total_bytes, 0);
   EXPECT_LT(MaxAbsDiff(result.r, QrRFactor(parties[0].c).value()), 1e-13);
 }
 
 TEST(DistributedQrTest, Validation) {
-  Network net(2);
-  EXPECT_FALSE(
-      CombineRFactorsOverNetwork(&net, {Matrix(2, 2)},
-                                 RCombineMode::kBroadcastStack)
-          .ok());  // one factor for two parties
-  EXPECT_FALSE(CombineRFactorsOverNetwork(&net, {Matrix(2, 2), Matrix(3, 3)},
-                                          RCombineMode::kBinaryTree)
-                   .ok());
+  // A party's own factor must be square.
+  EXPECT_EQ(Combine({Matrix(2, 3), Matrix(2, 2)}, RCombineMode::kBroadcastStack)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // Parties whose factors disagree in K are out of sync, in both modes.
+  for (const RCombineMode mode :
+       {RCombineMode::kBroadcastStack, RCombineMode::kBinaryTree}) {
+    EXPECT_EQ(Combine({Matrix::Identity(2), Matrix::Identity(3)}, mode)
+                  .status()
+                  .code(),
+              StatusCode::kFailedPrecondition)
+        << RCombineModeName(mode);
+  }
 }
 
 TEST(DistributedQrTest, RFactorDisclosureIsTiny) {

@@ -1,5 +1,4 @@
-// Missing-data handling and the secure mean-imputation protocol, plus
-// Shamir dropout tolerance at the protocol level.
+// Missing-data handling and the secure mean-imputation protocol.
 
 #include "core/imputation.h"
 
@@ -10,8 +9,6 @@
 #include "core/association_scan.h"
 #include "data/genotype_generator.h"
 #include "data/missing_data.h"
-#include "mpc/secure_sum.h"
-#include "net/network.h"
 #include "util/random.h"
 
 namespace dash {
@@ -129,60 +126,6 @@ TEST(SecureImputationTest, NoMissingnessIsIdentity) {
   for (size_t p = 0; p < parties.size(); ++p) {
     EXPECT_LT(MaxAbsDiff(parties[p].x, before[p].x), 1e-8);
   }
-}
-
-// --- Shamir dropout tolerance ---
-
-TEST(ShamirDropoutTest, SumSurvivesDropoutsBelowThresholdBound) {
-  const int p = 5;
-  Rng rng(6);
-  std::vector<Vector> inputs(p, Vector(12));
-  Vector expected(12, 0.0);
-  for (auto& v : inputs) {
-    for (size_t e = 0; e < v.size(); ++e) {
-      v[e] = rng.Uniform(-50.0, 50.0);
-      expected[e] += v[e];
-    }
-  }
-  // threshold t = 2 -> need >= 3 survivors -> up to 2 dropouts.
-  for (const int dropouts : {0, 1, 2}) {
-    Network net(p);
-    SecureSumOptions opts;
-    opts.mode = AggregationMode::kShamir;
-    opts.frac_bits = 24;
-    opts.shamir_threshold = 2;
-    opts.simulate_shamir_dropouts = dropouts;
-    SecureVectorSum sum(&net, opts);
-    const Vector got = sum.Run(ToSecretInputs(inputs)).value();
-    for (size_t e = 0; e < got.size(); ++e) {
-      // The crashed parties' inputs are still included.
-      EXPECT_NEAR(got[e], expected[e], 1e-5)
-          << "dropouts=" << dropouts << " element " << e;
-    }
-  }
-}
-
-TEST(ShamirDropoutTest, TooManyDropoutsIsAnError) {
-  Network net(4);
-  SecureSumOptions opts;
-  opts.mode = AggregationMode::kShamir;
-  opts.shamir_threshold = 1;  // need >= 2 survivors
-  opts.simulate_shamir_dropouts = 3;
-  SecureVectorSum sum(&net, opts);
-  const auto r = sum.Run(ToSecretInputs({{1.0}, {1.0}, {1.0}, {1.0}}));
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ShamirDropoutTest, OtherModesHaveNoDropoutPath) {
-  // The option is Shamir-specific; masked aggregation with all parties
-  // present still works when the flag is set (it is simply ignored).
-  Network net(3);
-  SecureSumOptions opts;
-  opts.mode = AggregationMode::kMasked;
-  opts.simulate_shamir_dropouts = 1;
-  SecureVectorSum sum(&net, opts);
-  EXPECT_NEAR(sum.Run(ToSecretInputs({{1.0}, {2.0}, {3.0}})).value()[0],
-              6.0, 1e-9);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "linalg/qr.h"
 #include "linalg/sparse_matrix.h"
 #include "linalg/tsqr.h"
+#include "mesh_sum_util.h"
 #include "mpc/secure_sum.h"
 #include "net/network.h"
 #include "stats/ols.h"
@@ -81,9 +82,7 @@ TEST(EdgeCaseTest, EmptySparseMatrix) {
 }
 
 TEST(EdgeCaseTest, ZeroLengthSecureSum) {
-  Network net(3);
-  SecureVectorSum sum(&net, {});
-  const Vector got = sum.Run(ToSecretInputs({Vector{}, Vector{}, Vector{}})).value();
+  const Vector got = MeshSecureSum({Vector{}, Vector{}, Vector{}}, {}).value();
   EXPECT_TRUE(got.empty());
 }
 
@@ -146,13 +145,13 @@ TEST(EdgeCaseTest, OlsWithSingleCoefficient) {
 // --- Protocol boundary conditions ---
 
 TEST(EdgeCaseTest, TwoPartyMaskedAggregationIsMinimalMesh) {
-  Network net(2);
   SecureSumOptions opts;
   opts.mode = AggregationMode::kMasked;
-  SecureVectorSum sum(&net, opts);
-  EXPECT_NEAR(sum.Run(ToSecretInputs({{1.25}, {-0.25}})).value()[0], 1.0, 1e-9);
+  MeshTraffic traffic;
+  EXPECT_NEAR(MeshSecureSum({{1.25}, {-0.25}}, opts, &traffic).value()[0],
+              1.0, 1e-9);
   // 2 key-exchange messages + 2 masked broadcasts.
-  EXPECT_EQ(net.metrics().total_messages(), 4);
+  EXPECT_EQ(traffic.total_messages, 4);
 }
 
 TEST(EdgeCaseTest, ManyPartiesSmallData) {

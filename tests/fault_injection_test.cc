@@ -1,8 +1,9 @@
 // Chaos harness for the secure scan: every fault kind, in every
-// protocol round, on both backends, must end in exactly one of two
-// outcomes — a clean non-OK Status at every party, or a revealed result
-// bit-identical to the fault-free run. A hang, a crash, or a silently
-// wrong result is the bug class this file exists to catch.
+// protocol round, on both backends (the simulator's in-process mesh and
+// real TCP), must end in exactly one of two outcomes — a clean non-OK
+// Status at every party, or a revealed result bit-identical to the
+// fault-free run. A hang, a crash, or a silently wrong result is the bug
+// class this file exists to catch.
 //
 // The one principled exception is the final commit round: a fault there
 // can strand SOME parties after OTHERS have already verified every
@@ -97,12 +98,21 @@ FaultPlan OneRule(FaultKind kind, int round) {
   return plan;
 }
 
-Result<SecureScanOutput> RunInProcessWithPlan(
+// One mesh endpoint per party thread, each wrapped in a decorator
+// carrying the SAME plan, exactly like the TCP leg below.
+std::vector<Result<SecureScanOutput>> RunInProcessWithPlan(
     const std::vector<PartyData>& parties, const SecureScanOptions& options,
     const FaultPlan& plan) {
-  InProcessTransport net(static_cast<int>(parties.size()));
-  FaultInjectingTransport fault(&net, plan);
-  return SecureAssociationScan(options).Run(parties, &fault);
+  std::vector<Result<SecureScanOutput>> outs(
+      parties.size(), InvalidArgumentError("did not run"));
+  (void)RunPartiesInProcess(
+      static_cast<int>(parties.size()), [&](Transport* endpoint) {
+        const size_t i = static_cast<size_t>(endpoint->local_party());
+        FaultInjectingTransport fault(endpoint, plan);
+        outs[i] = RunPartySecureScan(&fault, parties[i], options);
+        return outs[i].status();
+      });
+  return outs;
 }
 
 // One TCP endpoint per thread, each wrapped in a decorator carrying the
@@ -201,12 +211,17 @@ TEST(FaultInjectionTest, EmptyPlanIsTransparent) {
   const auto reference = SecureAssociationScan(options).Run(workload.parties);
   ASSERT_TRUE(reference.ok()) << reference.status();
 
-  const auto out = RunInProcessWithPlan(workload.parties, options, FaultPlan{});
-  ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_EQ(ScanResultChecksum(out->result),
-            ScanResultChecksum(reference->result));
-  EXPECT_EQ(out->metrics.rounds, reference->metrics.rounds);
-  EXPECT_EQ(out->metrics.total_bytes, reference->metrics.total_bytes);
+  const auto outs =
+      RunInProcessWithPlan(workload.parties, options, FaultPlan{});
+  int64_t total_bytes = 0;
+  for (const auto& out : outs) {
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_EQ(ScanResultChecksum(out->result),
+              ScanResultChecksum(reference->result));
+    EXPECT_EQ(out->metrics.rounds, reference->metrics.rounds);
+    total_bytes += out->metrics.total_bytes;
+  }
+  EXPECT_EQ(total_bytes, reference->metrics.total_bytes);
 }
 
 TEST(FaultInjectionTest, RandomPlansAreDeterministic) {
@@ -223,13 +238,15 @@ TEST(FaultInjectionTest, RandomPlansAreDeterministic) {
 }
 
 // ---------------------------------------------------------------------
-// The table: every fault kind x every round, in-process backend.
-//
-// In-process the driver runs all parties in one thread, so the outcome
-// is a single Result: a fault either surfaces as the expected Status or
-// the run is bit-identical to the reference.
+// The table: every fault kind x every round, on both backends. Every
+// party is wrapped in the same plan. Pre-commit rounds demand the strong
+// outcome (unanimous failure with one Status code, thanks to the abort
+// broadcast); the commit round itself gets the weak one.
 
-TEST(FaultInjectionTest, EveryFaultKindInEveryRoundInProcess) {
+using PlanRunner = std::vector<Result<SecureScanOutput>> (*)(
+    const ScanWorkload&, const SecureScanOptions&, const FaultPlan&);
+
+void CheckEveryFaultKindInEveryRound(const char* backend, PlanRunner run) {
   const ScanWorkload workload = SmallWorkload();
   const SecureScanOptions options = BaseOptions();
   const auto reference = SecureAssociationScan(options).Run(workload.parties);
@@ -242,60 +259,10 @@ TEST(FaultInjectionTest, EveryFaultKindInEveryRoundInProcess) {
     for (const FaultKind kind :
          {FaultKind::kDrop, FaultKind::kDelay, FaultKind::kDuplicate,
           FaultKind::kReorder, FaultKind::kCorrupt, FaultKind::kDisconnect}) {
-      const std::string cell = std::string("in-process round ") +
+      const std::string cell = std::string(backend) + " round " +
                                std::to_string(round) + " " +
                                FaultKindName(kind);
-      const auto out =
-          RunInProcessWithPlan(workload.parties, options, OneRule(kind, round));
-      switch (kind) {
-        case FaultKind::kDelay:      // delays are skipped in-process
-        case FaultKind::kDuplicate:  // duplicates must be absorbed
-          ASSERT_TRUE(out.ok()) << cell << ": " << out.status();
-          EXPECT_EQ(ScanResultChecksum(out->result), ref_sum) << cell;
-          break;
-        case FaultKind::kDrop:
-        case FaultKind::kCorrupt:
-        case FaultKind::kDisconnect:
-          ASSERT_FALSE(out.ok()) << cell << ": fault went undetected";
-          EXPECT_EQ(out.status().code(), ExpectedCode(kind))
-              << cell << ": " << out.status();
-          break;
-        case FaultKind::kReorder:
-          // A held message is a desync (tag mismatch / missing message /
-          // commit divergence) — anything clean is fine, wrong bits are
-          // not.
-          if (out.ok()) {
-            EXPECT_EQ(ScanResultChecksum(out->result), ref_sum) << cell;
-          }
-          break;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
-// The table again over real sockets: three endpoints, three threads,
-// every party wrapped in the same plan. Pre-commit rounds demand the
-// strong outcome (unanimous failure with one Status code, thanks to the
-// abort broadcast); the commit round itself gets the weak one.
-
-TEST(FaultInjectionTest, EveryFaultKindInEveryRoundTcp) {
-  const ScanWorkload workload = SmallWorkload();
-  const SecureScanOptions options = BaseOptions();
-  const auto reference = SecureAssociationScan(options).Run(workload.parties);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  const uint64_t ref_sum = ScanResultChecksum(reference->result);
-  const int rounds = reference->metrics.rounds;
-
-  for (int round = 1; round <= rounds; ++round) {
-    for (const FaultKind kind :
-         {FaultKind::kDrop, FaultKind::kDelay, FaultKind::kDuplicate,
-          FaultKind::kReorder, FaultKind::kCorrupt, FaultKind::kDisconnect}) {
-      const std::string cell = std::string("tcp round ") +
-                               std::to_string(round) + " " +
-                               FaultKindName(kind);
-      const auto outs = RunTcpWithPlan(workload, options, OneRule(kind, round),
-                                       /*receive_timeout_ms=*/300);
+      const auto outs = run(workload, options, OneRule(kind, round));
       if (kind == FaultKind::kDuplicate) {
         for (size_t i = 0; i < outs.size(); ++i) {
           ASSERT_TRUE(outs[i].ok())
@@ -318,6 +285,26 @@ TEST(FaultInjectionTest, EveryFaultKindInEveryRoundTcp) {
   }
 }
 
+std::vector<Result<SecureScanOutput>> RunMeshCell(
+    const ScanWorkload& workload, const SecureScanOptions& options,
+    const FaultPlan& plan) {
+  return RunInProcessWithPlan(workload.parties, options, plan);
+}
+
+std::vector<Result<SecureScanOutput>> RunTcpCell(
+    const ScanWorkload& workload, const SecureScanOptions& options,
+    const FaultPlan& plan) {
+  return RunTcpWithPlan(workload, options, plan, /*receive_timeout_ms=*/300);
+}
+
+TEST(FaultInjectionTest, EveryFaultKindInEveryRoundInProcess) {
+  CheckEveryFaultKindInEveryRound("in-process", RunMeshCell);
+}
+
+TEST(FaultInjectionTest, EveryFaultKindInEveryRoundTcp) {
+  CheckEveryFaultKindInEveryRound("tcp", RunTcpCell);
+}
+
 // ---------------------------------------------------------------------
 // Same-tag reorder under the pipelined aggregation: consecutive block
 // rounds move messages with identical tags on the same links, the exact
@@ -335,13 +322,14 @@ TEST(FaultInjectionTest, PipelinedSameTagReorderIsNeverSilent) {
 
   int detected = 0;
   for (int round = 1; round <= rounds; ++round) {
-    const auto out = RunInProcessWithPlan(workload.parties, options,
-                                          OneRule(FaultKind::kReorder, round));
-    if (out.ok()) {
-      EXPECT_EQ(ScanResultChecksum(out->result), ref_sum)
-          << "round " << round << ": reorder survived with WRONG bits";
-    } else {
-      ++detected;
+    const auto outs = RunInProcessWithPlan(
+        workload.parties, options, OneRule(FaultKind::kReorder, round));
+    ExpectWeakOutcome(outs, ref_sum, "reorder round " + std::to_string(round));
+    for (const auto& out : outs) {
+      if (!out.ok()) {
+        ++detected;
+        break;
+      }
     }
   }
   // At least one round must actually have tripped on the reorder

@@ -1,6 +1,7 @@
 // Randomized fault sweep (label: slow). Two hundred seeded FaultPlans —
 // 1..3 rules each, any kind, any round, any link — run against the
-// in-process backend, plus a slice of them against real TCP meshes.
+// simulator's in-process mesh, plus a slice of them against real TCP
+// meshes; on both, every party's endpoint is wrapped in the plan.
 // Every case must end in the weak two-outcome invariant: each party
 // fails cleanly or holds bits identical to the fault-free reference.
 // OK-with-wrong-bits and hangs are the only losses.
@@ -98,17 +99,25 @@ TEST(FaultSweepTest, TwoHundredRandomPlansInProcess) {
   int clean_successes = 0;
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     const FaultPlan plan = FaultPlan::Random(seed, sweep);
-    InProcessTransport net(3);
-    FaultInjectingTransport fault(&net, plan);
-    const auto out = SecureAssociationScan(options).Run(workload.parties,
-                                                        &fault);
-    if (!out.ok()) {
+    std::vector<Result<SecureScanOutput>> outs(
+        3, InvalidArgumentError("did not run"));
+    const Status status = RunPartiesInProcess(3, [&](Transport* endpoint) {
+      const size_t i = static_cast<size_t>(endpoint->local_party());
+      FaultInjectingTransport fault(endpoint, plan);
+      outs[i] = RunPartySecureScan(&fault, workload.parties[i], options);
+      return outs[i].status();
+    });
+    if (status.ok()) {
+      ++clean_successes;
+    } else {
       ++clean_failures;
-      continue;
     }
-    ++clean_successes;
-    if (ScanResultChecksum(out->result) != ref_sum) {
-      RecordFailure(seed, plan, "run returned OK with WRONG bits");
+    for (size_t i = 0; i < outs.size(); ++i) {
+      if (outs[i].ok() && ScanResultChecksum(outs[i]->result) != ref_sum) {
+        RecordFailure(seed, plan,
+                      "party " + std::to_string(i) +
+                          " returned OK with WRONG bits in-process");
+      }
     }
   }
   // The sweep must actually exercise both outcomes, or the plan

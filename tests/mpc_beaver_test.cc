@@ -20,19 +20,24 @@
 namespace dash {
 namespace {
 
-// Test-side wrapping of plain summands into the Secret API.
-std::vector<Secret<Vector>> SecretVectors(std::vector<Vector> vs) {
-  std::vector<Secret<Vector>> out;
-  out.reserve(vs.size());
-  for (auto& v : vs) out.push_back(Secret<Vector>(std::move(v)));
-  return out;
-}
-
-std::vector<Secret<Matrix>> SecretMatrices(std::vector<Matrix> ms) {
-  std::vector<Secret<Matrix>> out;
-  out.reserve(ms.size());
-  for (auto& m : ms) out.push_back(Secret<Matrix>(std::move(m)));
-  return out;
+// Runs the projection as P threads, party p holding qty[p] and qtx[p];
+// returns party 0's revealed statistics or the run's failure.
+Result<ProjectedStats> MeshProjection(const std::vector<Vector>& qty,
+                                      const std::vector<Matrix>& qtx,
+                                      const SecureProjectionOptions& opts,
+                                      MeshTraffic* traffic = nullptr) {
+  std::vector<ProjectedStats> out(qty.size());
+  DASH_RETURN_IF_ERROR(RunPartiesInProcess(
+      static_cast<int>(qty.size()),
+      [&](Transport* t) -> Status {
+        const size_t p = static_cast<size_t>(t->local_party());
+        DASH_ASSIGN_OR_RETURN(
+            out[p], SecureProjectedAggregation(t, opts).Run(
+                        Secret<Vector>(qty[p]), Secret<Matrix>(qtx[p])));
+        return Status::Ok();
+      },
+      traffic));
+  return out[0];
 }
 
 TEST(BeaverTripleTest, DealtSharesSatisfyTheTripleRelation) {
@@ -116,12 +121,9 @@ TEST_P(SecureProjectionTest, MatchesDirectDotProducts) {
     }
   }
 
-  Network net(p);
   SecureProjectionOptions opts;
   opts.frac_bits = 22;
-  SecureProjectedAggregation agg(&net, opts);
-  const ProjectedStats got =
-      agg.Run(SecretVectors(qty), SecretMatrices(qtx)).value();
+  const ProjectedStats got = MeshProjection(qty, qtx, opts).value();
 
   const double tol = 1e-4;
   EXPECT_NEAR(got.qty_qty, SquaredNorm(qty_total), tol);
@@ -139,56 +141,50 @@ TEST(SecureProjectionTest, NeverTransmitsTheRawSummands) {
   // The opened d/e values are uniformly masked: re-running with the same
   // inputs but a different dealer seed produces different wire bytes of
   // the same length — nothing deterministic about the inputs leaks.
-  const int p = 2;
   Rng rng(20);
   std::vector<Vector> qty = {GaussianVector(3, &rng), GaussianVector(3, &rng)};
   std::vector<Matrix> qtx = {GaussianMatrix(3, 5, &rng),
                              GaussianMatrix(3, 5, &rng)};
   const auto run = [&](uint64_t seed) {
-    Network net(p);
     SecureProjectionOptions opts;
     opts.seed = seed;
-    SecureProjectedAggregation agg(&net, opts);
-    auto r = agg.Run(SecretVectors(qty), SecretMatrices(qtx));
-    EXPECT_TRUE(r.ok());
-    return net.metrics().total_bytes();
+    MeshTraffic traffic;
+    EXPECT_TRUE(MeshProjection(qty, qtx, opts, &traffic).ok());
+    return traffic.total_bytes;
   };
   EXPECT_EQ(run(1), run(2));  // cost identical, content differs by seed
 }
 
 TEST(SecureProjectionTest, HeadroomViolationIsReported) {
-  Network net(2);
   SecureProjectionOptions opts;
   opts.frac_bits = 28;  // products carry 56 fractional bits
-  SecureProjectedAggregation agg(&net, opts);
-  const std::vector<Vector> qty = {{1000.0}, {1000.0}};
-  const std::vector<Matrix> qtx = {Matrix(1, 2), Matrix(1, 2)};
-  const auto r = agg.Run(SecretVectors(qty), SecretMatrices(qtx));
+  const auto r = MeshProjection({{1000.0}, {1000.0}},
+                                {Matrix(1, 2), Matrix(1, 2)}, opts);
   EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(SecureProjectionTest, ShapeValidation) {
-  Network net(2);
-  SecureProjectedAggregation agg(&net, {});
-  EXPECT_FALSE(agg.Run(SecretVectors({{1.0}}),
-                       SecretMatrices({Matrix(1, 2), Matrix(1, 2)}))
-                   .ok());
-  EXPECT_FALSE(agg.Run(SecretVectors({{1.0}, {1.0, 2.0}}),
-                       SecretMatrices({Matrix(1, 2), Matrix(1, 2)}))
-                   .ok());
-  EXPECT_FALSE(agg.Run(SecretVectors({{1.0}, {1.0}}),
-                       SecretMatrices({Matrix(1, 2), Matrix(1, 3)}))
-                   .ok());
+  // A party's own summands disagree: caught locally.
+  EXPECT_EQ(MeshProjection({{1.0}, {1.0, 2.0}}, {Matrix(1, 2), Matrix(1, 2)},
+                           {})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // The parties disagree with each other: caught on the wire.
+  EXPECT_EQ(MeshProjection({{1.0}, {1.0}}, {Matrix(1, 2), Matrix(1, 3)}, {})
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(SecureProjectionTest, ZeroCovariatesShortCircuit) {
-  Network net(2);
-  SecureProjectedAggregation agg(&net, {});
-  const auto r = agg.Run(SecretVectors({Vector{}, Vector{}}),
-                         SecretMatrices({Matrix(0, 4), Matrix(0, 4)}))
+  MeshTraffic traffic;
+  const auto r = MeshProjection({Vector{}, Vector{}},
+                                {Matrix(0, 4), Matrix(0, 4)}, {}, &traffic)
                      .value();
   EXPECT_DOUBLE_EQ(r.qty_qty, 0.0);
   EXPECT_EQ(r.qtx_qty.size(), 4u);
+  EXPECT_EQ(traffic.total_bytes, 0);
 }
 
 // End-to-end: the Beaver-secured scan equals the plaintext scan.

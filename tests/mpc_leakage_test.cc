@@ -10,6 +10,7 @@
 
 #include <cmath>
 
+#include "mesh_sum_util.h"
 #include "mpc/additive_sharing.h"
 #include "mpc/fixed_point.h"
 #include "mpc/masked_aggregation.h"
@@ -31,15 +32,13 @@ double OneBitFraction(const std::vector<uint8_t>& bytes) {
 }
 
 TEST(LeakageTest, PublicModeVisiblyTransmitsInputs) {
-  // The insecure baseline puts the raw doubles on the wire: the first
-  // message party 0 broadcasts is exactly its serialized input.
-  Network net(2);
+  // The insecure baseline puts the raw doubles on the wire: the one
+  // message each party broadcasts is exactly its serialized input.
   SecureSumOptions opts;
   opts.mode = AggregationMode::kPublicShare;
-  SecureVectorSum sum(&net, opts);
-  // Queue party 0's broadcast by hand-running the protocol's encoder.
   const Vector input = {1.5, -2.25, 1e6};
-  (void)sum.Run(ToSecretInputs({input, {0.0, 0.0, 0.0}})).value();
+  MeshTraffic traffic;
+  (void)MeshSecureSum({input, {0.0, 0.0, 0.0}}, opts, &traffic).value();
   // The wire format is deterministic; re-encode and compare sizes (the
   // payload itself was consumed by the run, but the metrics confirm the
   // plaintext-width transfer: 8 bytes per double plus length prefix).
@@ -47,7 +46,8 @@ TEST(LeakageTest, PublicModeVisiblyTransmitsInputs) {
   w.PutDoubleVector(input);
   const int64_t per_message =
       static_cast<int64_t>(w.size()) + static_cast<int64_t>(Message::kHeaderBytes);
-  EXPECT_EQ(net.metrics().LinkBytes(0, 1), per_message);
+  EXPECT_EQ(traffic.max_link_bytes, per_message);
+  EXPECT_EQ(traffic.total_bytes, 2 * per_message);
 }
 
 TEST(LeakageTest, AdditiveSharesLookUniformRegardlessOfSecret) {
@@ -109,18 +109,16 @@ TEST(LeakageTest, SecureModesRevealOnlyTheTotal) {
   for (const auto mode :
        {AggregationMode::kAdditive, AggregationMode::kMasked,
         AggregationMode::kShamir}) {
-    Network net_a(3);
-    Network net_b(3);
     SecureSumOptions opts;
     opts.mode = mode;
     opts.frac_bits = 32;
-    SecureVectorSum sum_a(&net_a, opts);
-    SecureVectorSum sum_b(&net_b, opts);
-    const double total_a = sum_a.Run(ToSecretInputs(config_a)).value()[0];
-    const double total_b = sum_b.Run(ToSecretInputs(config_b)).value()[0];
+    MeshTraffic traffic_a;
+    MeshTraffic traffic_b;
+    const double total_a = MeshSecureSum(config_a, opts, &traffic_a).value()[0];
+    const double total_b = MeshSecureSum(config_b, opts, &traffic_b).value()[0];
     EXPECT_NEAR(total_a, 4.0, 1e-6) << AggregationModeName(mode);
     EXPECT_NEAR(total_b, 4.0, 1e-6) << AggregationModeName(mode);
-    EXPECT_EQ(net_a.metrics().total_bytes(), net_b.metrics().total_bytes())
+    EXPECT_EQ(traffic_a.total_bytes, traffic_b.total_bytes)
         << AggregationModeName(mode);
   }
 }
@@ -134,18 +132,17 @@ TEST(LeakageTest, TrafficVolumeIsValueIndependent) {
     int64_t bytes[2] = {0, 0};
     int variant = 0;
     for (const double scale : {1e-6, 1e5}) {
-      Network net(4);
       SecureSumOptions opts;
       opts.mode = mode;
       opts.frac_bits = 24;
-      SecureVectorSum sum(&net, opts);
       Rng rng(9);
       std::vector<Vector> inputs(4, Vector(64));
       for (auto& v : inputs) {
         for (auto& x : v) x = scale * rng.UniformDouble();
       }
-      (void)sum.Run(ToSecretInputs(inputs)).value();
-      bytes[variant++] = net.metrics().total_bytes();
+      MeshTraffic traffic;
+      (void)MeshSecureSum(inputs, opts, &traffic).value();
+      bytes[variant++] = traffic.total_bytes;
     }
     EXPECT_EQ(bytes[0], bytes[1]) << AggregationModeName(mode);
   }

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 
+#include "mesh_sum_util.h"
 #include "net/network.h"
 #include "util/random.h"
 
@@ -28,21 +30,41 @@ Vector PlainSum(const std::vector<Vector>& inputs) {
   return total;
 }
 
+// Bytes all parties send for one Run() after the one-time setup.
+int64_t SteadyStateBytes(AggregationMode mode, int parties, size_t len,
+                         uint64_t seed) {
+  SecureSumOptions opts;
+  opts.mode = mode;
+  opts.frac_bits = 24;
+  const auto inputs = RandomInputs(parties, len, seed);
+  std::atomic<int64_t> bytes{0};
+  const Status status = RunPartiesInProcess(parties, [&](Transport* t) {
+    PartySecureVectorSum sum(t, opts);
+    DASH_RETURN_IF_ERROR(sum.Setup());
+    const int64_t setup = t->metrics().total_bytes();
+    DASH_RETURN_IF_ERROR(
+        sum.Run(Secret<Vector>(inputs[static_cast<size_t>(t->local_party())]))
+            .status());
+    bytes += t->metrics().total_bytes() - setup;
+    return Status::Ok();
+  });
+  EXPECT_TRUE(status.ok()) << status;
+  return bytes.load();
+}
+
 // Sweep: every aggregation mode, several party counts.
 class SecureSumModeTest
     : public testing::TestWithParam<std::tuple<AggregationMode, int>> {};
 
 TEST_P(SecureSumModeTest, SumsMatchPlainComputation) {
   const auto [mode, parties] = GetParam();
-  Network net(parties);
   SecureSumOptions opts;
   opts.mode = mode;
   opts.frac_bits = 32;
-  SecureVectorSum sum(&net, opts);
 
   const auto inputs = RandomInputs(parties, 37, 1000 + parties);
   const Vector expected = PlainSum(inputs);
-  const Vector got = sum.Run(ToSecretInputs(inputs)).value();
+  const Vector got = MeshSecureSum(inputs, opts).value();
   ASSERT_EQ(got.size(), expected.size());
   const double tol = (mode == AggregationMode::kPublicShare)
                          ? 1e-12
@@ -54,20 +76,26 @@ TEST_P(SecureSumModeTest, SumsMatchPlainComputation) {
 
 TEST_P(SecureSumModeTest, RepeatedRunsStayCorrect) {
   const auto [mode, parties] = GetParam();
-  Network net(parties);
   SecureSumOptions opts;
   opts.mode = mode;
   opts.frac_bits = 32;
-  SecureVectorSum sum(&net, opts);
-  for (int round = 0; round < 3; ++round) {
-    const auto inputs =
-        RandomInputs(parties, 5, 2000 + round * 10 + parties);
-    const Vector expected = PlainSum(inputs);
-    const Vector got = sum.Run(ToSecretInputs(inputs)).value();
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_NEAR(got[i], expected[i], 1e-6);
+  const Status status = RunPartiesInProcess(parties, [&](Transport* t) {
+    PartySecureVectorSum sum(t, opts);
+    for (int round = 0; round < 3; ++round) {
+      const auto inputs =
+          RandomInputs(parties, 5, 2000 + round * 10 + parties);
+      const Vector expected = PlainSum(inputs);
+      DASH_ASSIGN_OR_RETURN(
+          Vector got,
+          sum.Run(Secret<Vector>(
+              inputs[static_cast<size_t>(t->local_party())])));
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_NEAR(got[i], expected[i], 1e-6);
+      }
     }
-  }
+    return Status::Ok();
+  });
+  EXPECT_TRUE(status.ok()) << status;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -79,132 +107,110 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values(2, 3, 5, 8)));
 
 TEST(SecureSumTest, SinglePartyShortCircuits) {
-  Network net(1);
   SecureSumOptions opts;
   opts.mode = AggregationMode::kMasked;
-  SecureVectorSum sum(&net, opts);
-  const Vector got = sum.Run(ToSecretInputs({{1.0, 2.0}})).value();
+  MeshTraffic traffic;
+  const Vector got = MeshSecureSum({{1.0, 2.0}}, opts, &traffic).value();
   EXPECT_EQ(got, (Vector{1.0, 2.0}));
-  EXPECT_EQ(net.metrics().total_bytes(), 0);
+  EXPECT_EQ(traffic.total_bytes, 0);
 }
 
-TEST(SecureSumTest, ScalarConvenience) {
-  Network net(3);
-  SecureSumOptions opts;
-  opts.mode = AggregationMode::kAdditive;
-  SecureVectorSum sum(&net, opts);
-  EXPECT_NEAR(sum.RunScalar({1.5, 2.5, -1.0}).value(), 3.0, 1e-9);
-}
-
-TEST(SecureSumTest, InputValidation) {
-  Network net(3);
-  SecureVectorSum sum(&net, {});
-  EXPECT_FALSE(sum.Run(ToSecretInputs({{1.0}, {2.0}})).ok());                  // wrong count
-  EXPECT_FALSE(sum.Run(ToSecretInputs({{1.0}, {2.0}, {3.0, 4.0}})).ok());      // ragged
+// One party contributes a vector of another length: in every mode each
+// party detects the desync from the lengths it receives and fails with
+// FailedPrecondition; nobody hangs.
+TEST(SecureSumTest, RaggedInputFailsEveryPartyWithDesync) {
+  for (const AggregationMode mode :
+       {AggregationMode::kPublicShare, AggregationMode::kAdditive,
+        AggregationMode::kMasked, AggregationMode::kShamir}) {
+    SecureSumOptions opts;
+    opts.mode = mode;
+    const std::vector<Vector> inputs = {{1.0}, {2.0}, {3.0, 4.0}};
+    std::vector<Status> status(inputs.size());
+    const Status cause = RunPartiesInProcess(3, [&](Transport* t) {
+      const size_t p = static_cast<size_t>(t->local_party());
+      PartySecureVectorSum sum(t, opts);
+      status[p] = sum.Run(Secret<Vector>(inputs[p])).status();
+      return status[p];
+    });
+    EXPECT_EQ(cause.code(), StatusCode::kFailedPrecondition)
+        << AggregationModeName(mode) << ": " << cause;
+    for (size_t p = 0; p < status.size(); ++p) {
+      EXPECT_EQ(status[p].code(), StatusCode::kFailedPrecondition)
+          << AggregationModeName(mode) << " party " << p << ": "
+          << status[p];
+    }
+  }
 }
 
 TEST(SecureSumTest, FixedPointOverflowIsReported) {
-  Network net(2);
   SecureSumOptions opts;
   opts.mode = AggregationMode::kAdditive;
   opts.frac_bits = 50;  // headroom only 2^13
-  SecureVectorSum sum(&net, opts);
-  const auto r = sum.Run(ToSecretInputs({{1e6}, {1e6}}));
-  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(MeshSecureSum({{1e6}, {1e6}}, opts).ok());
 }
 
 TEST(SecureSumTest, ShamirHeadroomIsNarrowerThanRing) {
-  Network net(3);
   SecureSumOptions opts;
   opts.mode = AggregationMode::kShamir;
   opts.frac_bits = 40;  // field headroom 2^20 / P
-  SecureVectorSum sum(&net, opts);
-  EXPECT_FALSE(sum.Run(ToSecretInputs({{5e5}, {5e5}, {5e5}})).ok());
+  EXPECT_FALSE(MeshSecureSum({{5e5}, {5e5}, {5e5}}, opts).ok());
   // Lower precision restores headroom.
   opts.frac_bits = 20;
-  SecureVectorSum relaxed(&net, opts);
-  EXPECT_NEAR(relaxed.Run(ToSecretInputs({{5e5}, {5e5}, {5e5}})).value()[0],
-              1.5e6, 1e-2);
+  EXPECT_NEAR(MeshSecureSum({{5e5}, {5e5}, {5e5}}, opts).value()[0], 1.5e6,
+              1e-2);
 }
 
 TEST(SecureSumTest, MaskedSetupIsIdempotentAndCostsOnce) {
-  Network net(4);
   SecureSumOptions opts;
   opts.mode = AggregationMode::kMasked;
-  SecureVectorSum sum(&net, opts);
-  ASSERT_TRUE(sum.Setup().ok());
-  const int64_t setup_bytes = net.metrics().total_bytes();
-  EXPECT_GT(setup_bytes, 0);
-  ASSERT_TRUE(sum.Setup().ok());
-  EXPECT_EQ(net.metrics().total_bytes(), setup_bytes);
-
   const auto inputs = RandomInputs(4, 10, 5);
-  (void)sum.Run(ToSecretInputs(inputs)).value();
-  const int64_t after_first = net.metrics().total_bytes();
-  (void)sum.Run(ToSecretInputs(inputs)).value();
-  const int64_t after_second = net.metrics().total_bytes();
-  // Steady-state cost per run excludes key agreement.
-  EXPECT_EQ(after_second - after_first, after_first - setup_bytes);
+  const Status status = RunPartiesInProcess(4, [&](Transport* t) {
+    PartySecureVectorSum sum(t, opts);
+    DASH_RETURN_IF_ERROR(sum.Setup());
+    const int64_t setup_bytes = t->metrics().total_bytes();
+    EXPECT_GT(setup_bytes, 0);
+    DASH_RETURN_IF_ERROR(sum.Setup());
+    EXPECT_EQ(t->metrics().total_bytes(), setup_bytes);
+
+    const Secret<Vector> input(inputs[static_cast<size_t>(t->local_party())]);
+    DASH_RETURN_IF_ERROR(sum.Run(input).status());
+    const int64_t after_first = t->metrics().total_bytes();
+    DASH_RETURN_IF_ERROR(sum.Run(input).status());
+    const int64_t after_second = t->metrics().total_bytes();
+    // Steady-state cost per run excludes key agreement.
+    EXPECT_EQ(after_second - after_first, after_first - setup_bytes);
+    return Status::Ok();
+  });
+  EXPECT_TRUE(status.ok()) << status;
 }
 
 TEST(SecureSumTest, BytesScaleLinearlyInLength) {
   for (const AggregationMode mode :
        {AggregationMode::kAdditive, AggregationMode::kMasked,
         AggregationMode::kShamir}) {
-    SecureSumOptions opts;
-    opts.mode = mode;
-    opts.frac_bits = 24;
-
-    Network net_small(3);
-    SecureVectorSum small(&net_small, opts);
-    ASSERT_TRUE(small.Setup().ok());
-    net_small.metrics().Reset();
-    (void)small.Run(ToSecretInputs(RandomInputs(3, 100, 6))).value();
-    const int64_t bytes_small = net_small.metrics().total_bytes();
-
-    Network net_large(3);
-    SecureVectorSum large(&net_large, opts);
-    ASSERT_TRUE(large.Setup().ok());
-    net_large.metrics().Reset();
-    (void)large.Run(ToSecretInputs(RandomInputs(3, 1000, 7))).value();
-    const int64_t bytes_large = net_large.metrics().total_bytes();
-
+    const int64_t bytes_small = SteadyStateBytes(mode, 3, 100, 6);
+    const int64_t bytes_large = SteadyStateBytes(mode, 3, 1000, 7);
     // Fixed per-message overhead keeps the ratio just under 10x.
-    EXPECT_GT(bytes_large, 9 * bytes_small)
-        << AggregationModeName(mode);
-    EXPECT_LT(bytes_large, 11 * bytes_small)
-        << AggregationModeName(mode);
+    EXPECT_GT(bytes_large, 9 * bytes_small) << AggregationModeName(mode);
+    EXPECT_LT(bytes_large, 11 * bytes_small) << AggregationModeName(mode);
   }
 }
 
 TEST(SecureSumTest, MaskedIsCheapestSecureMode) {
-  const auto bytes_for = [](AggregationMode mode) {
-    Network net(4);
-    SecureSumOptions opts;
-    opts.mode = mode;
-    opts.frac_bits = 24;
-    SecureVectorSum sum(&net, opts);
-    auto r = sum.Setup();
-    EXPECT_TRUE(r.ok());
-    net.metrics().Reset();
-    (void)sum.Run(ToSecretInputs(RandomInputs(4, 500, 8))).value();
-    return net.metrics().total_bytes();
-  };
-  const int64_t masked = bytes_for(AggregationMode::kMasked);
-  const int64_t additive = bytes_for(AggregationMode::kAdditive);
-  const int64_t shamir = bytes_for(AggregationMode::kShamir);
+  const int64_t masked = SteadyStateBytes(AggregationMode::kMasked, 4, 500, 8);
+  const int64_t additive =
+      SteadyStateBytes(AggregationMode::kAdditive, 4, 500, 8);
+  const int64_t shamir = SteadyStateBytes(AggregationMode::kShamir, 4, 500, 8);
   EXPECT_LT(masked, additive);
   EXPECT_LE(masked, shamir);
 }
 
 TEST(SecureSumTest, NegativeAndTinyValuesSurviveQuantization) {
-  Network net(3);
   SecureSumOptions opts;
   opts.mode = AggregationMode::kMasked;
   opts.frac_bits = 48;
-  SecureVectorSum sum(&net, opts);
   const std::vector<Vector> inputs = {{-1e-10}, {2e-10}, {-0.5e-10}};
-  EXPECT_NEAR(sum.Run(ToSecretInputs(inputs)).value()[0], 0.5e-10,
+  EXPECT_NEAR(MeshSecureSum(inputs, opts).value()[0], 0.5e-10,
               std::ldexp(3.0, -48));
 }
 

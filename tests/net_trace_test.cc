@@ -8,6 +8,7 @@
 
 #include "core/secure_scan.h"
 #include "data/workloads.h"
+#include "mesh_sum_util.h"
 #include "mpc/secure_sum.h"
 #include "net/network.h"
 #include "util/csv.h"
@@ -16,13 +17,17 @@ namespace dash {
 namespace {
 
 TEST(ProtocolTraceTest, RecordsMessageMetadata) {
-  Network net(3);
+  InProcessMesh mesh(3);
+  Transport* a = mesh.endpoint(0);
+  Transport* b = mesh.endpoint(1);
   ProtocolTrace trace;
-  net.AttachTrace(&trace);
-  net.BeginRound();
-  ASSERT_TRUE(net.Send(0, 1, MessageTag::kRFactor, {1, 2, 3}).ok());
-  net.BeginRound();
-  ASSERT_TRUE(net.Broadcast(1, MessageTag::kPartialSum, {9}).ok());
+  a->AttachTrace(&trace);
+  b->AttachTrace(&trace);
+  a->BeginRound();
+  ASSERT_TRUE(a->Send(0, 1, MessageTag::kRFactor, {1, 2, 3}).ok());
+  b->BeginRound();
+  b->BeginRound();
+  ASSERT_TRUE(b->Broadcast(1, MessageTag::kPartialSum, {9}).ok());
 
   ASSERT_EQ(trace.size(), 3);
   const TraceEvent& first = trace.events()[0];
@@ -39,33 +44,39 @@ TEST(ProtocolTraceTest, RecordsMessageMetadata) {
 }
 
 TEST(ProtocolTraceTest, DetachAndClear) {
-  Network net(2);
+  InProcessMesh mesh(2);
+  Transport* a = mesh.endpoint(0);
   ProtocolTrace trace;
-  net.AttachTrace(&trace);
-  ASSERT_TRUE(net.Send(0, 1, MessageTag::kPlainStats, {}).ok());
-  net.AttachTrace(nullptr);
-  ASSERT_TRUE(net.Send(0, 1, MessageTag::kPlainStats, {}).ok());
+  a->AttachTrace(&trace);
+  ASSERT_TRUE(a->Send(0, 1, MessageTag::kPlainStats, {}).ok());
+  a->AttachTrace(nullptr);
+  ASSERT_TRUE(a->Send(0, 1, MessageTag::kPlainStats, {}).ok());
   EXPECT_EQ(trace.size(), 1);
   trace.Clear();
   EXPECT_EQ(trace.size(), 0);
 }
 
 TEST(ProtocolTraceTest, CapturesWholeSecureSumTranscript) {
-  Network net(3);
+  // One trace shared by three concurrently sending parties.
   ProtocolTrace trace;
-  net.AttachTrace(&trace);
   SecureSumOptions opts;
   opts.mode = AggregationMode::kAdditive;
-  SecureVectorSum sum(&net, opts);
-  (void)sum.Run(ToSecretInputs({{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}})).value();
+  MeshTraffic traffic;
+  ASSERT_TRUE(MeshSecureSum({{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}}, opts,
+                            &traffic, &trace)
+                  .ok());
   // Additive: 6 share messages + 6 partial broadcasts.
   EXPECT_EQ(trace.CountTag(MessageTag::kAdditiveShare), 6);
   EXPECT_EQ(trace.CountTag(MessageTag::kPartialSum), 6);
   EXPECT_EQ(trace.size(), 12);
-  // Transcript totals agree with the network's own accounting.
+  // Transcript totals agree with the endpoints' own accounting, and the
+  // sequence numbers are one global order.
   int64_t traced_bytes = 0;
-  for (const auto& e : trace.events()) traced_bytes += e.wire_bytes;
-  EXPECT_EQ(traced_bytes, net.metrics().total_bytes());
+  for (int64_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(trace.events()[static_cast<size_t>(i)].sequence, i);
+    traced_bytes += trace.events()[static_cast<size_t>(i)].wire_bytes;
+  }
+  EXPECT_EQ(traced_bytes, traffic.total_bytes);
 
   const std::string summary = trace.Summary();
   EXPECT_NE(summary.find("AdditiveShare"), std::string::npos);
@@ -73,10 +84,11 @@ TEST(ProtocolTraceTest, CapturesWholeSecureSumTranscript) {
 }
 
 TEST(ProtocolTraceTest, WritesParsableCsv) {
-  Network net(2);
+  InProcessMesh mesh(2);
   ProtocolTrace trace;
-  net.AttachTrace(&trace);
-  ASSERT_TRUE(net.Send(0, 1, MessageTag::kMaskedValue, {1, 2}).ok());
+  mesh.endpoint(0)->AttachTrace(&trace);
+  ASSERT_TRUE(
+      mesh.endpoint(0)->Send(0, 1, MessageTag::kMaskedValue, {1, 2}).ok());
   const std::string path = testing::TempDir() + "/trace.csv";
   ASSERT_TRUE(trace.WriteCsv(path).ok());
   const CsvTable table = CsvTable::ReadFile(path).value();

@@ -2,7 +2,7 @@
 // buffer a 3-party secure scan hands to Transport::Send must be masked
 // share material, a blessed public value, or an explicitly declassified
 // aggregate — cross-checked against tools/secrecy_allowlist.txt. Runs
-// against the in-process transport AND a real TCP mesh.
+// over the in-process mesh AND a real TCP mesh.
 //
 // The checks are behavioral, not nominal: beyond classifying tags, the
 // test re-runs the protocol under a different seed and requires every
@@ -174,18 +174,30 @@ ScanWorkload BoundaryWorkload() {
   return std::move(workload).value();
 }
 
+// Every mesh endpoint wrapped in its own recorder; the parties' sends
+// are returned in party order (each party's in its own send order).
 std::vector<CapturedMessage> RunInProcess(AggregationMode mode,
                                           uint64_t seed) {
   const ScanWorkload workload = BoundaryWorkload();
-  InProcessTransport net(static_cast<int>(workload.parties.size()));
-  RecordingTransport recorder(&net);
   SecureScanOptions options;
   options.aggregation = mode;
   options.seed = seed;
-  const auto out = SecureAssociationScan(options).Run(workload.parties,
-                                                      &recorder);
-  EXPECT_TRUE(out.ok()) << out.status();
-  return recorder.sent();
+  std::vector<std::vector<CapturedMessage>> sent(workload.parties.size());
+  const Status status = RunPartiesInProcess(
+      static_cast<int>(workload.parties.size()), [&](Transport* endpoint) {
+        const size_t p = static_cast<size_t>(endpoint->local_party());
+        RecordingTransport recorder(endpoint);
+        const auto out =
+            RunPartySecureScan(&recorder, workload.parties[p], options);
+        sent[p] = recorder.sent();
+        return out.status();
+      });
+  EXPECT_TRUE(status.ok()) << status;
+  std::vector<CapturedMessage> merged;
+  for (const auto& per_party : sent) {
+    merged.insert(merged.end(), per_party.begin(), per_party.end());
+  }
+  return merged;
 }
 
 // The boundary assertions shared by both backends.
@@ -197,12 +209,11 @@ void CheckBoundary(const std::vector<CapturedMessage>& sent,
   for (const auto& msg : sent) {
     if (msg.tag == MessageTag::kPlainStats) {
       // Plaintext summands are only legal in the public-share baseline,
-      // and only because party_runner.cc declassifies them explicitly —
+      // and only because secure_sum.cc declassifies them explicitly —
       // which in turn must be allowlisted.
       EXPECT_EQ(mode, AggregationMode::kPublicShare)
           << "plaintext stats on the wire in a secure mode";
-      EXPECT_TRUE(allowlist.names.count(
-          "declassify@src/transport/party_runner.cc"))
+      EXPECT_TRUE(allowlist.names.count("declassify@src/mpc/secure_sum.cc"))
           << "public-share declassification is not allowlisted";
       continue;
     }

@@ -1,7 +1,9 @@
 // The load-bearing guarantee of the transport subsystem: running the
 // scan as P separate TCP endpoints (one thread each here; one process
-// each in deployment) produces the SAME bits as the in-process
-// simulation — results, per-link traffic, and trace.
+// each in deployment) produces the SAME bits as the simulator's P
+// threads over the in-process mesh — results, per-link traffic, and
+// trace. Both run the one per-party runner; only the bytes-moving layer
+// differs.
 
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -111,7 +113,7 @@ void RunBothBackends(const SecureScanOptions& base_options) {
   }
   const int p = static_cast<int>(workload.parties.size());
 
-  // In-process reference, with a trace on the shared transport.
+  // Simulator reference, with one trace shared by every party.
   ProtocolTrace global_trace;
   SecureScanOptions inproc_options = base_options;
   inproc_options.trace = &global_trace;
@@ -221,6 +223,40 @@ TEST(CrossBackendTest, CenteredAdditiveBinaryTree) {
   RunBothBackends(options);
 }
 
+// Beaver dot products (the paper's "greater security" variant) over
+// both secure-sum modes that feed them and both R-combines.
+TEST(CrossBackendTest, BeaverMaskedBroadcastStack) {
+  SecureScanOptions options;
+  options.aggregation = AggregationMode::kMasked;
+  options.r_combine = RCombineMode::kBroadcastStack;
+  options.projection = ProjectionSecurity::kBeaverDotProducts;
+  RunBothBackends(options);
+}
+
+TEST(CrossBackendTest, BeaverMaskedBinaryTree) {
+  SecureScanOptions options;
+  options.aggregation = AggregationMode::kMasked;
+  options.r_combine = RCombineMode::kBinaryTree;
+  options.projection = ProjectionSecurity::kBeaverDotProducts;
+  RunBothBackends(options);
+}
+
+TEST(CrossBackendTest, BeaverAdditiveBroadcastStack) {
+  SecureScanOptions options;
+  options.aggregation = AggregationMode::kAdditive;
+  options.r_combine = RCombineMode::kBroadcastStack;
+  options.projection = ProjectionSecurity::kBeaverDotProducts;
+  RunBothBackends(options);
+}
+
+TEST(CrossBackendTest, BeaverAdditiveBinaryTree) {
+  SecureScanOptions options;
+  options.aggregation = AggregationMode::kAdditive;
+  options.r_combine = RCombineMode::kBinaryTree;
+  options.projection = ProjectionSecurity::kBeaverDotProducts;
+  RunBothBackends(options);
+}
+
 // Pipelined aggregation (header round + one round per variant block,
 // block b+1 computed while block b is in flight) must walk the same
 // round schedule on both backends and reveal the same bits. Block size
@@ -252,17 +288,21 @@ TEST(CrossBackendTest, PipelinedPublicShareWithThreadPool) {
   RunBothBackends(options);
 }
 
-TEST(CrossBackendTest, PerPartyMetricsMatchInProcessLedger) {
+TEST(CrossBackendTest, PerPartyMetricsMatchTheMeshLedger) {
   const ScanWorkload workload = SmallWorkload();
   const int p = static_cast<int>(workload.parties.size());
   SecureScanOptions options;
   options.aggregation = AggregationMode::kMasked;
 
-  // In-process per-sender ledger.
-  InProcessTransport reference_net(p);
-  const auto reference =
-      SecureAssociationScan(options).Run(workload.parties, &reference_net);
-  ASSERT_TRUE(reference.ok()) << reference.status();
+  // What each mesh endpoint sent.
+  std::vector<int64_t> mesh_sent(static_cast<size_t>(p), -1);
+  const Status status = RunPartiesInProcess(p, [&](Transport* endpoint) {
+    const size_t i = static_cast<size_t>(endpoint->local_party());
+    const auto out = RunPartySecureScan(endpoint, workload.parties[i], options);
+    mesh_sent[i] = endpoint->metrics().total_bytes();
+    return out.status();
+  });
+  ASSERT_TRUE(status.ok()) << status;
 
   ClusterConfig cluster;
   for (const uint16_t port : FreePorts(p)) {
@@ -286,36 +326,9 @@ TEST(CrossBackendTest, PerPartyMetricsMatchInProcessLedger) {
   for (auto& t : threads) t.join();
 
   for (int i = 0; i < p; ++i) {
-    EXPECT_EQ(sent[static_cast<size_t>(i)],
-              reference_net.metrics().BytesSentBy(i))
+    EXPECT_EQ(sent[static_cast<size_t>(i)], mesh_sent[static_cast<size_t>(i)])
         << "party " << i;
   }
-}
-
-// The per-party runner refuses configurations that only make sense (or
-// only exist) in-process.
-TEST(CrossBackendTest, PartyRunnerRejectsInProcessTransport) {
-  InProcessTransport net(3);
-  const ScanWorkload workload = SmallWorkload();
-  SecureScanOptions options;
-  const auto out = RunPartySecureScan(&net, workload.parties[0], options);
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(CrossBackendTest, InProcessRunRejectsPartyBoundTransport) {
-  // A party-bound transport cannot drive the all-party simulator; use a
-  // 1-party TCP transport (needs no sockets) as the probe.
-  ClusterConfig cluster;
-  cluster.endpoints.push_back({"127.0.0.1", 1});
-  auto transport = TcpTransport::Connect(cluster, 0);
-  ASSERT_TRUE(transport.ok()) << transport.status();
-  ScanWorkload workload = SmallWorkload();
-  workload.parties.resize(1);
-  const auto out = SecureAssociationScan().Run(workload.parties,
-                                               transport.value().get());
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

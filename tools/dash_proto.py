@@ -19,7 +19,7 @@ Rules (stable IDs, mirrored by dash_lint's DLxxx / dash_taint's TLxxx):
       declared transport infrastructure.
 
   PC001 static deadlock-freedom of the happy path
-      The per-round, per-file send/receive/drain site census must match
+      The per-round, per-file send/receive site census must match
       the model exactly (deleting any single call site fails, as does
       adding an unmodeled one), and within every runner group that
       touches a round, the round must have both a send site and a
@@ -36,8 +36,7 @@ Rules (stable IDs, mirrored by dash_lint's DLxxx / dash_taint's TLxxx):
   PC003 round ordering
       Within any one function, annotated sites must appear in
       non-decreasing model `order` — the phase ordering each runner
-      actually executes matches the model. DASH_ROUND_DRAIN sites
-      (late symmetric drains of an earlier round) are exempt.
+      actually executes matches the model.
 
   PC004 failure paths reach the abort broadcast
       The abort wrapper function named by the model must exist and own
@@ -93,7 +92,7 @@ TABLE_END = "<!-- END GENERATED ROUND TABLE -->"
 
 FIXTURE_AS_RE = re.compile(r"dash-proto-fixture-as:\s*(\S+)")
 ANNOT_RE = re.compile(
-    r"\bDASH_ROUND(?P<drain>_DRAIN)?\s*\(\s*(?P<key>[A-Za-z_]\w*)\s*,"
+    r"\bDASH_ROUND\s*\(\s*(?P<key>[A-Za-z_]\w*)\s*,"
     r"\s*(?P<tag>k\w+)\s*\)")
 CALL_RE = re.compile(r"(?:\.|->)\s*(?P<dir>Send|Receive|Broadcast)\s*\(")
 TAG_RE = re.compile(r"\bMessageTag::(k\w+)\b")
@@ -285,14 +284,13 @@ class Model:
         return {rd["tag"] for rd in self.rounds}
 
     def declared_counts(self):
-        """{(round_key, file): {send, recv, drain}}."""
+        """{(round_key, file): {send, recv}}."""
         out = {}
         for rd in self.rounds:
             for site in rd.get("sites") or []:
                 out[(rd["key"], site["file"])] = {
                     "send": int(site.get("send") or 0),
                     "recv": int(site.get("recv") or 0),
-                    "drain": int(site.get("drain") or 0),
                 }
         return out
 
@@ -308,22 +306,19 @@ def load_model(path):
 class Site:
     """One annotated wire call."""
 
-    def __init__(self, relpath, line, key, tag, direction, drain, func,
-                 in_loop):
+    def __init__(self, relpath, line, key, tag, direction, func, in_loop):
         self.relpath = relpath
         self.line = line
         self.key = key
         self.tag = tag
         self.direction = direction  # send | recv
-        self.drain = drain
         self.func = func
         self.in_loop = in_loop
 
     def __repr__(self):
-        return "%s:%d %s %s %s%s fn=%s%s" % (
+        return "%s:%d %s %s %s fn=%s%s" % (
             self.relpath, self.line, self.key, self.tag, self.direction,
-            " drain" if self.drain else "", self.func,
-            " loop" if self.in_loop else "")
+            self.func, " loop" if self.in_loop else "")
 
 
 def regex_function_extents(stripped_lines):
@@ -403,12 +398,11 @@ def extract_file(path, relpath_override=None, clang_extents=None):
     facts = FileFacts(path, relpath, extents)
     facts.stripped = stripped
 
-    annots = []  # [line, key, tag, drain, bound]
+    annots = []  # [line, key, tag, bound]
     calls = []   # [line, direction, tag]
     for i, code in enumerate(stripped, start=1):
         for m in ANNOT_RE.finditer(code):
-            annots.append([i, m.group("key"), m.group("tag"),
-                           m.group("drain") is not None, False])
+            annots.append([i, m.group("key"), m.group("tag"), False])
         for m in CALL_RE.finditer(code):
             # The MessageTag literal may sit on a continuation line;
             # search forward without crossing into the next wire call.
@@ -447,7 +441,7 @@ def extract_file(path, relpath_override=None, clang_extents=None):
         cline, direction, tag = call
         best = None
         for a in annots:
-            if a[4]:
+            if a[3]:
                 continue
             if a[0] < cline <= a[0] + BIND_WINDOW:
                 if best is None or a[0] > best[0]:
@@ -455,17 +449,17 @@ def extract_file(path, relpath_override=None, clang_extents=None):
         if best is None:
             facts.unbound_calls.append((cline, direction, tag))
             continue
-        best[4] = True
-        aline, key, atag, drain, _ = best
+        best[3] = True
+        aline, key, atag, _ = best
         if tag is not None and tag != atag:
             facts.tag_mismatches.append((cline, key, atag, tag))
         func = facts.function_at(cline)
         facts.sites.append(Site(
             facts.relpath, cline, key, tag or atag,
             "recv" if direction == "Receive" else "send",
-            drain, func, in_loop_at(cline, func)))
+            func, in_loop_at(cline, func)))
     for a in annots:
-        if not a[4]:
+        if not a[3]:
             facts.dangling_annots.append((a[0], a[1]))
     return facts
 
@@ -576,24 +570,19 @@ def check_pc001(model, facts_by_file, findings):
             if s.key not in model.by_key:
                 continue
             slot = extracted.setdefault((s.key, s.relpath),
-                                        {"send": 0, "recv": 0, "drain": 0})
-            if s.drain:
-                slot["drain"] += 1
-            elif s.direction == "send":
-                slot["send"] += 1
-            else:
-                slot["recv"] += 1
+                                        {"send": 0, "recv": 0})
+            slot[s.direction] += 1
 
     for (key, path), want in sorted(declared.items()):
-        got = extracted.get((key, path), {"send": 0, "recv": 0, "drain": 0})
+        got = extracted.get((key, path), {"send": 0, "recv": 0})
         if got != want:
             findings.report(
                 path, 1, "PC001",
                 "round %s: site census mismatch in %s — model declares "
-                "send=%d recv=%d drain=%d, source has send=%d recv=%d "
-                "drain=%d (update the annotations AND the model together)"
-                % (key, path, want["send"], want["recv"], want["drain"],
-                   got["send"], got["recv"], got["drain"]))
+                "send=%d recv=%d, source has send=%d recv=%d (update the "
+                "annotations AND the model together)"
+                % (key, path, want["send"], want["recv"],
+                   got["send"], got["recv"]))
     for (key, path), got in sorted(extracted.items()):
         if (key, path) not in declared:
             findings.report(
@@ -612,8 +601,7 @@ def check_pc001(model, facts_by_file, findings):
             runner = model.file_runner.get(site["file"])
             slot = per_runner.setdefault(runner, {"send": 0, "recv": 0})
             slot["send"] += int(site.get("send") or 0)
-            slot["recv"] += int(site.get("recv") or 0) \
-                + int(site.get("drain") or 0)
+            slot["recv"] += int(site.get("recv") or 0)
         for runner, slot in sorted(per_runner.items()):
             if slot["send"] == 0:
                 findings.report(
@@ -691,7 +679,7 @@ def check_pc003(model, facts_by_file, findings):
     for facts in facts_by_file.values():
         per_func = {}
         for s in facts.sites:
-            if s.drain or s.func is None or s.key not in model.by_key:
+            if s.func is None or s.key not in model.by_key:
                 continue
             rd = model.by_key[s.key]
             if rd.get("phase") == "abort":

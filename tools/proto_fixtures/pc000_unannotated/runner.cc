@@ -3,7 +3,6 @@
 // integrity fails. The annotated rounds still match the model, so no
 // other check fires.
 #define DASH_ROUND(key, tag) static_assert(true, "round")
-#define DASH_ROUND_DRAIN(key, tag) static_assert(true, "drain")
 
 enum class MessageTag { kPing = 1, kPong = 2, kDone = 3 };
 

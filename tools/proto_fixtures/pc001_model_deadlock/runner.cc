@@ -2,7 +2,6 @@
 // Matches pc001_model_deadlock/model.yaml exactly: done_round has a
 // Receive and no Send, which is a deadlock by construction.
 #define DASH_ROUND(key, tag) static_assert(true, "round")
-#define DASH_ROUND_DRAIN(key, tag) static_assert(true, "drain")
 
 enum class MessageTag { kPing = 1, kPong = 2, kDone = 3 };
 

@@ -3,7 +3,6 @@
 // census still matches, but the per-function ordering contradicts the
 // model.
 #define DASH_ROUND(key, tag) static_assert(true, "round")
-#define DASH_ROUND_DRAIN(key, tag) static_assert(true, "drain")
 
 enum class MessageTag { kPing = 1, kPong = 2, kDone = 3 };
 

@@ -3,7 +3,6 @@
 // function, and the declared entry point RunEntry skips the abort
 // wrapper.
 #define DASH_ROUND(key, tag) static_assert(true, "round")
-#define DASH_ROUND_DRAIN(key, tag) static_assert(true, "drain")
 
 void exit(int code);
 

@@ -2,7 +2,6 @@
 // Self-contained: local stand-ins for the macros and the transport so
 // the clang engine can parse this file without the real headers.
 #define DASH_ROUND(key, tag) static_assert(true, "round")
-#define DASH_ROUND_DRAIN(key, tag) static_assert(true, "drain")
 
 enum class MessageTag { kPing = 1, kPong = 2, kDone = 3 };
 
