@@ -12,7 +12,6 @@ Result<SecureImputationOutput> SecureMeanImpute(
   const int num_parties = static_cast<int>(parties->size());
   const int64_t m = (*parties)[0].x.cols();
 
-  // Each party contributes [column sums | non-missing counts].
   int64_t total_missing = 0;
   for (const auto& p : *parties) total_missing += CountMissing(p.x);
 
@@ -25,6 +24,7 @@ Result<SecureImputationOutput> SecureMeanImpute(
   DASH_RETURN_IF_ERROR(RunPartiesInProcess(
       num_parties,
       [&](Transport* transport) -> Status {
+        // Each party contributes [column sums | non-missing counts].
         const size_t self = static_cast<size_t>(transport->local_party());
         const ColumnMoments moments = ColumnSumsAndCounts((*parties)[self].x);
         Vector flat;

@@ -273,9 +273,13 @@ void CheckEveryFaultKindInEveryRound(const char* backend, PlanRunner run) {
         ExpectWeakOutcome(outs, ref_sum, cell);
       } else {
         ExpectStrongOutcome(outs, ref_sum, cell);
-        // A rule can name a (round, link) the protocol never uses; the
-        // cell then runs clean, which the strong outcome already
-        // validated. When it DID fire, the code must be the right one.
+        // Every pre-commit round of this scan is all-to-all, so a fault
+        // on every link always fires; only the single-link delay can
+        // run clean, which the strong outcome already validated. When a
+        // fault fired, the code must be the right one.
+        if (kind != FaultKind::kDelay) {
+          EXPECT_FALSE(outs[0].ok()) << cell << ": fault went undetected";
+        }
         if (!outs[0].ok()) {
           EXPECT_EQ(outs[0].status().code(), ExpectedCode(kind))
               << cell << ": " << outs[0].status();
