@@ -15,8 +15,8 @@
 // (`avx2/*`, `avx512/*`), and the 2-bit packed-genotype popcount
 // kernels in pre-packed steady state (`packed/*`,
 // `packed_<isa>/genotype`) — plus the sparse-storage kernels, where
-// `sparse_packed/genotype` is ComputeLocalStatsSparse's dosage repack
-// path. Every variant's result checksum is asserted equal to the
+// `sparse_packed/genotype` is ComputeLocalStatsSparseFlat's dosage
+// repack path. Every variant's result checksum is asserted equal to the
 // scalar kernel's — the bench doubles as a bit-identity smoke test.
 // With --json PATH the numbers are written in the bench_json.h schema
 // for bench/compare_bench.py; the JSON carries an `isas` list so the
@@ -24,11 +24,10 @@
 //
 // --stream (with --kernel-bench) adds the out-of-core path: the
 // genotype draw is written to a temporary DASHPACK study and streamed
-// back through the checkpointed panel loop (core/streaming_stats.h) in
-// both read modes — `stream_file/genotype` (chunked pread) and
-// `stream_mmap/genotype` (one mmap). Both checksums are asserted equal
-// to the scalar kernel's, extending the bit-identity smoke across the
-// disk round trip. compare_bench.py treats `stream_*` as I/O-bound
+// back through the checkpointed panel loop (core/streaming_stats.h) as
+// `stream_file/genotype`. Its checksum is asserted equal to the scalar
+// kernel's, extending the bit-identity smoke across the disk round
+// trip. compare_bench.py treats `stream_*` as I/O-bound
 // info rows: reported, checksum-compared, never speed-gated.
 //
 // Usage:
@@ -216,7 +215,7 @@ uint64_t BenchDense(const KernelArgs& a, const std::string& dataset,
   uint64_t blocked_sum = 0;
   uint64_t flat_sum = 0;
   const double scalar_s = TimeBest(a.reps, &scalar_sum, [&] {
-    return StatsChecksum(ComputeLocalStatsScalar(x, y, q));
+    return WireChecksum(ComputeLocalStatsScalar(x, y, q));
   });
   AddEntry(entries, a, "scalar/" + dataset, scalar_s, scalar_sum);
   // `blocked/*` is the pre-SIMD portable blocked kernel, pinned to the
@@ -226,7 +225,7 @@ uint64_t BenchDense(const KernelArgs& a, const std::string& dataset,
   {
     ScopedIsa pin(kernels::StatsIsa::kPortable);
     blocked_s = TimeBest(a.reps, &blocked_sum, [&] {
-      return StatsChecksum(ComputeLocalStatsDense(x, y, q));
+      return WireChecksum(ComputeLocalStatsDense(x, y, q));
     });
   }
   AddEntry(entries, a, "blocked/" + dataset, blocked_s, blocked_sum);
@@ -243,7 +242,7 @@ uint64_t BenchDense(const KernelArgs& a, const std::string& dataset,
     ScopedIsa pin(isa);
     uint64_t isa_sum = 0;
     const double isa_s = TimeBest(a.reps, &isa_sum, [&] {
-      return StatsChecksum(ComputeLocalStatsDense(x, y, q));
+      return WireChecksum(ComputeLocalStatsDense(x, y, q));
     });
     AddEntry(entries, a,
              std::string(kernels::StatsIsaName(isa)) + "/" + dataset, isa_s,
@@ -269,7 +268,7 @@ void BenchPacked(const KernelArgs& a, const Matrix& x_geno, const Vector& y,
               packed.Density());
   uint64_t packed_sum = 0;
   const double packed_s = TimeBest(a.reps, &packed_sum, [&] {
-    return StatsChecksum(ComputeLocalStatsPacked(packed, y, q));
+    return WireChecksum(ComputeLocalStatsPackedFlat(packed, y, q));
   });
   AddEntry(entries, a, "packed/genotype", packed_s, packed_sum);
   DASH_CHECK(scalar_sum == packed_sum)
@@ -278,7 +277,7 @@ void BenchPacked(const KernelArgs& a, const Matrix& x_geno, const Vector& y,
     ScopedIsa pin(isa);
     uint64_t isa_sum = 0;
     const double isa_s = TimeBest(a.reps, &isa_sum, [&] {
-      return StatsChecksum(ComputeLocalStatsPacked(packed, y, q));
+      return WireChecksum(ComputeLocalStatsPackedFlat(packed, y, q));
     });
     AddEntry(entries, a,
              std::string("packed_") + kernels::StatsIsaName(isa) +
@@ -292,10 +291,10 @@ void BenchPacked(const KernelArgs& a, const Matrix& x_geno, const Vector& y,
 }
 
 // Round-trips the genotype draw through a temporary DASHPACK study and
-// times the out-of-core panel loop in both read modes. The interesting
-// assertion is not the wall time (I/O-bound; compare_bench.py reports
-// `stream_*` rows as info only) but the checksum: streamed-from-disk
-// must equal the in-memory scalar kernel bit for bit.
+// times the out-of-core panel loop. The interesting assertion is not
+// the wall time (I/O-bound; compare_bench.py reports `stream_*` rows as
+// info only) but the checksum: streamed-from-disk must equal the
+// in-memory scalar kernel bit for bit.
 void BenchStream(const KernelArgs& a, const Matrix& x_geno, const Vector& y,
                  const Matrix& q, uint64_t scalar_sum,
                  std::vector<dash_bench::BenchEntry>* entries) {
@@ -305,27 +304,19 @@ void BenchStream(const KernelArgs& a, const Matrix& x_geno, const Vector& y,
   const Status written = WritePackedStudy(path, packed, y, q, /*tag=*/0xbe9c5);
   DASH_CHECK(written.ok()) << written;
   std::printf("-- genotype, out-of-core DASHPACK stream --\n");
-  const struct {
-    const char* name;
-    StudyReadMode mode;
-  } kModes[] = {{"stream_file", StudyReadMode::kChunked},
-                {"stream_mmap", StudyReadMode::kMmap}};
-  for (const auto& m : kModes) {
-    uint64_t stream_sum = 0;
-    // Open inside the timed region: the reader's header/factor load is
-    // part of what an out-of-core scan pays per study.
-    const double stream_s = TimeBest(a.reps, &stream_sum, [&] {
-      auto reader = PackedStudyReader::Open(path, m.mode);
-      DASH_CHECK(reader.ok()) << reader.status();
-      const auto r = ComputeLocalStatsStreamed(reader.value().get(), y, q);
-      DASH_CHECK(r.ok()) << r.status();
-      return WireChecksum(r.value().flat);
-    });
-    AddEntry(entries, a, std::string(m.name) + "/genotype", stream_s,
-             stream_sum);
-    DASH_CHECK(scalar_sum == stream_sum)
-        << m.name << " streamed result diverged from scalar";
-  }
+  uint64_t stream_sum = 0;
+  // Open inside the timed region: the reader's header/factor load is
+  // part of what an out-of-core scan pays per study.
+  const double stream_s = TimeBest(a.reps, &stream_sum, [&] {
+    auto reader = PackedStudyReader::Open(path);
+    DASH_CHECK(reader.ok()) << reader.status();
+    const auto r = ComputeLocalStatsStreamed(reader.value().get(), y, q);
+    DASH_CHECK(r.ok()) << r.status();
+    return WireChecksum(r.value().flat);
+  });
+  AddEntry(entries, a, "stream_file/genotype", stream_s, stream_sum);
+  DASH_CHECK(scalar_sum == stream_sum)
+      << "stream_file streamed result diverged from scalar";
   std::remove(path.c_str());
   std::printf("\n");
 }
@@ -359,7 +350,7 @@ int RunKernelBench(const KernelArgs& a) {
   BenchPacked(a, x_geno, y, q, geno_scalar_sum, &entries);
 
   // Sparse-storage kernels on the same genotype draw. The optimized
-  // path (ComputeLocalStatsSparse) repacks dosage columns into the
+  // path (ComputeLocalStatsSparseFlat) repacks dosage columns into the
   // 2-bit layout and runs the popcount kernel.
   const SparseColumnMatrix x_sparse = SparseColumnMatrix::FromDense(x_geno);
   std::printf("-- genotype, sparse storage (density %.2f) --\n",
@@ -367,11 +358,11 @@ int RunKernelBench(const KernelArgs& a) {
   uint64_t sp_scalar_sum = 0;
   uint64_t sp_packed_sum = 0;
   const double sp_scalar_s = TimeBest(a.reps, &sp_scalar_sum, [&] {
-    return StatsChecksum(ComputeLocalStatsSparseScalar(x_sparse, y, q));
+    return WireChecksum(ComputeLocalStatsSparseScalar(x_sparse, y, q));
   });
   AddEntry(&entries, a, "sparse_scalar/genotype", sp_scalar_s, sp_scalar_sum);
   const double sp_packed_s = TimeBest(a.reps, &sp_packed_sum, [&] {
-    return StatsChecksum(ComputeLocalStatsSparse(x_sparse, y, q));
+    return WireChecksum(ComputeLocalStatsSparseFlat(x_sparse, y, q));
   });
   AddEntry(&entries, a, "sparse_packed/genotype", sp_packed_s,
            sp_packed_sum);

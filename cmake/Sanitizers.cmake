@@ -8,7 +8,7 @@
 #                       leaks via LSan) plus C++ UB (signed overflow, bad
 #                       shifts, misaligned loads, float-cast overflow).
 #   "thread"            ThreadSanitizer. Data races and lock-order issues in
-#                       the thread pool, the pipelined scan and the TCP
+#                       the thread pool, the panel prefetcher and the TCP
 #                       transport. Incompatible with ASan, hence a preset.
 #   "leak"              Standalone LeakSanitizer, for when ASan's overhead
 #                       is unwanted but leak coverage is.

@@ -41,11 +41,10 @@ void PrintUsage() {
       "                  [--r-combine stack|tree] [--center]\n"
       "                  [--variants M] [--samples N-per-party]\n"
       "                  [--frac-bits N] [--seed S] [--data-seed S]\n"
-      "                  [--pipeline-block B]\n"
       "                  [--connect-timeout-ms T] [--receive-timeout-ms T]\n"
       "                  [--stall-ms T] [--out results.csv]\n"
       "  out-of-core (X streams from a dash_pack file instead of RAM):\n"
-      "                  [--stream study.dpk] [--stream-mmap]\n"
+      "                  [--stream study.dpk]\n"
       "                  [--checkpoint ckpt.dck] [--checkpoint-every K]\n"
       "                  [--stream-delay-ms T] [--fail-after-panels J]\n");
 }
@@ -62,7 +61,6 @@ int RealMain(int argc, char** argv) {
   int64_t stall_ms = 0;
   std::string out_path;
   std::string stream_path;
-  bool stream_mmap = false;
   StreamingPartyScan stream_config;
 
   for (int i = 1; i < argc; ++i) {
@@ -147,10 +145,6 @@ int RealMain(int argc, char** argv) {
     } else if (arg == "--frac-bits") {
       if (!next_i64(&v)) return 2;
       scan_options.frac_bits = static_cast<int>(v);
-    } else if (arg == "--pipeline-block") {
-      // Block-pipelined aggregation: overlap computing block b+1 with
-      // block b's secure-sum round. Bit-identical to the one-shot path.
-      if (!next_i64(&scan_options.pipeline_block_variants)) return 2;
     } else if (arg == "--seed") {
       if (!next_i64(&v)) return 2;
       scan_options.seed = static_cast<uint64_t>(v);
@@ -167,8 +161,6 @@ int RealMain(int argc, char** argv) {
       const char* value = next();
       if (value == nullptr) return 2;
       stream_path = value;
-    } else if (arg == "--stream-mmap") {
-      stream_mmap = true;
     } else if (arg == "--checkpoint") {
       const char* value = next();
       if (value == nullptr) return 2;
@@ -222,9 +214,7 @@ int RealMain(int argc, char** argv) {
                    "on disk; center before dash_pack)\n");
       return 2;
     }
-    auto opened = PackedStudyReader::Open(
-        stream_path,
-        stream_mmap ? StudyReadMode::kMmap : StudyReadMode::kChunked);
+    auto opened = PackedStudyReader::Open(stream_path);
     if (!opened.ok()) {
       std::fprintf(stderr, "--stream: %s\n",
                    opened.status().ToString().c_str());

@@ -36,6 +36,14 @@ Result<Matrix> CovariateBasis(const Matrix& c) {
   return std::move(qr.q);
 }
 
+// Lemma 2.1 on one site's summand arena.
+Result<ScanResult> FinalizeArena(const Vector& flat, int64_t n, int64_t m,
+                                 int64_t k) {
+  DASH_ASSIGN_OR_RETURN(ScanSufficientStats stats, UnflattenStats(flat, m, k));
+  stats.num_samples = n;
+  return FinalizeScan(stats);
+}
+
 }  // namespace
 
 Result<ScanResult> AssociationScan(const Matrix& x, const Vector& y,
@@ -45,8 +53,8 @@ Result<ScanResult> AssociationScan(const Matrix& x, const Vector& y,
                                       c.rows(), c.cols()));
   DASH_ASSIGN_OR_RETURN(Matrix q, CovariateBasis(c));
   std::unique_ptr<ThreadPool> pool = MakePool(options);
-  const ScanSufficientStats stats = ComputeLocalStats(x, y, q, pool.get());
-  return FinalizeScan(stats);
+  return FinalizeArena(ComputeLocalStatsFlat(x, y, q, pool.get()), x.rows(),
+                       x.cols(), q.cols());
 }
 
 Result<ScanResult> AssociationScanSparse(const SparseColumnMatrix& x,
@@ -56,9 +64,8 @@ Result<ScanResult> AssociationScanSparse(const SparseColumnMatrix& x,
                                       c.rows(), c.cols()));
   DASH_ASSIGN_OR_RETURN(Matrix q, CovariateBasis(c));
   std::unique_ptr<ThreadPool> pool = MakePool(options);
-  const ScanSufficientStats stats =
-      ComputeLocalStatsSparse(x, y, q, pool.get());
-  return FinalizeScan(stats);
+  return FinalizeArena(ComputeLocalStatsSparseFlat(x, y, q, pool.get()),
+                       x.rows(), x.cols(), q.cols());
 }
 
 }  // namespace dash

@@ -3,7 +3,7 @@
 //
 // This is both the single-site tool and the per-party compute kernel of
 // the secure protocol: the secure scan's per-party work is exactly one
-// call to the same ComputeLocalStats path, which is why DASH runs "at
+// call to the same ComputeLocalStatsFlat path, which is why DASH runs "at
 // plaintext speed".
 
 #ifndef DASH_CORE_ASSOCIATION_SCAN_H_

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "core/distributed_qr.h"
-#include "core/party_local.h"
+#include "core/suff_stats.h"
 #include "linalg/qr.h"
 #include "net/network.h"
 #include "util/thread_pool.h"
@@ -15,8 +15,7 @@ namespace {
 
 // Phenotype-side statistics for one block: for each phenotype t, the
 // scalar y_t.y_t, the K-vector Qᵀy_t, and the M-vector X.y_t. The
-// X-side statistics (X.X, QᵀX) live in ScanSufficientStats and are
-// shared across phenotypes.
+// X-side statistics (X.X, QᵀX) are shared across phenotypes.
 struct PhenotypeSideStats {
   Vector yy;    // length T
   Matrix qty;   // K x T
@@ -39,11 +38,13 @@ PhenotypeSideStats ComputePhenotypeSide(const Matrix& x, const Matrix& ys,
 }
 
 // Flat layout: [T, then per t: yy | qty(K) | xy(M)] ++ [xx(M) | qtx(K*M)].
-Vector FlattenMulti(const PhenotypeSideStats& ps, const Vector& xx,
-                    const Matrix& qtx) {
+// The shared X side is the contiguous xx|qtx tail of a summand arena
+// (StatsWireLayout) computed with any phenotype.
+Vector FlattenMulti(const PhenotypeSideStats& ps, const Vector& x_arena) {
   const int64_t t_count = static_cast<int64_t>(ps.yy.size());
   const int64_t k = ps.qty.rows();
   const int64_t m = ps.xy.rows();
+  const StatsWireLayout layout{m, k};
   Vector flat;
   flat.reserve(static_cast<size_t>(t_count * (1 + k + m) + m + k * m));
   for (int64_t t = 0; t < t_count; ++t) {
@@ -51,8 +52,8 @@ Vector FlattenMulti(const PhenotypeSideStats& ps, const Vector& xx,
     for (int64_t kk = 0; kk < k; ++kk) flat.push_back(ps.qty(kk, t));
     for (int64_t j = 0; j < m; ++j) flat.push_back(ps.xy(j, t));
   }
-  flat.insert(flat.end(), xx.begin(), xx.end());
-  flat.insert(flat.end(), qtx.data(), qtx.data() + qtx.size());
+  flat.insert(flat.end(), x_arena.begin() + layout.xx_offset(),
+              x_arena.end());
   return flat;
 }
 
@@ -131,9 +132,9 @@ Result<std::vector<ScanResult>> MultiPhenotypeScan(const Matrix& x,
     pool = std::make_unique<ThreadPool>(options.num_threads);
   }
   const Vector zero_y(static_cast<size_t>(x.rows()), 0.0);
-  ScanSufficientStats shared = ComputeLocalStats(x, zero_y, q, pool.get());
+  const Vector shared = ComputeLocalStatsFlat(x, zero_y, q, pool.get());
   const PhenotypeSideStats ps = ComputePhenotypeSide(x, ys, q);
-  const Vector flat = FlattenMulti(ps, shared.xx, shared.qtx);
+  const Vector flat = FlattenMulti(ps, shared);
   return FinalizeAll(flat, x.rows(), x.cols(), c.cols(), ys.cols());
 }
 
@@ -172,13 +173,13 @@ Result<SecureMultiPhenotypeOutput> SecureMultiPhenotypeScan(
           pool = std::make_unique<ThreadPool>(options.num_threads);
         }
         const Vector zero_y(static_cast<size_t>(p.num_samples()), 0.0);
-        const ScanSufficientStats shared =
-            ComputeLocalStats(p.x, zero_y, q_p, pool.get());
+        const Vector shared =
+            ComputeLocalStatsFlat(p.x, zero_y, q_p, pool.get());
         const PhenotypeSideStats ps = ComputePhenotypeSide(p.x, p.ys, q_p);
         PartySecureVectorSum secure_sum(transport, sum_options);
-        DASH_ASSIGN_OR_RETURN(Vector flat_totals,
-                              secure_sum.Run(Secret<Vector>(
-                                  FlattenMulti(ps, shared.xx, shared.qtx))));
+        DASH_ASSIGN_OR_RETURN(
+            Vector flat_totals,
+            secure_sum.Run(Secret<Vector>(FlattenMulti(ps, shared))));
         DASH_ASSIGN_OR_RETURN(
             results[self],
             FinalizeAll(flat_totals, total_samples, m, k, t_count));

@@ -12,14 +12,4 @@ Matrix PartyLocalQ(const PartyData& party, const Matrix& r_inverse) {
   return MatMul(party.c, r_inverse);
 }
 
-ScanSufficientStats PartyLocalStats(const PartyData& party, const Matrix& q_p,
-                                    ThreadPool* pool) {
-  return ComputeLocalStats(party.x, party.y, q_p, pool);
-}
-
-Vector PartyLocalStatsFlat(const PartyData& party, const Matrix& q_p,
-                           ThreadPool* pool) {
-  return ComputeLocalStatsFlat(party.x, party.y, q_p, pool);
-}
-
 }  // namespace dash

@@ -3,16 +3,15 @@
 //
 // Exposed separately from the protocol driver so that a real deployment
 // (where each party is its own process) can reuse the exact kernels, and
-// so tests can verify each stage in isolation.
+// so tests can verify each stage in isolation. Stage 3, the party's
+// summand, is ComputeLocalStatsFlat(X_p, y_p, Q_p) (core/suff_stats.h).
 
 #ifndef DASH_CORE_PARTY_LOCAL_H_
 #define DASH_CORE_PARTY_LOCAL_H_
 
-#include "core/suff_stats.h"
 #include "data/party_split.h"
 #include "linalg/matrix.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace dash {
 
@@ -22,16 +21,6 @@ Result<Matrix> PartyLocalRFactor(const PartyData& party);
 
 // Stage 2: the party's rows of the global Q, via Q_p = C_p R⁻¹.
 Matrix PartyLocalQ(const PartyData& party, const Matrix& r_inverse);
-
-// Stage 3: the party's sufficient-statistic summand.
-ScanSufficientStats PartyLocalStats(const PartyData& party, const Matrix& q_p,
-                                    ThreadPool* pool = nullptr);
-
-// Stage 3, zero-copy form: the summand computed directly into a
-// wire-order arena (StatsWireLayout over the party's M, K) ready for
-// the secure sum — no FlattenStats copy.
-Vector PartyLocalStatsFlat(const PartyData& party, const Matrix& q_p,
-                           ThreadPool* pool = nullptr);
 
 }  // namespace dash
 

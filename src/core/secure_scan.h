@@ -9,7 +9,7 @@
 //   2. one secure-sum aggregation of the sufficient statistics
 //      (1 + K + 2M + K*M values) — O(M) per link, independent of N.
 //
-// Per-party computation is the same ComputeLocalStats kernel the
+// Per-party computation is the same ComputeLocalStatsFlat kernel the
 // plaintext scan uses, which is the paper's "plaintext speed" property;
 // the traffic counters exported in SecureScanOutput back the O(M)
 // communication claim (experiments E2 and E3).
@@ -62,16 +62,6 @@ struct SecureScanOptions {
 
   // Threads for the per-party statistics pass.
   int num_threads = 1;
-
-  // > 0 enables the block-pipelined aggregation (reveal-sums only): the
-  // variants are partitioned into blocks of this many columns and the
-  // single statistics secure-sum is replaced by a header round
-  // [yy, qty] plus one round per block [xy, xx, qtx columns], letting a
-  // party compute block b+1 while block b's aggregate is in flight on
-  // the transport (core/scan_pipeline.h). The revealed result is
-  // bit-identical to the one-shot aggregation in every mode; rounds and
-  // message counts grow with the block count. 0 = one-shot (default).
-  int64_t pipeline_block_variants = 0;
 
   // Center y, C, and X within each party before scanning. Exactly
   // equivalent to adding one batch-indicator covariate per party (the

@@ -83,24 +83,15 @@ Result<StreamingStatsResult> ComputeLocalStatsStreamed(
                             result.flat.data() + layout.qtx_offset(), m};
 
   // The prefetcher keeps the next panel's disk read in flight while the
-  // kernels fold the current one. The non-prefetch path reads inline
-  // (simpler failure surface; used by tests to isolate kernel behavior).
+  // kernels fold the current one.
   std::optional<PanelPrefetcher> prefetcher;
-  if (options.prefetch && start_panel < num_panels) {
-    prefetcher.emplace(source, start_panel);
-  }
-  PackedGenotypeMatrix inline_panel(0, 0);
+  if (start_panel < num_panels) prefetcher.emplace(source, start_panel);
   Vector y_panel;
   Matrix q_panel;
 
   for (int64_t p = start_panel; p < num_panels; ++p) {
-    const PackedGenotypeMatrix* panel = nullptr;
-    if (prefetcher.has_value()) {
-      DASH_ASSIGN_OR_RETURN(panel, prefetcher->Next());
-    } else {
-      DASH_RETURN_IF_ERROR(source->ReadPanel(p, &inline_panel));
-      panel = &inline_panel;
-    }
+    DASH_ASSIGN_OR_RETURN(const PackedGenotypeMatrix* panel,
+                          prefetcher->Next());
     const int64_t r0 = source->panel_begin_row(p);
     const int64_t rows = panel->rows();
     DASH_CHECK(rows == source->panel_rows(p) && panel->cols() == m)
@@ -151,8 +142,8 @@ Result<StreamingStatsResult> ComputeLocalStatsStreamed(
   }
 
   // Header statistics come from the RAM-resident factors, after the
-  // panel loop — same expressions, same order as the in-memory path
-  // (FillHeader in suff_stats.cc), so the header is bit-identical too.
+  // panel loop — same expressions as the in-memory path (NewArena in
+  // suff_stats.cc), so the header is bit-identical too.
   result.flat[static_cast<size_t>(layout.yy_offset())] = SquaredNorm(y);
   const Vector qty = TransposeMatVec(q, y);
   std::copy(qty.begin(), qty.end(), result.flat.begin() + layout.qty_offset());

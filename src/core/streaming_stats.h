@@ -28,8 +28,8 @@
 //   Because a snapshot IS the accumulator mid-chain, a resumed run's
 //   result is bit-identical to an uninterrupted one.
 //
-// I/O overlaps compute through PanelPrefetcher (double buffering) —
-// the disk analogue of scan_pipeline.h's compute/communication overlap.
+// Panels are always read ahead on PanelPrefetcher's I/O thread (double
+// buffering), so disk reads overlap kernel compute.
 
 #ifndef DASH_CORE_STREAMING_STATS_H_
 #define DASH_CORE_STREAMING_STATS_H_
@@ -63,9 +63,6 @@ struct StreamingStatsOptions {
   // Per-panel stall (test hook so the kill smokes can reliably SIGKILL
   // a party mid-stream). 0 disables.
   int64_t panel_delay_ms = 0;
-
-  // Read panels on a background thread, double-buffered.
-  bool prefetch = true;
 
   // Shards column blocks of each panel across the pool (bit-identity
   // is unaffected: add chains never cross column blocks). May be null.

@@ -24,7 +24,7 @@ namespace {
 // The dense row-panel micro-kernel comes from the runtime ISA dispatch
 // table (src/core/kernels/); blocks whose values all lie in {0, 1, 2}
 // are instead repacked into a 2-bit scratch and run through the
-// popcount kernel (see ComputeStatsColumnsImpl). Every micro-kernel
+// popcount kernel (see ComputeStatsColumns). Every micro-kernel
 // adds to every accumulator element in identical row order (a skipped
 // zero contributes exactly nothing; an added ±0.0 term cannot change
 // an accumulator that starts at +0.0 under IEEE-754 round-to-nearest),
@@ -170,17 +170,18 @@ bool PackColumnBlockAt(const Matrix& x, int64_t j0, int64_t j1, int64_t slot,
   return true;
 }
 
-// The shared column-block driver behind the dense entry points. When
+// The blocked column-range kernel behind the dense entry points; it
+// ACCUMULATES into `out` (see ComputeStatsColumnsPacked). When
 // allow_pack is set, each column block whose values all lie in {0,1,2}
 // is repacked into a lazily allocated per-task 2-bit scratch; runs of
 // consecutive packed blocks are flushed to the popcount kernel in
 // groups (one padded-Q build per group). Everything else takes the
 // dense row-panel sweep. Both paths are bit-identical, so the probe
 // can never change an output bit — only the speed.
-void ComputeStatsColumnsImpl(const Matrix& x, const Vector& y, const Matrix& q,
-                             int64_t col_begin, int64_t col_end,
-                             const StatsBlockView& out, ThreadPool* pool,
-                             bool allow_pack) {
+void ComputeStatsColumns(const Matrix& x, const Vector& y, const Matrix& q,
+                         int64_t col_begin, int64_t col_end,
+                         const StatsBlockView& out, ThreadPool* pool,
+                         bool allow_pack) {
   DASH_CHECK_EQ(static_cast<int64_t>(y.size()), x.rows());
   DASH_CHECK_EQ(q.rows(), x.rows());
   DASH_CHECK(0 <= col_begin && col_begin <= col_end && col_end <= x.cols());
@@ -240,74 +241,8 @@ void ComputeStatsColumnsImpl(const Matrix& x, const Vector& y, const Matrix& q,
   }
 }
 
-void FillHeader(const Vector& y, const Matrix& q, double* yy, double* qty) {
-  *yy = SquaredNorm(y);
-  const Vector qty_vec = TransposeMatVec(q, y);
-  std::copy(qty_vec.begin(), qty_vec.end(), qty);
-}
-
-}  // namespace
-
-void ScanSufficientStats::Add(const ScanSufficientStats& other) {
-  // Only a never-assigned accumulator (no samples AND no shape) copies;
-  // a genuine M==0 or K==0 summand still carries num_samples/yy and
-  // must accumulate. The old `xy.empty() && qty.empty()` test treated
-  // any M==0 summand chain as "empty" and dropped accumulated state.
-  const bool never_assigned = num_samples == 0 && yy == 0.0 && qty.empty() &&
-                              xy.empty() && xx.empty() && qtx.size() == 0;
-  if (never_assigned) {
-    *this = other;
-    return;
-  }
-  DASH_CHECK_EQ(num_variants(), other.num_variants());
-  DASH_CHECK_EQ(num_covariates(), other.num_covariates());
-  num_samples += other.num_samples;
-  yy += other.yy;
-  for (size_t i = 0; i < qty.size(); ++i) qty[i] += other.qty[i];
-  for (size_t i = 0; i < xy.size(); ++i) xy[i] += other.xy[i];
-  for (size_t i = 0; i < xx.size(); ++i) xx[i] += other.xx[i];
-  for (int64_t i = 0; i < qtx.size(); ++i) qtx.data()[i] += other.qtx.data()[i];
-}
-
-void ComputeStatsColumns(const Matrix& x, const Vector& y, const Matrix& q,
-                         int64_t col_begin, int64_t col_end,
-                         const StatsBlockView& out, ThreadPool* pool) {
-  ComputeStatsColumnsImpl(x, y, q, col_begin, col_end, out, pool,
-                          /*allow_pack=*/true);
-}
-
-void ComputeStatsColumnsPacked(const PackedGenotypeMatrix& x, const Vector& y,
-                               const Matrix& q, int64_t col_begin,
-                               int64_t col_end, const StatsBlockView& out,
-                               ThreadPool* pool) {
-  DASH_CHECK_EQ(static_cast<int64_t>(y.size()), x.rows());
-  DASH_CHECK_EQ(q.rows(), x.rows());
-  DASH_CHECK(0 <= col_begin && col_begin <= col_end && col_end <= x.cols());
-  const int64_t width = col_end - col_begin;
-  if (width == 0) return;
-  const int64_t num_blocks = (width + kStatsColBlock - 1) / kStatsColBlock;
-  const kernels::StatsKernelTable& table = kernels::ActiveStatsKernels();
-
-  // One kernel call per chunk of column blocks (the kernel blocks
-  // internally), so its padded-Q build amortizes over the whole chunk.
-  const auto work = [&](int64_t blk_lo, int64_t blk_hi) {
-    const int64_t lo = col_begin + blk_lo * kStatsColBlock;
-    const int64_t hi = std::min(col_end, col_begin + blk_hi * kStatsColBlock);
-    const int64_t off = lo - col_begin;
-    const StatsBlockView sub{out.xy + off, out.xx + off, out.qtx + off,
-                             out.qtx_stride};
-    table.packed_columns(x, y.data(), q, lo, hi, sub);
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && num_blocks > 1) {
-    ParallelForOptions opts;
-    opts.min_chunk = 1;
-    opts.chunks_per_thread = 4;
-    pool->ParallelFor(0, num_blocks, opts, work);
-  } else {
-    work(0, num_blocks);
-  }
-}
-
+// Sparse-X column-range kernel: per column costs O(nnz * K) instead of
+// O(N * K). Same accumulate-into-out contract as the blocked kernel.
 void ComputeStatsColumnsSparse(const SparseColumnMatrix& x, const Vector& y,
                                const Matrix& q, int64_t col_begin,
                                int64_t col_end, const StatsBlockView& out,
@@ -357,129 +292,79 @@ void ComputeStatsColumnsSparse(const SparseColumnMatrix& x, const Vector& y,
   }
 }
 
-ScanSufficientStats ComputeLocalStats(const Matrix& x, const Vector& y,
-                                      const Matrix& q, ThreadPool* pool) {
-  const int64_t n = x.rows();
-  const int64_t m = x.cols();
-  const int64_t k = q.cols();
+// A zeroed wire-order arena for an m-variant summand over q's K
+// covariates, with the yy/Qᵀy header already filled in; `view` is its
+// xy/xx/QᵀX destination for the column-range kernels (moving the
+// returned Vector keeps its buffer, so the view stays valid).
+Vector NewArena(int64_t n, int64_t m, const Vector& y, const Matrix& q,
+                StatsBlockView* view) {
   DASH_CHECK_EQ(static_cast<int64_t>(y.size()), n);
   DASH_CHECK_EQ(q.rows(), n);
-
-  ScanSufficientStats s;
-  s.num_samples = n;
-  s.yy = SquaredNorm(y);
-  s.qty = TransposeMatVec(q, y);
-  s.xy.assign(static_cast<size_t>(m), 0.0);
-  s.xx.assign(static_cast<size_t>(m), 0.0);
-  s.qtx = Matrix(k, m);
-  const StatsBlockView out{s.xy.data(), s.xx.data(), s.qtx.data(), m};
-  ComputeStatsColumns(x, y, q, 0, m, out, pool);
-  return s;
+  const StatsWireLayout layout{m, q.cols()};
+  Vector flat(static_cast<size_t>(layout.total_len()), 0.0);
+  flat[static_cast<size_t>(layout.yy_offset())] = SquaredNorm(y);
+  const Vector qty = TransposeMatVec(q, y);
+  std::copy(qty.begin(), qty.end(), flat.begin() + layout.qty_offset());
+  *view = StatsBlockView{flat.data() + layout.xy_offset(),
+                         flat.data() + layout.xx_offset(),
+                         flat.data() + layout.qtx_offset(), m};
+  return flat;
 }
 
-ScanSufficientStats ComputeLocalStatsSparse(const SparseColumnMatrix& x,
-                                            const Vector& y, const Matrix& q,
-                                            ThreadPool* pool) {
-  const int64_t n = x.rows();
-  const int64_t m = x.cols();
-  const int64_t k = q.cols();
-  DASH_CHECK_EQ(static_cast<int64_t>(y.size()), n);
-  DASH_CHECK_EQ(q.rows(), n);
+}  // namespace
 
-  ScanSufficientStats s;
-  s.num_samples = n;
-  s.yy = SquaredNorm(y);
-  s.qty = TransposeMatVec(q, y);
-  s.xy.assign(static_cast<size_t>(m), 0.0);
-  s.xx.assign(static_cast<size_t>(m), 0.0);
-  s.qtx = Matrix(k, m);
-  const StatsBlockView out{s.xy.data(), s.xx.data(), s.qtx.data(), m};
-  // Dosage-valued sparse data repacks into the 2-bit popcount kernel:
-  // bit-identical to the legacy per-column path (same ascending-row
-  // accumulation order; an explicitly stored zero adds exactly 0.0)
-  // and far faster. Anything else falls back to the legacy path.
-  if (const auto packed = PackedGenotypeMatrix::TryFromSparse(x)) {
-    ComputeStatsColumnsPacked(*packed, y, q, 0, m, out, pool);
+void ComputeStatsColumnsPacked(const PackedGenotypeMatrix& x, const Vector& y,
+                               const Matrix& q, int64_t col_begin,
+                               int64_t col_end, const StatsBlockView& out,
+                               ThreadPool* pool) {
+  DASH_CHECK_EQ(static_cast<int64_t>(y.size()), x.rows());
+  DASH_CHECK_EQ(q.rows(), x.rows());
+  DASH_CHECK(0 <= col_begin && col_begin <= col_end && col_end <= x.cols());
+  const int64_t width = col_end - col_begin;
+  if (width == 0) return;
+  const int64_t num_blocks = (width + kStatsColBlock - 1) / kStatsColBlock;
+  const kernels::StatsKernelTable& table = kernels::ActiveStatsKernels();
+
+  // One kernel call per chunk of column blocks (the kernel blocks
+  // internally), so its padded-Q build amortizes over the whole chunk.
+  const auto work = [&](int64_t blk_lo, int64_t blk_hi) {
+    const int64_t lo = col_begin + blk_lo * kStatsColBlock;
+    const int64_t hi = std::min(col_end, col_begin + blk_hi * kStatsColBlock);
+    const int64_t off = lo - col_begin;
+    const StatsBlockView sub{out.xy + off, out.xx + off, out.qtx + off,
+                             out.qtx_stride};
+    table.packed_columns(x, y.data(), q, lo, hi, sub);
+  };
+  if (pool != nullptr && pool->num_threads() > 1 && num_blocks > 1) {
+    ParallelForOptions opts;
+    opts.min_chunk = 1;
+    opts.chunks_per_thread = 4;
+    pool->ParallelFor(0, num_blocks, opts, work);
   } else {
-    ComputeStatsColumnsSparse(x, y, q, 0, m, out, pool);
+    work(0, num_blocks);
   }
-  return s;
-}
-
-ScanSufficientStats ComputeLocalStatsPacked(const PackedGenotypeMatrix& x,
-                                            const Vector& y, const Matrix& q,
-                                            ThreadPool* pool) {
-  const int64_t n = x.rows();
-  const int64_t m = x.cols();
-  const int64_t k = q.cols();
-  DASH_CHECK_EQ(static_cast<int64_t>(y.size()), n);
-  DASH_CHECK_EQ(q.rows(), n);
-
-  ScanSufficientStats s;
-  s.num_samples = n;
-  s.yy = SquaredNorm(y);
-  s.qty = TransposeMatVec(q, y);
-  s.xy.assign(static_cast<size_t>(m), 0.0);
-  s.xx.assign(static_cast<size_t>(m), 0.0);
-  s.qtx = Matrix(k, m);
-  const StatsBlockView out{s.xy.data(), s.xx.data(), s.qtx.data(), m};
-  ComputeStatsColumnsPacked(x, y, q, 0, m, out, pool);
-  return s;
-}
-
-ScanSufficientStats ComputeLocalStatsDense(const Matrix& x, const Vector& y,
-                                           const Matrix& q, ThreadPool* pool) {
-  const int64_t n = x.rows();
-  const int64_t m = x.cols();
-  const int64_t k = q.cols();
-  DASH_CHECK_EQ(static_cast<int64_t>(y.size()), n);
-  DASH_CHECK_EQ(q.rows(), n);
-
-  ScanSufficientStats s;
-  s.num_samples = n;
-  s.yy = SquaredNorm(y);
-  s.qty = TransposeMatVec(q, y);
-  s.xy.assign(static_cast<size_t>(m), 0.0);
-  s.xx.assign(static_cast<size_t>(m), 0.0);
-  s.qtx = Matrix(k, m);
-  const StatsBlockView out{s.xy.data(), s.xx.data(), s.qtx.data(), m};
-  ComputeStatsColumnsImpl(x, y, q, 0, m, out, pool, /*allow_pack=*/false);
-  return s;
 }
 
 Vector ComputeLocalStatsFlat(const Matrix& x, const Vector& y, const Matrix& q,
                              ThreadPool* pool) {
-  const int64_t n = x.rows();
-  DASH_CHECK_EQ(static_cast<int64_t>(y.size()), n);
-  DASH_CHECK_EQ(q.rows(), n);
-  const StatsWireLayout layout{x.cols(), q.cols()};
-  Vector flat(static_cast<size_t>(layout.total_len()), 0.0);
-  FillHeader(y, q, flat.data() + layout.yy_offset(),
-             flat.data() + layout.qty_offset());
-  const StatsBlockView out{flat.data() + layout.xy_offset(),
-                           flat.data() + layout.xx_offset(),
-                           flat.data() + layout.qtx_offset(), layout.m};
-  ComputeStatsColumns(x, y, q, 0, layout.m, out, pool);
+  StatsBlockView out;
+  Vector flat = NewArena(x.rows(), x.cols(), y, q, &out);
+  ComputeStatsColumns(x, y, q, 0, x.cols(), out, pool, /*allow_pack=*/true);
   return flat;
 }
 
 Vector ComputeLocalStatsSparseFlat(const SparseColumnMatrix& x, const Vector& y,
                                    const Matrix& q, ThreadPool* pool) {
-  const int64_t n = x.rows();
-  DASH_CHECK_EQ(static_cast<int64_t>(y.size()), n);
-  DASH_CHECK_EQ(q.rows(), n);
-  const StatsWireLayout layout{x.cols(), q.cols()};
-  Vector flat(static_cast<size_t>(layout.total_len()), 0.0);
-  FillHeader(y, q, flat.data() + layout.yy_offset(),
-             flat.data() + layout.qty_offset());
-  const StatsBlockView out{flat.data() + layout.xy_offset(),
-                           flat.data() + layout.xx_offset(),
-                           flat.data() + layout.qtx_offset(), layout.m};
-  // Same dosage repack as ComputeLocalStatsSparse (bit-identical).
+  StatsBlockView out;
+  Vector flat = NewArena(x.rows(), x.cols(), y, q, &out);
+  // Dosage-valued sparse data repacks into the 2-bit popcount kernel:
+  // bit-identical to the per-column path (same ascending-row
+  // accumulation order; an explicitly stored zero adds exactly 0.0)
+  // and far faster. Anything else falls back to the per-column path.
   if (const auto packed = PackedGenotypeMatrix::TryFromSparse(x)) {
-    ComputeStatsColumnsPacked(*packed, y, q, 0, layout.m, out, pool);
+    ComputeStatsColumnsPacked(*packed, y, q, 0, x.cols(), out, pool);
   } else {
-    ComputeStatsColumnsSparse(x, y, q, 0, layout.m, out, pool);
+    ComputeStatsColumnsSparse(x, y, q, 0, x.cols(), out, pool);
   }
   return flat;
 }
@@ -487,35 +372,27 @@ Vector ComputeLocalStatsSparseFlat(const SparseColumnMatrix& x, const Vector& y,
 Vector ComputeLocalStatsPackedFlat(const PackedGenotypeMatrix& x,
                                    const Vector& y, const Matrix& q,
                                    ThreadPool* pool) {
-  const int64_t n = x.rows();
-  DASH_CHECK_EQ(static_cast<int64_t>(y.size()), n);
-  DASH_CHECK_EQ(q.rows(), n);
-  const StatsWireLayout layout{x.cols(), q.cols()};
-  Vector flat(static_cast<size_t>(layout.total_len()), 0.0);
-  FillHeader(y, q, flat.data() + layout.yy_offset(),
-             flat.data() + layout.qty_offset());
-  const StatsBlockView out{flat.data() + layout.xy_offset(),
-                           flat.data() + layout.xx_offset(),
-                           flat.data() + layout.qtx_offset(), layout.m};
-  ComputeStatsColumnsPacked(x, y, q, 0, layout.m, out, pool);
+  StatsBlockView out;
+  Vector flat = NewArena(x.rows(), x.cols(), y, q, &out);
+  ComputeStatsColumnsPacked(x, y, q, 0, x.cols(), out, pool);
   return flat;
 }
 
-ScanSufficientStats ComputeLocalStatsScalar(const Matrix& x, const Vector& y,
-                                            const Matrix& q, ThreadPool* pool) {
+Vector ComputeLocalStatsDense(const Matrix& x, const Vector& y, const Matrix& q,
+                              ThreadPool* pool) {
+  StatsBlockView out;
+  Vector flat = NewArena(x.rows(), x.cols(), y, q, &out);
+  ComputeStatsColumns(x, y, q, 0, x.cols(), out, pool, /*allow_pack=*/false);
+  return flat;
+}
+
+Vector ComputeLocalStatsScalar(const Matrix& x, const Vector& y,
+                               const Matrix& q, ThreadPool* pool) {
   const int64_t n = x.rows();
   const int64_t m = x.cols();
   const int64_t k = q.cols();
-  DASH_CHECK_EQ(static_cast<int64_t>(y.size()), n);
-  DASH_CHECK_EQ(q.rows(), n);
-
-  ScanSufficientStats s;
-  s.num_samples = n;
-  s.yy = SquaredNorm(y);
-  s.qty = TransposeMatVec(q, y);
-  s.xy.assign(static_cast<size_t>(m), 0.0);
-  s.xx.assign(static_cast<size_t>(m), 0.0);
-  s.qtx = Matrix(k, m);
+  StatsBlockView s;
+  Vector flat = NewArena(n, m, y, q, &s);
 
   // Column-sharded loop: each worker owns a contiguous range of variants.
   const auto work = [&](int64_t lo, int64_t hi) {
@@ -526,9 +403,9 @@ ScanSufficientStats ComputeLocalStatsScalar(const Matrix& x, const Vector& y,
       for (int64_t j = lo; j < hi; ++j) {
         const double v = xi[j];
         if (v == 0.0) continue;
-        s.xy[static_cast<size_t>(j)] += v * yi;
-        s.xx[static_cast<size_t>(j)] += v * v;
-        for (int64_t kk = 0; kk < k; ++kk) s.qtx(kk, j) += v * qi[kk];
+        s.xy[j] += v * yi;
+        s.xx[j] += v * v;
+        for (int64_t kk = 0; kk < k; ++kk) s.qtx[kk * m + j] += v * qi[kk];
       }
     }
   };
@@ -537,26 +414,16 @@ ScanSufficientStats ComputeLocalStatsScalar(const Matrix& x, const Vector& y,
   } else {
     work(0, m);
   }
-  return s;
+  return flat;
 }
 
-ScanSufficientStats ComputeLocalStatsSparseScalar(const SparseColumnMatrix& x,
-                                                  const Vector& y,
-                                                  const Matrix& q,
-                                                  ThreadPool* pool) {
-  const int64_t n = x.rows();
+Vector ComputeLocalStatsSparseScalar(const SparseColumnMatrix& x,
+                                     const Vector& y, const Matrix& q,
+                                     ThreadPool* pool) {
   const int64_t m = x.cols();
   const int64_t k = q.cols();
-  DASH_CHECK_EQ(static_cast<int64_t>(y.size()), n);
-  DASH_CHECK_EQ(q.rows(), n);
-
-  ScanSufficientStats s;
-  s.num_samples = n;
-  s.yy = SquaredNorm(y);
-  s.qty = TransposeMatVec(q, y);
-  s.xy.assign(static_cast<size_t>(m), 0.0);
-  s.xx.assign(static_cast<size_t>(m), 0.0);
-  s.qtx = Matrix(k, m);
+  StatsBlockView s;
+  Vector flat = NewArena(x.rows(), m, y, q, &s);
 
   const auto work = [&](int64_t lo, int64_t hi) {
     for (int64_t j = lo; j < hi; ++j) {
@@ -566,10 +433,12 @@ ScanSufficientStats ComputeLocalStatsSparseScalar(const SparseColumnMatrix& x,
         xy += e.value * y[static_cast<size_t>(e.row)];
         xx += e.value * e.value;
         const double* qrow = q.row_data(e.row);
-        for (int64_t kk = 0; kk < k; ++kk) s.qtx(kk, j) += e.value * qrow[kk];
+        for (int64_t kk = 0; kk < k; ++kk) {
+          s.qtx[kk * m + j] += e.value * qrow[kk];
+        }
       }
-      s.xy[static_cast<size_t>(j)] = xy;
-      s.xx[static_cast<size_t>(j)] = xx;
+      s.xy[j] = xy;
+      s.xx[j] = xx;
     }
   };
   if (pool != nullptr && pool->num_threads() > 1) {
@@ -577,20 +446,6 @@ ScanSufficientStats ComputeLocalStatsSparseScalar(const SparseColumnMatrix& x,
   } else {
     work(0, m);
   }
-  return s;
-}
-
-Vector FlattenStats(const ScanSufficientStats& stats) {
-  const int64_t m = stats.num_variants();
-  const int64_t k = stats.num_covariates();
-  const StatsWireLayout layout{m, k};
-  Vector flat;
-  flat.reserve(static_cast<size_t>(layout.total_len()));
-  flat.push_back(stats.yy);
-  flat.insert(flat.end(), stats.qty.begin(), stats.qty.end());
-  flat.insert(flat.end(), stats.xy.begin(), stats.xy.end());
-  flat.insert(flat.end(), stats.xx.begin(), stats.xx.end());
-  flat.insert(flat.end(), stats.qtx.data(), stats.qtx.data() + stats.qtx.size());
   return flat;
 }
 
@@ -628,10 +483,6 @@ uint64_t WireChecksum(const Vector& flat) {
     }
   }
   return h;
-}
-
-uint64_t StatsChecksum(const ScanSufficientStats& stats) {
-  return WireChecksum(FlattenStats(stats));
 }
 
 }  // namespace dash

@@ -11,18 +11,19 @@
 // row partition, and by plain linearity for Qᵀy and QᵀX). The total is
 // all that FinalizeScan (scan_result.h) consumes — raw data never moves.
 //
-// Flatten/Unflatten pack a party's summand into one contiguous vector of
-// length 1 + K + 2M + K*M so a single secure-sum round aggregates
-// everything. StatsWireLayout fixes the offsets; ComputeLocalStatsFlat
-// computes the summand directly into a wire-order arena so nothing is
-// copied between the kernel and the transport ("zero-copy flatten").
+// A party's summand lives in one contiguous wire-order arena of length
+// 1 + K + 2M + K*M (StatsWireLayout fixes the offsets), so a single
+// secure-sum round aggregates everything and nothing is copied between
+// the kernel and the transport. Every ComputeLocalStats* entry point
+// returns that arena; UnflattenStats turns an arena (a party's summand
+// or the revealed total) into the ScanSufficientStats that
+// FinalizeScan consumes, and WireChecksum fingerprints it.
 //
-// Kernels. ComputeLocalStats runs the cache-blocked kernel of
-// ComputeStatsColumns: columns are tiled into blocks of kStatsColBlock,
-// each block's accumulators (X.y, X.X and a covariate-major K×w QᵀX
-// tile, so each row's update is K contiguous length-w axpys) live in
-// L1 for the whole N-row sweep. Per column block the kernel picks one
-// of two paths:
+// Kernels. ComputeLocalStatsFlat runs the cache-blocked column-range
+// kernel: columns are tiled into blocks of kStatsColBlock, each block's
+// accumulators (X.y, X.X and a covariate-major K×w QᵀX tile, so each
+// row's update is K contiguous length-w axpys) live in L1 for the whole
+// N-row sweep. Per column block the kernel picks one of two paths:
 //
 //   - Hard-call dosage data (every value in {0, 1, 2}, probed cheaply
 //     and verified during packing) is repacked into a per-task 2-bit
@@ -68,12 +69,6 @@ struct ScanSufficientStats {
 
   int64_t num_variants() const { return static_cast<int64_t>(xy.size()); }
   int64_t num_covariates() const { return static_cast<int64_t>(qty.size()); }
-
-  // Element-wise accumulation; shapes must agree (or *this be empty).
-  // "Empty" means never-assigned (the default-constructed accumulator):
-  // no samples AND no shape. A real M==0 or K==0 summand still carries
-  // num_samples/yy and accumulates instead of overwriting.
-  void Add(const ScanSufficientStats& other);
 };
 
 // --- Wire layout ------------------------------------------------------
@@ -113,102 +108,72 @@ struct StatsBlockView {
 inline constexpr int64_t kStatsColBlock = 128;
 inline constexpr int64_t kStatsRowPanel = 256;
 
-// ACCUMULATES xy/xx/qtx for columns [col_begin, col_end) of x into
-// `out` with the blocked kernel; the caller zeroes the destination
-// before the first call. The accumulate contract (shared by all three
-// ComputeStatsColumns* entry points) is what lets the out-of-core path
-// stream X in row panels: repeated calls over a row partition continue
-// each output element's left-folded add chain exactly where the
-// previous call left it, so the streamed result is bit-identical to
-// one full in-memory sweep (core/streaming_stats.h). Requires finite
-// inputs for the bit-identity guarantee (no NaN/Inf in x, y, q).
-// `pool` may be null; otherwise column blocks are cost-chunked across
-// its threads.
-void ComputeStatsColumns(const Matrix& x, const Vector& y, const Matrix& q,
-                         int64_t col_begin, int64_t col_end,
-                         const StatsBlockView& out, ThreadPool* pool = nullptr);
-
-// Sparse-X variant: per column costs O(nnz * K) instead of O(N * K).
-// Same accumulate-into-out contract as ComputeStatsColumns.
-void ComputeStatsColumnsSparse(const SparseColumnMatrix& x, const Vector& y,
-                               const Matrix& q, int64_t col_begin,
-                               int64_t col_end, const StatsBlockView& out,
-                               ThreadPool* pool = nullptr);
-
-// Packed-genotype variant: consumes an already 2-bit-packed X with the
-// popcount kernel — O(nnz) flops plus one popcount per 32 genotypes.
-// Bit-identical to the dense paths on the expanded matrix (missing
-// calls expand to 0.0). Same accumulate-into-out contract.
+// Packed-genotype column-range kernel: ACCUMULATES xy/xx/qtx for
+// columns [col_begin, col_end) of an already 2-bit-packed X into `out`
+// with the popcount kernel — O(nnz) flops plus one popcount per 32
+// genotypes; missing calls expand to 0.0. The caller zeroes the
+// destination before the first call. The accumulate contract (shared
+// by the dense and sparse column-range kernels inside suff_stats.cc) is
+// what lets the out-of-core path stream X in row panels: repeated calls
+// over a row partition continue each output element's left-folded add
+// chain exactly where the previous call left it, so the streamed result
+// is bit-identical to one full in-memory sweep (core/streaming_stats.h).
+// Requires finite inputs for the bit-identity guarantee (no NaN/Inf in
+// x, y, q). `pool` may be null; otherwise column blocks are
+// cost-chunked across its threads.
 void ComputeStatsColumnsPacked(const PackedGenotypeMatrix& x, const Vector& y,
                                const Matrix& q, int64_t col_begin,
                                int64_t col_end, const StatsBlockView& out,
                                ThreadPool* pool = nullptr);
 
-// Computes one party's summand given its rows of Q. `pool` may be null
-// (serial); otherwise column blocks are sharded across its threads.
-ScanSufficientStats ComputeLocalStats(const Matrix& x, const Vector& y,
-                                      const Matrix& q,
-                                      ThreadPool* pool = nullptr);
+// One party's summand given its rows of Q, as a wire-order arena
+// (StatsWireLayout over x's M and q's K). num_samples is public and
+// travels outside the secure sum. `pool` may be null (serial);
+// otherwise column blocks are sharded across its threads.
+Vector ComputeLocalStatsFlat(const Matrix& x, const Vector& y, const Matrix& q,
+                             ThreadPool* pool = nullptr);
 
-// Sparse-X variant. Dosage-valued sparse data (every stored value in
-// {0, 1, 2} — the common genotype case) is repacked once into the
-// 2-bit popcount kernel; anything else runs the legacy per-column
-// sparse path. Both are bit-identical to ComputeLocalStatsSparseScalar.
-ScanSufficientStats ComputeLocalStatsSparse(const SparseColumnMatrix& x,
-                                            const Vector& y, const Matrix& q,
-                                            ThreadPool* pool = nullptr);
+// Sparse-X form. Dosage-valued sparse data (every stored value in
+// {0, 1, 2} — the common genotype case) is repacked once into the 2-bit
+// popcount kernel; anything else runs the per-column sparse path,
+// O(nnz * K) per column. Both are bit-identical to
+// ComputeLocalStatsSparseScalar.
+Vector ComputeLocalStatsSparseFlat(const SparseColumnMatrix& x, const Vector& y,
+                                   const Matrix& q, ThreadPool* pool = nullptr);
 
 // Packed-X form for callers that keep genotypes 2-bit packed (the
 // steady state of a resident scan service: pack once, scan many).
-ScanSufficientStats ComputeLocalStatsPacked(const PackedGenotypeMatrix& x,
-                                            const Vector& y, const Matrix& q,
-                                            ThreadPool* pool = nullptr);
-
-// Dense-only form of ComputeLocalStats: the same blocked row-panel
-// sweep (still ISA-dispatched) but never repacking dosage blocks into
-// the 2-bit kernel. The bench baseline ("blocked/*" entries) and an
-// escape hatch if a workload's pack probe ever misfires.
-ScanSufficientStats ComputeLocalStatsDense(const Matrix& x, const Vector& y,
-                                           const Matrix& q,
-                                           ThreadPool* pool = nullptr);
-
-// Zero-copy form: the summand computed directly into a contiguous
-// wire-order arena (StatsWireLayout), ready for the secure sum with no
-// intermediate FlattenStats copy. num_samples is public and travels
-// outside the secure sum.
-Vector ComputeLocalStatsFlat(const Matrix& x, const Vector& y, const Matrix& q,
-                             ThreadPool* pool = nullptr);
-Vector ComputeLocalStatsSparseFlat(const SparseColumnMatrix& x, const Vector& y,
-                                   const Matrix& q, ThreadPool* pool = nullptr);
 Vector ComputeLocalStatsPackedFlat(const PackedGenotypeMatrix& x,
                                    const Vector& y, const Matrix& q,
                                    ThreadPool* pool = nullptr);
 
+// Dense-only form of ComputeLocalStatsFlat: the same blocked row-panel
+// sweep (still ISA-dispatched) but never repacking dosage blocks into
+// the 2-bit kernel. The no-repack ablation behind the kernel bench's
+// "blocked/*" entries, and an escape hatch if a workload's pack probe
+// ever misfires.
+Vector ComputeLocalStatsDense(const Matrix& x, const Vector& y, const Matrix& q,
+                              ThreadPool* pool = nullptr);
+
 // The original scalar kernels, kept as the bit-identity reference for
-// tests and as the bench baseline. Semantics match ComputeLocalStats /
-// ComputeLocalStatsSparse exactly.
-ScanSufficientStats ComputeLocalStatsScalar(const Matrix& x, const Vector& y,
-                                            const Matrix& q,
-                                            ThreadPool* pool = nullptr);
-ScanSufficientStats ComputeLocalStatsSparseScalar(const SparseColumnMatrix& x,
-                                                  const Vector& y,
-                                                  const Matrix& q,
-                                                  ThreadPool* pool = nullptr);
+// tests and as the bench baseline. Same arena as ComputeLocalStatsFlat /
+// ComputeLocalStatsSparseFlat, bit for bit.
+Vector ComputeLocalStatsScalar(const Matrix& x, const Vector& y,
+                               const Matrix& q, ThreadPool* pool = nullptr);
+Vector ComputeLocalStatsSparseScalar(const SparseColumnMatrix& x,
+                                     const Vector& y, const Matrix& q,
+                                     ThreadPool* pool = nullptr);
 
-// Packs [yy, qty, xy, xx, vec(qtx)] into one vector (num_samples is
-// public and travels outside the secure sum).
-Vector FlattenStats(const ScanSufficientStats& stats);
-
-// Inverse of FlattenStats given the public shape (M, K).
+// The structured view of a wire-order arena, given the public shape
+// (M, K). num_samples is left 0 for the caller to fill in.
 Result<ScanSufficientStats> UnflattenStats(const Vector& flat,
                                            int64_t num_variants,
                                            int64_t num_covariates);
 
-// FNV-1a over the IEEE-754 bytes of a flat vector / a summand's wire
-// image. Equal checksums <=> bit-identical statistics; benches and the
-// kernel-identity tests report these.
+// FNV-1a over the IEEE-754 bytes of a wire-order arena. Equal checksums
+// <=> bit-identical statistics; benches and the kernel-identity tests
+// report these.
 uint64_t WireChecksum(const Vector& flat);
-uint64_t StatsChecksum(const ScanSufficientStats& stats);
 
 }  // namespace dash
 

@@ -1,7 +1,6 @@
 #include "data/panel_stream.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -273,7 +272,7 @@ Status WritePackedStudy(const std::string& path, const PackedGenotypeMatrix& x,
 // --- Reader -----------------------------------------------------------
 
 Result<std::unique_ptr<PackedStudyReader>> PackedStudyReader::Open(
-    const std::string& path, StudyReadMode mode) {
+    const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     const Status st = errno == ENOENT
@@ -283,7 +282,6 @@ Result<std::unique_ptr<PackedStudyReader>> PackedStudyReader::Open(
   }
   std::unique_ptr<PackedStudyReader> reader(new PackedStudyReader());
   reader->fd_ = fd;
-  reader->mode_ = mode;
   reader->path_ = path;
 
   struct stat sb;
@@ -346,23 +344,10 @@ Result<std::unique_ptr<PackedStudyReader>> PackedStudyReader::Open(
   if (yc != stored_yc) {
     return DataLossError("DASHPACK y/C checksum mismatch: " + path);
   }
-
-  if (mode == StudyReadMode::kMmap) {
-    void* map = ::mmap(nullptr, static_cast<size_t>(sb.st_size), PROT_READ,
-                       MAP_PRIVATE, fd, 0);
-    if (map == MAP_FAILED) {
-      return IoError("mmap " + path + ": " + ErrnoText());
-    }
-    reader->map_ = static_cast<const unsigned char*>(map);
-    reader->map_len_ = static_cast<size_t>(sb.st_size);
-  }
   return reader;
 }
 
 PackedStudyReader::~PackedStudyReader() {
-  if (map_ != nullptr) {
-    ::munmap(const_cast<unsigned char*>(map_), map_len_);
-  }
   if (fd_ >= 0) ::close(fd_);
 }
 
@@ -380,18 +365,11 @@ Status PackedStudyReader::ReadPanel(int64_t panel, PackedGenotypeMatrix* out) {
   const int64_t off = shape.panel_offset(panel);
   uint64_t* words = payload > 0 ? out->mutable_column_words(0) : nullptr;
   uint64_t stored_sum = 0;
-  if (mode_ == StudyReadMode::kMmap) {
-    if (payload > 0) {
-      std::memcpy(words, map_ + off, static_cast<size_t>(payload));
-    }
-    std::memcpy(&stored_sum, map_ + off + payload, 8);
-  } else {
-    if (payload > 0) {
-      DASH_RETURN_IF_ERROR(
-          ReadAllAt(fd_, words, static_cast<size_t>(payload), off, path_));
-    }
-    DASH_RETURN_IF_ERROR(ReadAllAt(fd_, &stored_sum, 8, off + payload, path_));
+  if (payload > 0) {
+    DASH_RETURN_IF_ERROR(
+        ReadAllAt(fd_, words, static_cast<size_t>(payload), off, path_));
   }
+  DASH_RETURN_IF_ERROR(ReadAllAt(fd_, &stored_sum, 8, off + payload, path_));
   if (Fnv1aBytes(words, static_cast<size_t>(payload)) != stored_sum) {
     return DataLossError("DASHPACK panel " + std::to_string(panel) +
                          " checksum mismatch: " + path_);

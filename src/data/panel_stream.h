@@ -16,15 +16,14 @@
 //
 //   - PanelSource, the abstraction the streaming scan kernel consumes:
 //     "give me panel p as a PackedGenotypeMatrix". PackedStudyReader
-//     serves panels from a DASHPACK file (pread-sized chunk reads, or
-//     one mmap of the whole file); InMemoryPanelSource slices an
-//     in-memory matrix (the bit-identity oracle in tests).
+//     serves panels from a DASHPACK file (one pread per panel block);
+//     InMemoryPanelSource slices an in-memory matrix (the bit-identity
+//     oracle in tests).
 //
 //   - PanelPrefetcher, a double-buffered background reader that
-//     overlaps disk I/O with kernel compute the same way
-//     scan_pipeline.h overlaps compute with communication: while the
-//     scan folds panel p into its accumulators, the I/O thread is
-//     already filling the other buffer with panel p+1.
+//     overlaps disk I/O with kernel compute: while the scan folds panel
+//     p into its accumulators, the I/O thread is already filling the
+//     other buffer with panel p+1.
 //
 // Every multi-byte field is stored in the host's native byte order
 // (little-endian on every supported target); the format is an on-disk
@@ -118,19 +117,14 @@ Status WritePackedStudy(const std::string& path, const PackedGenotypeMatrix& x,
 
 // --- DASHPACK reader --------------------------------------------------
 
-enum class StudyReadMode {
-  kChunked,  // pread one panel block per ReadPanel call
-  kMmap,     // map the whole file once; ReadPanel copies out of the map
-};
-
 class PackedStudyReader final : public PanelSource {
  public:
   // Opens and fully validates the header (magic, version, dimension
   // bounds, header checksum, exact file size) and the y/C block
   // checksum; loads y and C into RAM. Panel payloads are validated
-  // lazily, per ReadPanel.
+  // lazily, one pread per ReadPanel.
   static Result<std::unique_ptr<PackedStudyReader>> Open(
-      const std::string& path, StudyReadMode mode = StudyReadMode::kChunked);
+      const std::string& path);
 
   ~PackedStudyReader() override;
   PackedStudyReader(const PackedStudyReader&) = delete;
@@ -141,7 +135,6 @@ class PackedStudyReader final : public PanelSource {
   int64_t num_covariates() const { return k_; }
   uint64_t tag() const { return tag_; }
   uint64_t fingerprint() const override { return fingerprint_; }
-  StudyReadMode mode() const { return mode_; }
 
   // The RAM-resident factors (loaded at Open).
   const Vector& phenotype() const { return y_; }
@@ -153,9 +146,6 @@ class PackedStudyReader final : public PanelSource {
   PackedStudyReader() = default;
 
   int fd_ = -1;
-  StudyReadMode mode_ = StudyReadMode::kChunked;
-  const unsigned char* map_ = nullptr;  // kMmap only
-  size_t map_len_ = 0;
   std::string path_;
 
   int64_t n_ = 0;
@@ -200,9 +190,8 @@ uint64_t StudyFingerprint(const PackedGenotypeMatrix& x, const Vector& y,
 
 // Double-buffered read-ahead over a PanelSource: a background thread
 // keeps up to two panels decoded while the consumer folds the previous
-// one into its accumulators, hiding disk latency behind kernel compute
-// (the I/O analogue of scan_pipeline.h's compute/communication
-// overlap). Panels are consumed strictly in order, first_panel first —
+// one into its accumulators, hiding disk latency behind kernel
+// compute. Panels are consumed strictly in order, first_panel first —
 // exactly what the streaming scan loop wants for checkpoint/resume.
 class PanelPrefetcher {
  public:

@@ -9,8 +9,8 @@
 namespace dash {
 namespace {
 
-// Keep the site list bounded: a pipelined scan declassifies once per
-// block in public mode, and the audit must not grow without limit.
+// Keep the site list bounded: sites are deduplicated, and the audit must
+// not grow without limit even if that ever stops holding.
 constexpr size_t kMaxRecordedSites = 256;
 
 std::atomic<int64_t> g_declassify_count{0};

@@ -233,12 +233,8 @@ Result<Vector> PartySecureVectorSum::RunMasked(const Secret<Vector>& input) {
 
 Result<Vector> PartySecureVectorSum::RunShamir(const Secret<Vector>& input) {
   const int p = net_->num_parties();
-  const int threshold = (options_.shamir_threshold >= 0)
-                            ? options_.shamir_threshold
-                            : (p - 1) / 2;
-  if (threshold >= p) {
-    return InvalidArgumentError("Shamir threshold must be < num parties");
-  }
+  // Polynomial degree floor((P-1)/2): a minority's shares reveal nothing.
+  const int threshold = (p - 1) / 2;
   // Field-encodes AND validates headroom — deliberately before
   // BeginRound so validation failures precede any traffic.
   DASH_ASSIGN_OR_RETURN(Secret<RingVector> encoded,

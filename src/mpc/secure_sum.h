@@ -59,9 +59,6 @@ struct SecureSumOptions {
   // rather than 2^(63 - frac_bits).
   int frac_bits = FixedPointCodec::kDefaultFracBits;
 
-  // Shamir reconstruction threshold; -1 selects floor((P-1)/2).
-  int shamir_threshold = -1;
-
   // Seed for the per-party randomness (shares, masks, DH exponents).
   uint64_t seed = 0xda5b;
 

@@ -25,8 +25,8 @@
 //                one. The run must stay bit-identical to fault-free.
 //   kReorder     sender holds the message and releases it AFTER the
 //                next message on the same link (reorder-within-tag when
-//                the next send carries the same tag, e.g. pipelined
-//                block rounds). Detected by tag/commit checks.
+//                the next send carries the same tag). Detected by
+//                tag/commit checks.
 //   kCorrupt     sender XORs corrupt_xor into one payload byte; the
 //                receiver's matching Receive consumes the mangled
 //                message and reports DataLoss (modeling the CRC check

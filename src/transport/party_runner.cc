@@ -1,5 +1,6 @@
 #include "transport/party_runner.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -8,7 +9,6 @@
 
 #include "core/party_local.h"
 #include "core/scan_checkpoint.h"
-#include "core/scan_pipeline.h"
 #include "core/streaming_stats.h"
 #include "core/suff_stats.h"
 #include "linalg/qr.h"
@@ -65,19 +65,7 @@ Result<SecureScanOutput> RunPartyScanProtocol(
     const StreamingPartyScan* stream) {
   const int local = transport->local_party();
   const int num_parties = transport->num_parties();
-  const bool beaver =
-      options.projection == ProjectionSecurity::kBeaverDotProducts;
-  if (beaver && options.pipeline_block_variants > 0) {
-    return InvalidArgumentError(
-        "pipeline_block_variants requires kRevealProjectedSums; the Beaver "
-        "projection consumes whole K-vectors and cannot be blocked");
-  }
   if (stream != nullptr) {
-    if (beaver) {
-      return InvalidArgumentError(
-          "streamed scan: the Beaver projection needs the structured "
-          "summands; stream with kRevealProjectedSums");
-    }
     if (stream->source == nullptr) {
       return InvalidArgumentError("streamed scan: no PanelSource supplied");
     }
@@ -85,11 +73,6 @@ Result<SecureScanOutput> RunPartyScanProtocol(
       return InvalidArgumentError(
           "streamed scan: center_per_party mutates X, which is immutable "
           "on disk — center before packing (dash_pack)");
-    }
-    if (options.pipeline_block_variants > 0) {
-      return InvalidArgumentError(
-          "streamed scan: pipeline_block_variants also restructures "
-          "Phase 2; pick one of streaming or block pipelining");
     }
     if (stream->source->num_samples() != input_party.num_samples()) {
       return InvalidArgumentError(
@@ -264,25 +247,56 @@ Result<SecureScanOutput> RunPartyScanProtocol(
   sum_options.mask_domain = transport->session_id();
   PartySecureVectorSum secure_sum(transport, sum_options);
 
-  ScanResult result;
-  Vector flat_totals;
+  // Stage 3 (local): our summand as one wire-order arena
+  // (StatsWireLayout), computed in RAM or streamed from the PanelSource
+  // panel by panel with checkpoints — bit-identical either way
+  // (core/streaming_stats.h).
+  local_timer.Reset();
+  Vector flat;
   int64_t resumed_from_panel = 0;
   int64_t panels_streamed = 0;
   int64_t checkpoints_written = 0;
-  if (beaver) {
-    // Stage 3+4 (Beaver): the orthogonal statistics (y.y, X.y, X.X) are
-    // summed as usual, but the projected K-vectors never leave the party
-    // — only the dot products Lemma 2.1 consumes are opened
-    // (mpc/secure_projection.h). Needs the structured summands, so no
-    // zero-copy arena here.
-    local_timer.Reset();
-    const ScanSufficientStats stats = PartyLocalStats(*party, q_p, pool.get());
+  if (stream != nullptr) {
+    StreamingStatsOptions stream_opts;
+    stream_opts.checkpoint_path = stream->checkpoint_path;
+    stream_opts.checkpoint_every_panels = stream->checkpoint_every_panels;
+    stream_opts.fail_after_panels = stream->fail_after_panels;
+    stream_opts.panel_delay_ms = stream->panel_delay_ms;
+    stream_opts.pool = pool.get();
+    DASH_ASSIGN_OR_RETURN(
+        StreamingStatsResult streamed,
+        ComputeLocalStatsStreamed(stream->source, party->y, q_p, stream_opts));
+    flat = std::move(streamed.flat);
+    resumed_from_panel = streamed.resumed_from_panel;
+    panels_streamed = streamed.panels_streamed;
+    checkpoints_written = streamed.checkpoints_written;
+    if (resumed_from_panel > 0) {
+      DASH_LOG(Info) << "party " << local << " resumed from checkpoint at "
+                     << "panel " << resumed_from_panel << "/"
+                     << stream->source->num_panels();
+    }
+  } else {
+    flat = ComputeLocalStatsFlat(party->x, party->y, q_p, pool.get());
+  }
+  local_seconds += local_timer.ElapsedSeconds();
+
+  // Stage 4 (network): aggregate the arena. Stage 5 (local, public):
+  // Lemma 2.1 on the revealed totals.
+  const StatsWireLayout layout{m, k};
+  ScanResult result;
+  if (options.projection == ProjectionSecurity::kBeaverDotProducts) {
+    // The orthogonal statistics (y.y, X.y, X.X) are summed as usual, but
+    // the projected K-vectors never leave the party — only the dot
+    // products Lemma 2.1 consumes are opened (mpc/secure_projection.h).
     Vector plain;
     plain.reserve(static_cast<size_t>(1 + 2 * m));
-    plain.push_back(stats.yy);
-    plain.insert(plain.end(), stats.xy.begin(), stats.xy.end());
-    plain.insert(plain.end(), stats.xx.begin(), stats.xx.end());
-    local_seconds += local_timer.ElapsedSeconds();
+    plain.push_back(flat[static_cast<size_t>(layout.yy_offset())]);
+    plain.insert(plain.end(), flat.begin() + layout.xy_offset(),
+                 flat.begin() + layout.qtx_offset());
+    Vector qty(flat.begin() + layout.qty_offset(),
+               flat.begin() + layout.xy_offset());
+    Matrix qtx(k, m);
+    std::copy(flat.begin() + layout.qtx_offset(), flat.end(), qtx.data());
 
     protocol_timer.Reset();
     DASH_ASSIGN_OR_RETURN(Vector plain_totals,
@@ -293,10 +307,10 @@ Result<SecureScanOutput> RunPartyScanProtocol(
     DASH_ASSIGN_OR_RETURN(
         ProjectedStats projected,
         SecureProjectedAggregation(transport, proj_options)
-            .Run(Secret<Vector>(stats.qty), Secret<Matrix>(stats.qtx)));
+            .Run(Secret<Vector>(std::move(qty)),
+                 Secret<Matrix>(std::move(qtx))));
     protocol_seconds += protocol_timer.ElapsedSeconds();
 
-    // Stage 5 (local, public): Lemma 2.1 on the opened dot products.
     local_timer.Reset();
     ProjectedSufficientStats totals;
     totals.num_samples = total_samples - absorbed_params;
@@ -310,101 +324,13 @@ Result<SecureScanOutput> RunPartyScanProtocol(
     totals.qtx_qtx = std::move(projected.qtx_qtx);
     DASH_ASSIGN_OR_RETURN(result, FinalizeScanProjected(totals));
     local_seconds += local_timer.ElapsedSeconds();
-  } else if (stream != nullptr) {
-    // Stage 3 (local, out-of-core): stream X's panels into the
-    // wire-order summand, checkpointing as configured. Bit-identical to
-    // the in-memory arena below (core/streaming_stats.h).
-    local_timer.Reset();
-    StreamingStatsOptions stream_opts;
-    stream_opts.checkpoint_path = stream->checkpoint_path;
-    stream_opts.checkpoint_every_panels = stream->checkpoint_every_panels;
-    stream_opts.fail_after_panels = stream->fail_after_panels;
-    stream_opts.panel_delay_ms = stream->panel_delay_ms;
-    stream_opts.prefetch = stream->prefetch;
-    stream_opts.pool = pool.get();
-    DASH_ASSIGN_OR_RETURN(
-        StreamingStatsResult streamed,
-        ComputeLocalStatsStreamed(stream->source, party->y, q_p, stream_opts));
-    local_seconds += local_timer.ElapsedSeconds();
-    resumed_from_panel = streamed.resumed_from_panel;
-    panels_streamed = streamed.panels_streamed;
-    checkpoints_written = streamed.checkpoints_written;
-    if (resumed_from_panel > 0) {
-      DASH_LOG(Info) << "party " << local << " resumed from checkpoint at "
-                     << "panel " << resumed_from_panel << "/"
-                     << stream->source->num_panels();
-    }
-
-    // Stage 4 (network): one secure-sum aggregation of everything.
-    protocol_timer.Reset();
-    DASH_ASSIGN_OR_RETURN(flat_totals,
-                          secure_sum.Run(Secret<Vector>(streamed.flat)));
-    protocol_seconds += protocol_timer.ElapsedSeconds();
-  } else if (options.pipeline_block_variants > 0) {
-    // Stage 3+4 (pipelined): the round schedule of core/scan_pipeline.h
-    // — header round, then one round per variant block, with block b+1
-    // computed while block b's aggregate is in flight on the transport.
-    const PipelinePlan plan{m, k, options.pipeline_block_variants};
-    const int64_t num_blocks = plan.num_blocks();
-
-    local_timer.Reset();
-    Vector header;
-    header.reserve(static_cast<size_t>(plan.header_len()));
-    header.push_back(SquaredNorm(party->y));
-    const Vector qty = TransposeMatVec(q_p, party->y);
-    header.insert(header.end(), qty.begin(), qty.end());
-    local_seconds += local_timer.ElapsedSeconds();
-
-    protocol_timer.Reset();
-    DASH_ASSIGN_OR_RETURN(Vector header_totals,
-                          secure_sum.Run(Secret<Vector>(header)));
-    flat_totals.assign(static_cast<size_t>(StatsWireLayout{m, k}.total_len()),
-                       0.0);
-    ScatterHeaderTotals(header_totals, plan, &flat_totals);
-
-    Vector cur;
-    Vector next;
-    const auto compute_block = [&](int64_t b, Vector* buf) {
-      const int64_t w = plan.width(b);
-      buf->assign(static_cast<size_t>(plan.block_len(b)), 0.0);
-      ComputeStatsColumns(party->x, party->y, q_p, plan.begin(b), plan.end(b),
-                          PipelineBlockView(buf->data(), w), /*pool=*/nullptr);
-    };
-    if (num_blocks > 0) compute_block(0, &cur);
-    for (int64_t b = 0; b < num_blocks; ++b) {
-      const bool has_next = b + 1 < num_blocks;
-      if (has_next) {
-        if (pool != nullptr) {
-          pool->Schedule(
-              [&compute_block, &next, b] { compute_block(b + 1, &next); });
-        } else {
-          compute_block(b + 1, &next);
-        }
-      }
-      Result<Vector> block_totals = secure_sum.Run(Secret<Vector>(cur));
-      // Join the in-flight compute before any early return can tear down
-      // the buffer it writes.
-      if (has_next && pool != nullptr) pool->Wait();
-      if (!block_totals.ok()) return block_totals.status();
-      ScatterBlockTotals(block_totals.value(), plan, b, &flat_totals);
-      cur.swap(next);
-    }
-    protocol_seconds += protocol_timer.ElapsedSeconds();
   } else {
-    // Stage 3 (local): our summand, computed directly into a wire-order
-    // arena (zero-copy flatten).
-    local_timer.Reset();
-    const Vector flat = PartyLocalStatsFlat(*party, q_p, pool.get());
-    local_seconds += local_timer.ElapsedSeconds();
-
-    // Stage 4 (network): one secure-sum aggregation of everything.
+    // One secure-sum aggregation of everything.
     protocol_timer.Reset();
-    DASH_ASSIGN_OR_RETURN(flat_totals, secure_sum.Run(Secret<Vector>(flat)));
+    DASH_ASSIGN_OR_RETURN(const Vector flat_totals,
+                          secure_sum.Run(Secret<Vector>(std::move(flat))));
     protocol_seconds += protocol_timer.ElapsedSeconds();
-  }
 
-  if (!beaver) {
-    // Stage 5 (local, public): Lemma 2.1 finalization.
     local_timer.Reset();
     DASH_ASSIGN_OR_RETURN(ScanSufficientStats totals,
                           UnflattenStats(flat_totals, m, k));
@@ -516,14 +442,6 @@ Result<SecureScanOutput> RunPartyScanWithAbortPropagation(
 }
 
 }  // namespace
-
-Result<SecureScanOutput> RunPartySecureScan(Transport* transport,
-                                            const PartyData& input_party,
-                                            const SecureScanOptions& options) {
-  return RunPartyScanWithAbortPropagation(transport, input_party, options,
-                                          /*phase1=*/nullptr,
-                                          /*stream=*/nullptr);
-}
 
 Result<SecureScanOutput> RunPartySecureScan(Transport* transport,
                                             const PartyData& input_party,

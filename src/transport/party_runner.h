@@ -70,21 +70,18 @@ struct Phase1State {
 // Runs the scan as party transport->local_party() holding rows `party`.
 // Blocks until the protocol completes; every party returns the identical
 // revealed result. Metrics cover this party's sends only.
-Result<SecureScanOutput> RunPartySecureScan(Transport* transport,
-                                            const PartyData& party,
-                                            const SecureScanOptions& options);
-
-// Cache-aware variant. `phase1` (may be null = uncached) is read AND
-// written: when every party arrives with matching valid state — agreed
-// in one extra kPhase1Probe round of a single public have-bit each —
-// Phase 1 is skipped entirely and metrics.phase1_cache_hit is set;
-// otherwise the full protocol runs and `phase1` is refilled. All-or-
-// nothing: one stale party forces the full Phase 1 at every party, so
-// the transcript stays identical at all of them.
+//
+// `phase1` (null = uncached) is read AND written: when every party
+// arrives with matching valid state — agreed in one extra kPhase1Probe
+// round of a single public have-bit each — Phase 1 is skipped entirely
+// and metrics.phase1_cache_hit is set; otherwise the full protocol runs
+// and `phase1` is refilled. All-or-nothing: one stale party forces the
+// full Phase 1 at every party, so the transcript stays identical at all
+// of them.
 Result<SecureScanOutput> RunPartySecureScan(Transport* transport,
                                             const PartyData& party,
                                             const SecureScanOptions& options,
-                                            Phase1State* phase1);
+                                            Phase1State* phase1 = nullptr);
 
 // Out-of-core scan configuration for RunPartySecureScanStreamed: this
 // party's genotype block streams from `source` one panel at a time
@@ -103,18 +100,16 @@ struct StreamingPartyScan {
   // StreamingStatsOptions.
   int64_t fail_after_panels = -1;
   int64_t panel_delay_ms = 0;
-
-  bool prefetch = true;
 };
 
 // Streamed variant of RunPartySecureScan: y and the permanent
 // covariates C stay RAM-resident (they are all Phases 0–1 need), X
-// streams from stream.source during Phase 2. Incompatible with
+// streams from stream.source into the Phase-2 summand arena. The arena
+// is bit-identical to the in-memory one, so every aggregation and
+// projection mode applies unchanged. Incompatible with
 // center_per_party (X is immutable on disk — pre-center before
-// packing), with pipeline_block_variants (both restructure Phase 2) and
-// with the Beaver projection (it needs the structured summands). On
-// success the checkpoint file, if any, is removed; on failure it is
-// left behind so the next run resumes.
+// packing). On success the checkpoint file, if any, is removed; on
+// failure it is left behind so the next run resumes.
 Result<SecureScanOutput> RunPartySecureScanStreamed(
     Transport* transport, const Vector& y, const Matrix& c,
     const StreamingPartyScan& stream, const SecureScanOptions& options,

@@ -9,6 +9,13 @@
 #include "util/check.h"
 
 namespace dash {
+namespace {
+
+// How long the pump blocks in the inner transport's PumpWait per
+// iteration; bounds the latency of a queued send.
+constexpr int kPumpIntervalMs = 1;
+
+}  // namespace
 
 SessionMux::SessionMux(Transport* inner, SessionMuxOptions options)
     : inner_(inner),
@@ -133,7 +140,7 @@ void SessionMux::PumpLoop() {
 
     // Phase 3: block briefly for inbound bytes (and bound the latency
     // of the next queued send).
-    const Status pumped = inner_->PumpWait(options_.pump_interval_ms);
+    const Status pumped = inner_->PumpWait(kPumpIntervalMs);
     (void)pumped;
   }
 

@@ -67,10 +67,6 @@ struct SessionMuxOptions {
   // to reach the wire).
   int receive_timeout_ms = 30000;
 
-  // How long the pump blocks in the inner transport's PumpWait per
-  // iteration; bounds the latency of a queued send.
-  int pump_interval_ms = 1;
-
   // Total frames buffered for sessions nobody opened yet; beyond this
   // the oldest orphan is dropped.
   size_t max_orphan_messages = 1024;

@@ -76,9 +76,8 @@ class ThreadPool {
                    const ParallelForOptions& options,
                    const std::function<void(int64_t, int64_t)>& fn);
 
-  // Schedules fn on a worker; used by protocol drivers and the block
-  // pipeline. With num_threads == 1 (no workers) fn runs inline before
-  // Schedule returns. Wait() joins all outstanding scheduled work; it
+  // Schedules fn on a worker. With num_threads == 1 (no workers) fn
+  // runs inline before Schedule returns. Wait() joins all outstanding scheduled work; it
   // must not be called from one of this pool's own workers.
   void Schedule(std::function<void()> fn);
   void Wait();

@@ -10,9 +10,6 @@
 //  * ThreadPool shutdown with work still queued, concurrent Schedule
 //    from many external threads, and Schedule-from-worker followed by
 //    owner Wait — the ThreadPool lifecycle hot spots.
-//  * The pipelined scan's double-buffer handoff (compute block b+1 on a
-//    pool worker while block b is aggregated on the caller) — repeated
-//    runs must stay bit-identical and TSan-clean.
 //  * The lock-rank checker (util/lock_rank.h): out-of-order and
 //    non-LIFO acquisitions must die in debug builds, and in-order
 //    nesting must not.
@@ -35,7 +32,6 @@
 #include <vector>
 
 #include "core/secure_scan.h"
-#include "data/workloads.h"
 #include "mpc/secrecy.h"
 #include "net/network.h"
 #include "net/serialization.h"
@@ -565,40 +561,6 @@ TEST(ConcurrencyRegressionTest, StressSessionMuxChannelsWithStatsPolling) {
   for (auto& s : sessions) s.join();
   done.store(true, std::memory_order_release);
   monitor.join();
-}
-
-// ---------------------------------------------------------------------
-// Pipelined scan double-buffer handoff.
-
-TEST(ConcurrencyRegressionTest, PipelinedDoubleBufferHandoffIsDeterministic) {
-  GwasWorkloadOptions wopts;
-  wopts.party_sizes = {30, 25, 35};
-  wopts.num_variants = 41;  // not a multiple of the block size
-  wopts.num_covariates = 3;
-  wopts.num_causal = 2;
-  wopts.seed = 977;
-  const auto workload = MakeGwasWorkload(wopts);
-  ASSERT_TRUE(workload.ok()) << workload.status();
-
-  SecureScanOptions reference_options;
-  reference_options.aggregation = AggregationMode::kMasked;
-  const auto reference =
-      SecureAssociationScan(reference_options).Run(workload->parties);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-
-  SecureScanOptions pipelined = reference_options;
-  pipelined.pipeline_block_variants = 7;
-  pipelined.num_threads = 4;  // worker computes block b+1 during round b
-  for (int run = 0; run < 5; ++run) {
-    const auto got = SecureAssociationScan(pipelined).Run(workload->parties);
-    ASSERT_TRUE(got.ok()) << got.status();
-    ASSERT_EQ(got->result.beta.size(), reference->result.beta.size());
-    for (size_t i = 0; i < reference->result.beta.size(); ++i) {
-      // Bit-identical across the handoff, every run.
-      EXPECT_EQ(got->result.beta[i], reference->result.beta[i]) << i;
-      EXPECT_EQ(got->result.se[i], reference->result.se[i]) << i;
-    }
-  }
 }
 
 }  // namespace

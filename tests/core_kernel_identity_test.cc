@@ -1,5 +1,5 @@
-// Pins the blocked/zero-copy/pipelined kernels to the original scalar
-// kernel BIT FOR BIT. The blocked kernel reorders memory traffic, never
+// Pins the blocked, packed and sparse arena kernels to the original
+// scalar kernel BIT FOR BIT. The blocked kernel reorders memory traffic, never
 // arithmetic: every output element accumulates over rows in the same
 // order, so for finite inputs the wire images must be identical — any
 // single-bit drift here is a bug, not tolerance noise.
@@ -20,11 +20,8 @@
 #include <vector>
 
 #include "core/kernels/stats_kernels.h"
-#include "core/scan_pipeline.h"
-#include "core/secure_scan.h"
 #include "core/suff_stats.h"
 #include "data/genotype_generator.h"
-#include "data/workloads.h"
 #include "linalg/packed_matrix.h"
 #include "linalg/qr.h"
 #include "util/random.h"
@@ -53,11 +50,9 @@ void ExpectBitIdentical(const Vector& a, const Vector& b, const char* what) {
   }
 }
 
-void ExpectStatsBitIdentical(const ScanSufficientStats& a,
-                             const ScanSufficientStats& b) {
-  EXPECT_EQ(a.num_samples, b.num_samples);
-  ExpectBitIdentical(FlattenStats(a), FlattenStats(b), "wire image");
-  EXPECT_EQ(StatsChecksum(a), StatsChecksum(b));
+void ExpectArenaBitIdentical(const Vector& a, const Vector& b) {
+  ExpectBitIdentical(a, b, "wire image");
+  EXPECT_EQ(WireChecksum(a), WireChecksum(b));
 }
 
 Matrix MakeQ(int64_t n, int64_t k, Rng* rng) {
@@ -82,7 +77,7 @@ TEST(KernelIdentityTest, BlockedMatchesScalarGaussian) {
       const Vector y = GaussianVector(n, &rng);
       const Matrix q = MakeQ(n, 3, &rng);
       SCOPED_TRACE("n=" + std::to_string(n) + " m=" + std::to_string(m));
-      ExpectStatsBitIdentical(ComputeLocalStats(x, y, q),
+      ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q),
                               ComputeLocalStatsScalar(x, y, q));
     }
   }
@@ -103,7 +98,7 @@ TEST(KernelIdentityTest, BlockedMatchesScalarGenotype) {
     const Vector y = GaussianVector(301, &rng);
     const Matrix q = MakeQ(301, 4, &rng);
     SCOPED_TRACE("m=" + std::to_string(m));
-    ExpectStatsBitIdentical(ComputeLocalStats(x, y, q),
+    ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q),
                             ComputeLocalStatsScalar(x, y, q));
   }
 }
@@ -113,7 +108,7 @@ TEST(KernelIdentityTest, BlockedMatchesScalarZeroCovariates) {
   const Matrix x = GaussianMatrix(260, 130, &rng);
   const Vector y = GaussianVector(260, &rng);
   const Matrix q(260, 0);
-  ExpectStatsBitIdentical(ComputeLocalStats(x, y, q),
+  ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q),
                           ComputeLocalStatsScalar(x, y, q));
 }
 
@@ -122,25 +117,9 @@ TEST(KernelIdentityTest, ThreadPoolDoesNotChangeBits) {
   const Matrix x = GaussianMatrix(300, 300, &rng);
   const Vector y = GaussianVector(300, &rng);
   const Matrix q = MakeQ(300, 5, &rng);
-  const ScanSufficientStats serial = ComputeLocalStats(x, y, q);
   ThreadPool pool(4);
-  ExpectStatsBitIdentical(ComputeLocalStats(x, y, q, &pool), serial);
-  ExpectBitIdentical(ComputeLocalStatsFlat(x, y, q, &pool),
-                     FlattenStats(serial), "flat arena (pool)");
-}
-
-TEST(KernelIdentityTest, FlatArenaMatchesFlattenedScalar) {
-  for (const int64_t m : kVariantSizes) {
-    Rng rng(static_cast<uint64_t>(m) + 7);
-    const Matrix x = GaussianMatrix(257, m, &rng);
-    const Vector y = GaussianVector(257, &rng);
-    const Matrix q = MakeQ(257, 3, &rng);
-    SCOPED_TRACE("m=" + std::to_string(m));
-    const Vector flat = ComputeLocalStatsFlat(x, y, q);
-    const Vector reference = FlattenStats(ComputeLocalStatsScalar(x, y, q));
-    ExpectBitIdentical(flat, reference, "flat arena");
-    EXPECT_EQ(WireChecksum(flat), WireChecksum(reference));
-  }
+  ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q, &pool),
+                          ComputeLocalStatsFlat(x, y, q));
 }
 
 TEST(KernelIdentityTest, SparseBlockedMatchesSparseScalar) {
@@ -154,14 +133,10 @@ TEST(KernelIdentityTest, SparseBlockedMatchesSparseScalar) {
   Rng rng(29);
   const Vector y = GaussianVector(400, &rng);
   const Matrix q = MakeQ(400, 4, &rng);
-  ExpectStatsBitIdentical(ComputeLocalStatsSparse(x, y, q),
-                          ComputeLocalStatsSparseScalar(x, y, q));
-  ExpectBitIdentical(ComputeLocalStatsSparseFlat(x, y, q),
-                     FlattenStats(ComputeLocalStatsSparseScalar(x, y, q)),
-                     "sparse flat arena");
+  const Vector want = ComputeLocalStatsSparseScalar(x, y, q);
+  ExpectArenaBitIdentical(ComputeLocalStatsSparseFlat(x, y, q), want);
   ThreadPool pool(3);
-  ExpectStatsBitIdentical(ComputeLocalStatsSparse(x, y, q, &pool),
-                          ComputeLocalStatsSparseScalar(x, y, q));
+  ExpectArenaBitIdentical(ComputeLocalStatsSparseFlat(x, y, q, &pool), want);
 }
 
 // ---- ISA sweep: every dispatchable kernel table, every storage ----
@@ -177,7 +152,7 @@ TEST(KernelIdentityTest, IsaSweepDenseGaussian) {
         const Vector y = GaussianVector(n, &rng);
         const Matrix q = MakeQ(n, 3, &rng);
         SCOPED_TRACE("n=" + std::to_string(n) + " m=" + std::to_string(m));
-        ExpectStatsBitIdentical(ComputeLocalStatsDense(x, y, q),
+        ExpectArenaBitIdentical(ComputeLocalStatsDense(x, y, q),
                                 ComputeLocalStatsScalar(x, y, q));
       }
     }
@@ -187,8 +162,8 @@ TEST(KernelIdentityTest, IsaSweepDenseGaussian) {
 TEST(KernelIdentityTest, IsaSweepGenotypeAllStorages) {
   // One genotype draw per shape; each ISA must reproduce the scalar
   // kernel bit for bit through the auto path (which packs dosage
-  // blocks), the pre-packed path, the dense no-pack path, the flat
-  // arena, and the sparse repack path.
+  // blocks), the pre-packed path, the dense no-pack path and the
+  // sparse repack path.
   for (const int64_t m : kVariantSizes) {
     for (const int64_t n : {33, 301}) {
       GenotypeOptions geno;
@@ -201,21 +176,19 @@ TEST(KernelIdentityTest, IsaSweepGenotypeAllStorages) {
       Rng rng(static_cast<uint64_t>(m) + 99);
       const Vector y = GaussianVector(n, &rng);
       const Matrix q = MakeQ(n, 4, &rng);
-      const ScanSufficientStats want = ComputeLocalStatsScalar(x, y, q);
+      const Vector want = ComputeLocalStatsScalar(x, y, q);
       const PackedGenotypeMatrix packed = PackedGenotypeMatrix::FromDense(x);
       const SparseColumnMatrix sparse = SparseColumnMatrix::FromDense(x);
       for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
         ScopedIsa pin(isa);
         SCOPED_TRACE(std::string(kernels::StatsIsaName(isa)) +
                      " n=" + std::to_string(n) + " m=" + std::to_string(m));
-        ExpectStatsBitIdentical(ComputeLocalStats(x, y, q), want);
-        ExpectStatsBitIdentical(ComputeLocalStatsPacked(packed, y, q), want);
-        ExpectStatsBitIdentical(ComputeLocalStatsDense(x, y, q), want);
-        ExpectBitIdentical(ComputeLocalStatsFlat(x, y, q),
-                           FlattenStats(want), "flat arena");
-        ExpectBitIdentical(ComputeLocalStatsPackedFlat(packed, y, q),
-                           FlattenStats(want), "packed flat arena");
-        ExpectStatsBitIdentical(ComputeLocalStatsSparse(sparse, y, q), want);
+        ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q), want);
+        ExpectArenaBitIdentical(ComputeLocalStatsPackedFlat(packed, y, q),
+                                want);
+        ExpectArenaBitIdentical(ComputeLocalStatsDense(x, y, q), want);
+        ExpectArenaBitIdentical(ComputeLocalStatsSparseFlat(sparse, y, q),
+                                want);
       }
     }
   }
@@ -239,14 +212,14 @@ TEST(KernelIdentityTest, IsaSweepCovariateWidths) {
     Rng rng(static_cast<uint64_t>(k) + 77);
     const Vector y = GaussianVector(300, &rng);
     const Matrix q = MakeQ(300, k, &rng);
-    const ScanSufficientStats want = ComputeLocalStatsScalar(x, y, q);
+    const Vector want = ComputeLocalStatsScalar(x, y, q);
     const PackedGenotypeMatrix packed = PackedGenotypeMatrix::FromDense(x);
     for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
       ScopedIsa pin(isa);
       SCOPED_TRACE(std::string(kernels::StatsIsaName(isa)) +
                    " k=" + std::to_string(k));
-      ExpectStatsBitIdentical(ComputeLocalStatsPacked(packed, y, q), want);
-      ExpectStatsBitIdentical(ComputeLocalStatsDense(x, y, q), want);
+      ExpectArenaBitIdentical(ComputeLocalStatsPackedFlat(packed, y, q), want);
+      ExpectArenaBitIdentical(ComputeLocalStatsDense(x, y, q), want);
     }
   }
 }
@@ -275,13 +248,13 @@ TEST(KernelIdentityTest, IsaSweepAllZeroAndAllMissingColumns) {
   const Matrix x = packed.ToDense();
   const Vector y = GaussianVector(n, &rng);
   const Matrix q = MakeQ(n, 4, &rng);
-  const ScanSufficientStats want = ComputeLocalStatsScalar(x, y, q);
+  const Vector want = ComputeLocalStatsScalar(x, y, q);
   for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
     ScopedIsa pin(isa);
     SCOPED_TRACE(kernels::StatsIsaName(isa));
-    ExpectStatsBitIdentical(ComputeLocalStatsPacked(packed, y, q), want);
-    ExpectStatsBitIdentical(ComputeLocalStatsDense(x, y, q), want);
-    ExpectStatsBitIdentical(ComputeLocalStats(x, y, q), want);
+    ExpectArenaBitIdentical(ComputeLocalStatsPackedFlat(packed, y, q), want);
+    ExpectArenaBitIdentical(ComputeLocalStatsDense(x, y, q), want);
+    ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q), want);
   }
 }
 
@@ -300,13 +273,11 @@ TEST(KernelIdentityTest, IsaSweepSparseNonDosageFallsBack) {
   Rng rng(29);
   const Vector y = GaussianVector(400, &rng);
   const Matrix q = MakeQ(400, 4, &rng);
-  const ScanSufficientStats want = ComputeLocalStatsSparseScalar(x, y, q);
+  const Vector want = ComputeLocalStatsSparseScalar(x, y, q);
   for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
     ScopedIsa pin(isa);
     SCOPED_TRACE(kernels::StatsIsaName(isa));
-    ExpectStatsBitIdentical(ComputeLocalStatsSparse(x, y, q), want);
-    ExpectBitIdentical(ComputeLocalStatsSparseFlat(x, y, q),
-                       FlattenStats(want), "sparse flat arena");
+    ExpectArenaBitIdentical(ComputeLocalStatsSparseFlat(x, y, q), want);
   }
 }
 
@@ -321,29 +292,37 @@ TEST(KernelIdentityTest, IsaSweepThreadPoolAndPackedRoundTrip) {
   Rng rng(71);
   const Vector y = GaussianVector(600, &rng);
   const Matrix q = MakeQ(600, 5, &rng);
-  const ScanSufficientStats want = ComputeLocalStatsScalar(x, y, q);
+  const Vector want = ComputeLocalStatsScalar(x, y, q);
   const PackedGenotypeMatrix packed = PackedGenotypeMatrix::FromDense(x);
   EXPECT_TRUE(packed.ToDense() == x);
   ThreadPool pool(4);
   for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
     ScopedIsa pin(isa);
     SCOPED_TRACE(kernels::StatsIsaName(isa));
-    ExpectStatsBitIdentical(ComputeLocalStatsPacked(packed, y, q, &pool),
+    ExpectArenaBitIdentical(ComputeLocalStatsPackedFlat(packed, y, q, &pool),
                             want);
-    ExpectStatsBitIdentical(ComputeLocalStats(x, y, q, &pool), want);
+    ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q, &pool), want);
   }
 }
 
-TEST(KernelIdentityTest, ColumnRangeMatchesFullComputation) {
-  // The pipelined scan computes arbitrary column sub-ranges; each must
-  // reproduce the corresponding slice of the full wire image even when
-  // the range boundaries fall mid cache-block.
+TEST(KernelIdentityTest, PackedColumnRangeMatchesFullComputation) {
+  // The packed column-range kernel must reproduce the corresponding
+  // slice of the full wire image for any [begin, end), even when the
+  // boundaries fall mid cache-block.
+  GenotypeOptions geno;
+  geno.num_samples = 260;
+  geno.num_variants = 200;
+  geno.maf_min = 0.05;
+  geno.maf_max = 0.4;
+  geno.seed = 31;
+  const Matrix x = GenerateGenotypes(geno);
   Rng rng(31);
   const int64_t n = 260, m = 200, k = 3;
-  const Matrix x = GaussianMatrix(n, m, &rng);
   const Vector y = GaussianVector(n, &rng);
   const Matrix q = MakeQ(n, k, &rng);
-  const ScanSufficientStats full = ComputeLocalStatsScalar(x, y, q);
+  const PackedGenotypeMatrix packed = PackedGenotypeMatrix::FromDense(x);
+  const Vector full = ComputeLocalStatsScalar(x, y, q);
+  const StatsWireLayout layout{m, k};
   const struct { int64_t begin, end; } ranges[] = {
       {0, 200}, {0, 1}, {199, 200}, {13, 141}, {128, 200}, {50, 50}};
   for (const auto& r : ranges) {
@@ -353,84 +332,22 @@ TEST(KernelIdentityTest, ColumnRangeMatchesFullComputation) {
     // The column-range kernels ACCUMULATE into their destination, so
     // the buffer must start zeroed (as every production caller does).
     Vector buf(static_cast<size_t>((2 + k) * w), 0.0);
-    ComputeStatsColumns(x, y, q, r.begin, r.end, PipelineBlockView(buf.data(), w));
+    ComputeStatsColumnsPacked(
+        packed, y, q, r.begin, r.end,
+        StatsBlockView{buf.data(), buf.data() + w, buf.data() + 2 * w, w});
     for (int64_t j = 0; j < w; ++j) {
+      const int64_t col = r.begin + j;
       Vector got{buf[static_cast<size_t>(j)], buf[static_cast<size_t>(w + j)]};
-      Vector want{full.xy[static_cast<size_t>(r.begin + j)],
-                  full.xx[static_cast<size_t>(r.begin + j)]};
+      Vector want{full[static_cast<size_t>(layout.xy_offset() + col)],
+                  full[static_cast<size_t>(layout.xx_offset() + col)]};
       for (int64_t kk = 0; kk < k; ++kk) {
         got.push_back(buf[static_cast<size_t>((2 + kk) * w + j)]);
-        want.push_back(full.qtx(kk, r.begin + j));
+        want.push_back(
+            full[static_cast<size_t>(layout.qtx_offset() + kk * m + col)]);
       }
       ExpectBitIdentical(got, want, "column slice");
     }
   }
-}
-
-// ---- pipelined protocol vs one-shot, in-process, all four modes ----
-
-ScanWorkload PipelineWorkload() {
-  GwasWorkloadOptions options;
-  options.party_sizes = {35, 45, 40};
-  options.num_variants = 23;  // not a multiple of any block size below
-  options.num_covariates = 3;
-  options.num_causal = 2;
-  options.seed = 1234;
-  return MakeGwasWorkload(options).value();
-}
-
-void ExpectSameScan(const ScanResult& a, const ScanResult& b) {
-  ExpectBitIdentical(a.beta, b.beta, "beta");
-  ExpectBitIdentical(a.se, b.se, "se");
-  ExpectBitIdentical(a.tstat, b.tstat, "tstat");
-  ExpectBitIdentical(a.pval, b.pval, "pval");
-  EXPECT_EQ(a.dof, b.dof);
-}
-
-TEST(KernelIdentityTest, PipelinedScanMatchesOneShotAllModes) {
-  const ScanWorkload workload = PipelineWorkload();
-  const AggregationMode modes[] = {
-      AggregationMode::kPublicShare, AggregationMode::kAdditive,
-      AggregationMode::kMasked, AggregationMode::kShamir};
-  for (const AggregationMode mode : modes) {
-    SCOPED_TRACE(AggregationModeName(mode));
-    SecureScanOptions one_shot;
-    one_shot.aggregation = mode;
-    const auto reference = SecureAssociationScan(one_shot).Run(workload.parties);
-    ASSERT_TRUE(reference.ok()) << reference.status();
-    for (const int64_t block : {1, 7, 23, 100}) {
-      SCOPED_TRACE("block=" + std::to_string(block));
-      SecureScanOptions pipelined = one_shot;
-      pipelined.pipeline_block_variants = block;
-      const auto got = SecureAssociationScan(pipelined).Run(workload.parties);
-      ASSERT_TRUE(got.ok()) << got.status();
-      ExpectSameScan(got->result, reference->result);
-    }
-  }
-}
-
-TEST(KernelIdentityTest, PipelinedScanWithThreadsMatchesOneShot) {
-  const ScanWorkload workload = PipelineWorkload();
-  SecureScanOptions one_shot;
-  one_shot.aggregation = AggregationMode::kMasked;
-  const auto reference = SecureAssociationScan(one_shot).Run(workload.parties);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  SecureScanOptions pipelined = one_shot;
-  pipelined.pipeline_block_variants = 5;
-  pipelined.num_threads = 4;  // overlapped double-buffer path
-  const auto got = SecureAssociationScan(pipelined).Run(workload.parties);
-  ASSERT_TRUE(got.ok()) << got.status();
-  ExpectSameScan(got->result, reference->result);
-}
-
-TEST(KernelIdentityTest, PipelineRejectsBeaverProjection) {
-  const ScanWorkload workload = PipelineWorkload();
-  SecureScanOptions options;
-  options.projection = ProjectionSecurity::kBeaverDotProducts;
-  options.pipeline_block_variants = 8;
-  const auto out = SecureAssociationScan(options).Run(workload.parties);
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

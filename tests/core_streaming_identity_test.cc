@@ -8,7 +8,7 @@
 //      across sample counts that straddle every panel boundary (N not
 //      a multiple of 256, one-row remainders), variant counts around
 //      the kernels' column blocks, every dispatchable ISA, file-backed
-//      sources in both read modes, prefetch on/off, and thread pools.
+//      sources, and thread pools.
 //
 //   2. RESUME. Killing the stream after ANY panel (fail_after_panels
 //      sweeps every crash point) and re-running from the surviving
@@ -18,6 +18,10 @@
 //   3. SAFETY. A checkpoint that is absent, truncated, corrupt, or
 //      keyed to a different study/shape is IGNORED (fresh start, right
 //      answer), never trusted into a wrong result.
+//
+//   4. RUNNER. A streamed secure scan reveals the in-memory scan's
+//      exact result under either projection mode: Phase 2 builds the
+//      same summand arena from either source.
 
 #include <gtest/gtest.h>
 
@@ -29,12 +33,16 @@
 
 #include "core/kernels/stats_kernels.h"
 #include "core/scan_checkpoint.h"
+#include "core/secure_scan.h"
 #include "core/streaming_stats.h"
 #include "core/suff_stats.h"
 #include "data/genotype_generator.h"
 #include "data/panel_stream.h"
+#include "data/workloads.h"
 #include "linalg/packed_matrix.h"
 #include "linalg/qr.h"
+#include "net/network.h"
+#include "transport/party_runner.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -108,10 +116,7 @@ TEST(StreamingIdentityTest, StreamedMatchesInMemoryAcrossBoundaries) {
     for (const int64_t m : {1, 127, 128, 129, 300}) {
       const Study study = MakeStudy(n, m, 3, static_cast<uint64_t>(n + m));
       InMemoryPanelSource source(study.x, study.y, study.q, study.tag);
-      StreamingStatsOptions options;
-      options.prefetch = false;  // isolate the kernel contract
-      auto streamed =
-          ComputeLocalStatsStreamed(&source, study.y, study.q, options);
+      auto streamed = ComputeLocalStatsStreamed(&source, study.y, study.q);
       ASSERT_TRUE(streamed.ok()) << streamed.status();
       SCOPED_TRACE("n=" + std::to_string(n) + " m=" + std::to_string(m));
       EXPECT_EQ(streamed->num_samples, n);
@@ -138,7 +143,7 @@ TEST(StreamingIdentityTest, StreamedMatchesInMemoryEveryIsa) {
   }
 }
 
-TEST(StreamingIdentityTest, FileSourceBothModesPrefetchAndPool) {
+TEST(StreamingIdentityTest, FileSourceWithAndWithoutPool) {
   const Study study = MakeStudy(1300, 90, 3, 31);  // 6 panels
   Matrix c = study.q;  // any dense C works; q is what the scan consumes
   const std::string path = TempPath("file_identity.dpk");
@@ -146,24 +151,16 @@ TEST(StreamingIdentityTest, FileSourceBothModesPrefetchAndPool) {
   const Vector want = InMemoryReference(study);
   ThreadPool pool(3);
 
-  for (const StudyReadMode mode :
-       {StudyReadMode::kChunked, StudyReadMode::kMmap}) {
-    for (const bool prefetch : {false, true}) {
-      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-        auto reader = PackedStudyReader::Open(path, mode);
-        ASSERT_TRUE(reader.ok()) << reader.status();
-        StreamingStatsOptions options;
-        options.prefetch = prefetch;
-        options.pool = p;
-        SCOPED_TRACE(std::string(mode == StudyReadMode::kMmap ? "mmap"
-                                                              : "chunked") +
-                     (prefetch ? "+prefetch" : "") + (p ? "+pool" : ""));
-        auto streamed = ComputeLocalStatsStreamed(reader.value().get(),
-                                                  study.y, study.q, options);
-        ASSERT_TRUE(streamed.ok()) << streamed.status();
-        ExpectBitIdentical(streamed->flat, want, "file-streamed flat");
-      }
-    }
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    auto reader = PackedStudyReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    StreamingStatsOptions options;
+    options.pool = p;
+    SCOPED_TRACE(p ? "pool" : "serial");
+    auto streamed = ComputeLocalStatsStreamed(reader.value().get(), study.y,
+                                              study.q, options);
+    ASSERT_TRUE(streamed.ok()) << streamed.status();
+    ExpectBitIdentical(streamed->flat, want, "file-streamed flat");
   }
 }
 
@@ -382,6 +379,50 @@ TEST(StreamingIdentityTest, CompletedRunKeepsCheckpointForCaller) {
   EXPECT_EQ(streamed->checkpoints_written, 2);  // panels 1 and 2 of 3
   EXPECT_TRUE(LoadScanCheckpoint(ckpt).ok());
   RemoveScanCheckpoint(ckpt);
+}
+
+// ---- 4. the streamed runner ------------------------------------------
+
+TEST(StreamingIdentityTest, StreamedRunnerMatchesInMemoryEveryProjection) {
+  GwasWorkloadOptions wopts;
+  wopts.party_sizes = {300, 260, 280};  // every party ends mid-panel
+  wopts.num_variants = 40;
+  wopts.num_covariates = 3;
+  wopts.seed = 21;
+  const ScanWorkload workload = MakeGwasWorkload(wopts).value();
+  const int p = static_cast<int>(workload.parties.size());
+  std::vector<PackedGenotypeMatrix> packed;
+  for (const PartyData& party : workload.parties) {
+    auto x = PackedGenotypeMatrix::TryFromDense(party.x);
+    ASSERT_TRUE(x.has_value());
+    packed.push_back(std::move(*x));
+  }
+  for (const ProjectionSecurity projection :
+       {ProjectionSecurity::kRevealProjectedSums,
+        ProjectionSecurity::kBeaverDotProducts}) {
+    SCOPED_TRACE(ProjectionSecurityName(projection));
+    SecureScanOptions options;
+    options.projection = projection;
+    const auto reference = SecureAssociationScan(options).Run(workload.parties);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    std::vector<uint64_t> checksums(static_cast<size_t>(p), 0);
+    const Status status = RunPartiesInProcess(p, [&](Transport* t) -> Status {
+      const size_t i = static_cast<size_t>(t->local_party());
+      const PartyData& party = workload.parties[i];
+      InMemoryPanelSource source(packed[i], party.y, party.c);
+      StreamingPartyScan stream;
+      stream.source = &source;
+      DASH_ASSIGN_OR_RETURN(
+          SecureScanOutput out,
+          RunPartySecureScanStreamed(t, party.y, party.c, stream, options));
+      checksums[i] = ScanResultChecksum(out.result);
+      return Status::Ok();
+    });
+    ASSERT_TRUE(status.ok()) << status;
+    for (const uint64_t checksum : checksums) {
+      EXPECT_EQ(checksum, ScanResultChecksum(reference->result));
+    }
+  }
 }
 
 }  // namespace

@@ -309,38 +309,6 @@ TEST(FaultInjectionTest, EveryFaultKindInEveryRoundTcp) {
   CheckEveryFaultKindInEveryRound("tcp", RunTcpCell);
 }
 
-// ---------------------------------------------------------------------
-// Same-tag reorder under the pipelined aggregation: consecutive block
-// rounds move messages with identical tags on the same links, the exact
-// case a tag check cannot see. The commit round must turn the resulting
-// divergence into DataLoss — never into an OK with wrong bits.
-
-TEST(FaultInjectionTest, PipelinedSameTagReorderIsNeverSilent) {
-  const ScanWorkload workload = SmallWorkload();
-  SecureScanOptions options = BaseOptions();
-  options.pipeline_block_variants = 4;  // 12 variants -> 3 block rounds
-  const auto reference = SecureAssociationScan(options).Run(workload.parties);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  const uint64_t ref_sum = ScanResultChecksum(reference->result);
-  const int rounds = reference->metrics.rounds;
-
-  int detected = 0;
-  for (int round = 1; round <= rounds; ++round) {
-    const auto outs = RunInProcessWithPlan(
-        workload.parties, options, OneRule(FaultKind::kReorder, round));
-    ExpectWeakOutcome(outs, ref_sum, "reorder round " + std::to_string(round));
-    for (const auto& out : outs) {
-      if (!out.ok()) {
-        ++detected;
-        break;
-      }
-    }
-  }
-  // At least one round must actually have tripped on the reorder
-  // (otherwise this test exercises nothing).
-  EXPECT_GT(detected, 0);
-}
-
 // Without the commit round, the same sweep documents WHY it exists:
 // this assertion is the weaker one (no silent-wrong-result guarantee).
 TEST(FaultInjectionTest, CommitRoundIsTheDifference) {

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Kill-a-daemon smoke: three dash_partyd daemons form a mesh; party 2 is
-# SIGKILLed while a job is in flight. Required behavior:
+# SIGKILLed while a job is in flight. Both kills wait for a file, never
+# for a sleep: each killed job is streamed (SUBMIT's 'stream' token), and
+# party 2 dies once its mid-job checkpoint is on disk. Required behavior:
 #   * both SURVIVING DAEMONS STAY UP and fail ONLY the affected job,
 #     with a transport status (Unavailable / DeadlineExceeded);
 #   * a job submitted to the survivors DURING the outage is accepted and
@@ -8,12 +10,10 @@
 #   * once party 2 restarts, the mesh re-forms on its own and the waiting
 #     job completes with the simulator's exact checksum.
 #
-# A second round then repeats the kill with a STREAMED job (SUBMIT's
-# 'stream' token): party 2's daemon is SIGKILLed after its scan wrote a
-# durable checkpoint under --checkpoint-dir, and after the restart a
-# fresh job on the same cohort must RESUME from that checkpoint
-# (STATUS resumed_from > 0) and still reveal the simulator's exact
-# checksum — crash + resume is bit-identical.
+# A second round then repeats the kill on a fresh cohort: after the
+# restart a fresh job on the same cohort must RESUME from the durable
+# checkpoint (STATUS resumed_from > 0) and still reveal the simulator's
+# exact checksum — crash + resume is bit-identical.
 #
 # Usage: kill_partyd_smoke.sh /path/to/dash_partyd /path/to/dash_jobctl.py
 set -u
@@ -67,10 +67,20 @@ done
 
 fail=0
 
-# Job 1: big enough to still be in flight when the kill lands.
+# Job 1: streamed, so --stream-delay-ms paces its 8 panels. Party 2's
+# checkpoint exists only between its first panel and the job's end, so
+# killing party 2 once the file appears provably lands mid-job.
 "${CTL[@]}" --ports "$CPORTS" submit --job 1 --cohort big \
-  --variants 512 --samples 2048 --covariates 4 --data-seed 5 >/dev/null || fail=1
-sleep 0.3
+  --variants 512 --samples 2048 --covariates 4 --data-seed 5 --stream \
+  >/dev/null || fail=1
+for _ in $(seq 1 200); do
+  [ -f "$WORKDIR/ckpt/big_p2.dck" ] && break
+  sleep 0.05
+done
+if [ ! -f "$WORKDIR/ckpt/big_p2.dck" ]; then
+  echo "FAIL: streamed job 1 wrote no checkpoint for party 2" >&2
+  fail=1
+fi
 kill -9 "${PIDS[2]}"
 
 # The survivors must FAIL job 1 (not hang, not die) within the receive

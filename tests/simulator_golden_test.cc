@@ -55,7 +55,6 @@ struct ScanConfig {
   const char* name;
   AggregationMode aggregation;
   RCombineMode r_combine;
-  int64_t pipeline_block_variants;
   ProjectionSecurity projection;
   bool center_per_party;
   int num_threads;
@@ -63,27 +62,26 @@ struct ScanConfig {
 
 constexpr ScanConfig kConfigs[] = {
     {"public-stack", AggregationMode::kPublicShare,
-     RCombineMode::kBroadcastStack, 0,
-     ProjectionSecurity::kRevealProjectedSums, false, 1},
-    {"additive-tree-centered", AggregationMode::kAdditive,
-     RCombineMode::kBinaryTree, 0, ProjectionSecurity::kRevealProjectedSums,
-     true, 1},
-    {"masked-stack-pipelined", AggregationMode::kMasked,
-     RCombineMode::kBroadcastStack, 7,
-     ProjectionSecurity::kRevealProjectedSums, false, 2},
-    {"shamir-tree-pipelined-centered", AggregationMode::kShamir,
-     RCombineMode::kBinaryTree, 5, ProjectionSecurity::kRevealProjectedSums,
-     true, 1},
-    {"public-tree-pipelined", AggregationMode::kPublicShare,
-     RCombineMode::kBinaryTree, 6, ProjectionSecurity::kRevealProjectedSums,
+     RCombineMode::kBroadcastStack, ProjectionSecurity::kRevealProjectedSums,
      false, 1},
+    {"additive-tree-centered", AggregationMode::kAdditive,
+     RCombineMode::kBinaryTree, ProjectionSecurity::kRevealProjectedSums, true,
+     1},
+    {"masked-stack-threads", AggregationMode::kMasked,
+     RCombineMode::kBroadcastStack, ProjectionSecurity::kRevealProjectedSums,
+     false, 2},
+    {"shamir-tree-centered", AggregationMode::kShamir,
+     RCombineMode::kBinaryTree, ProjectionSecurity::kRevealProjectedSums, true,
+     1},
+    {"public-tree", AggregationMode::kPublicShare, RCombineMode::kBinaryTree,
+     ProjectionSecurity::kRevealProjectedSums, false, 1},
     {"masked-tree-beaver", AggregationMode::kMasked, RCombineMode::kBinaryTree,
-     0, ProjectionSecurity::kBeaverDotProducts, false, 1},
+     ProjectionSecurity::kBeaverDotProducts, false, 1},
     {"additive-stack-beaver-centered", AggregationMode::kAdditive,
-     RCombineMode::kBroadcastStack, 0, ProjectionSecurity::kBeaverDotProducts,
+     RCombineMode::kBroadcastStack, ProjectionSecurity::kBeaverDotProducts,
      true, 1},
     {"shamir-stack-beaver", AggregationMode::kShamir,
-     RCombineMode::kBroadcastStack, 0, ProjectionSecurity::kBeaverDotProducts,
+     RCombineMode::kBroadcastStack, ProjectionSecurity::kBeaverDotProducts,
      false, 1},
 };
 
@@ -101,33 +99,33 @@ struct GoldenScan {
 constexpr GoldenScan kGoldenScans[] = {
     {1, "public-stack", 0x9aa92e5f675df71bull, 0, 0, 0, 0},
     {1, "additive-tree-centered", 0x3fda10ab2c7bb1a8ull, 0, 0, 0, 0},
-    {1, "masked-stack-pipelined", 0x9aa92e5f675df71bull, 0, 0, 0, 0},
-    {1, "shamir-tree-pipelined-centered", 0x3fda10ab2c7bb1a8ull, 0, 0, 0, 0},
-    {1, "public-tree-pipelined", 0x9aa92e5f675df71bull, 0, 0, 0, 0},
+    {1, "masked-stack-threads", 0x9aa92e5f675df71bull, 0, 0, 0, 0},
+    {1, "shamir-tree-centered", 0x3fda10ab2c7bb1a8ull, 0, 0, 0, 0},
+    {1, "public-tree", 0x9aa92e5f675df71bull, 0, 0, 0, 0},
     {1, "masked-tree-beaver", 0xe76a9fb4efbc34c8ull, 0, 0, 0, 2},
     {1, "additive-stack-beaver-centered", 0xa8925ff07a446abdull, 0, 0, 0, 2},
     {1, "shamir-stack-beaver", 0xe76a9fb4efbc34c8ull, 0, 0, 0, 2},
     {2, "public-stack", 0x9b123dbe5dfa2701ull, 1696, 8, 848, 4},
     {2, "additive-tree-centered", 0x259820a637810a18ull, 2464, 10, 1232, 6},
-    {2, "masked-stack-pipelined", 0xb0286543b90459a0ull, 1888, 16, 944, 8},
-    {2, "shamir-tree-pipelined-centered", 0x259820a637810a18ull, 2848, 26, 1424, 14},
-    {2, "public-tree-pipelined", 0x9b123dbe5dfa2701ull, 1840, 14, 920, 8},
+    {2, "masked-stack-threads", 0xb0286543b90459a0ull, 1744, 10, 872, 5},
+    {2, "shamir-tree-centered", 0x259820a637810a18ull, 2464, 10, 1232, 6},
+    {2, "public-tree", 0x9b123dbe5dfa2701ull, 1696, 8, 848, 5},
     {2, "masked-tree-beaver", 0x44c1c58a696feca8ull, 4720, 14, 2360, 8},
     {2, "additive-stack-beaver-centered", 0x3bdb6f40e21c57b2ull, 4112, 14, 2056, 7},
     {2, "shamir-stack-beaver", 0x44c1c58a696feca8ull, 5248, 14, 2624, 7},
     {3, "public-stack", 0xdb16a7a122469e2aull, 5088, 24, 848, 4},
     {3, "additive-tree-centered", 0xbcb56daa871fb640ull, 7264, 28, 1232, 7},
-    {3, "masked-stack-pipelined", 0xc400eb37a6ec7858ull, 5664, 48, 944, 8},
-    {3, "shamir-tree-pipelined-centered", 0xbcb56daa871fb640ull, 8416, 76, 1424, 15},
-    {3, "public-tree-pipelined", 0x1eab8a18d0e51eaeull, 5312, 40, 920, 9},
+    {3, "masked-stack-threads", 0xc400eb37a6ec7858ull, 5232, 30, 872, 5},
+    {3, "shamir-tree-centered", 0xbcb56daa871fb640ull, 7264, 28, 1232, 7},
+    {3, "public-tree", 0x1eab8a18d0e51eaeull, 4880, 22, 848, 6},
     {3, "masked-tree-beaver", 0x1f51de7035a50cedull, 13952, 40, 2360, 9},
     {3, "additive-stack-beaver-centered", 0x1b121eaeca5e3000ull, 12336, 42, 2056, 7},
     {3, "shamir-stack-beaver", 0x1f51de7035a50cedull, 15744, 42, 2624, 7},
     {5, "public-stack", 0xfc12e77665a20b99ull, 16960, 80, 848, 4},
     {5, "additive-tree-centered", 0xca16c99d55a240c0ull, 23872, 88, 1232, 8},
-    {5, "masked-stack-pipelined", 0x842dad2c8cc6d1cbull, 18880, 160, 944, 8},
-    {5, "shamir-tree-pipelined-centered", 0xca16c99d55a240c0ull, 27712, 248, 1424, 16},
-    {5, "public-tree-pipelined", 0xfc12e77665a20b99ull, 17152, 128, 920, 10},
+    {5, "masked-stack-threads", 0x842dad2c8cc6d1cbull, 17440, 100, 872, 5},
+    {5, "shamir-tree-centered", 0xca16c99d55a240c0ull, 23872, 88, 1232, 8},
+    {5, "public-tree", 0xfc12e77665a20b99ull, 15712, 68, 848, 7},
     {5, "masked-tree-beaver", 0x2992c867eebd93d7ull, 45952, 128, 2360, 10},
     {5, "additive-stack-beaver-centered", 0x48441f210bf6a60eull, 41120, 140, 2056, 7},
     {5, "shamir-stack-beaver", 0x2992c867eebd93d7ull, 52480, 140, 2624, 7},
@@ -174,7 +172,6 @@ SecureScanOptions OptionsFor(const ScanConfig& config) {
   SecureScanOptions options;
   options.aggregation = config.aggregation;
   options.r_combine = config.r_combine;
-  options.pipeline_block_variants = config.pipeline_block_variants;
   options.projection = config.projection;
   options.center_per_party = config.center_per_party;
   options.num_threads = config.num_threads;

@@ -257,37 +257,6 @@ TEST(CrossBackendTest, BeaverAdditiveBinaryTree) {
   RunBothBackends(options);
 }
 
-// Pipelined aggregation (header round + one round per variant block,
-// block b+1 computed while block b is in flight) must walk the same
-// round schedule on both backends and reveal the same bits. Block size
-// 7 does not divide the workload's M = 25, so the last block is ragged.
-TEST(CrossBackendTest, PipelinedMaskedBroadcastStack) {
-  SecureScanOptions options;
-  options.aggregation = AggregationMode::kMasked;
-  options.r_combine = RCombineMode::kBroadcastStack;
-  options.pipeline_block_variants = 7;
-  RunBothBackends(options);
-}
-
-TEST(CrossBackendTest, PipelinedAdditiveBinaryTree) {
-  SecureScanOptions options;
-  options.aggregation = AggregationMode::kAdditive;
-  options.r_combine = RCombineMode::kBinaryTree;
-  options.pipeline_block_variants = 10;
-  RunBothBackends(options);
-}
-
-TEST(CrossBackendTest, PipelinedPublicShareWithThreadPool) {
-  // num_threads > 1 exercises the Schedule/Wait double-buffer overlap
-  // on both drivers.
-  SecureScanOptions options;
-  options.aggregation = AggregationMode::kPublicShare;
-  options.r_combine = RCombineMode::kBroadcastStack;
-  options.pipeline_block_variants = 6;
-  options.num_threads = 3;
-  RunBothBackends(options);
-}
-
 TEST(CrossBackendTest, PerPartyMetricsMatchTheMeshLedger) {
   const ScanWorkload workload = SmallWorkload();
   const int p = static_cast<int>(workload.parties.size());
