@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <numeric>
 #include <sstream>
 #include <vector>
 
 #include "stats/multiple_testing.h"
 #include "stats/pca.h"
+#include "util/csv.h"
 
 namespace dash {
 
@@ -74,11 +74,7 @@ std::string RenderScanReport(const ScanResult& scan,
 
 Status WriteScanReport(const ScanResult& scan, const std::string& path,
                        const ScanReportOptions& options) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return IoError("cannot open '" + path + "' for writing");
-  out << RenderScanReport(scan, options);
-  if (!out) return IoError("write to '" + path + "' failed");
-  return Status::Ok();
+  return WriteTextFile(path, RenderScanReport(scan, options));
 }
 
 }  // namespace dash

@@ -78,6 +78,7 @@ Status WriteMatrixCsv(const Matrix& m, const std::string& path) {
     }
     out << '\n';
   }
+  out.close();  // flushes; an error here would otherwise be dropped
   if (!out) return IoError("write to '" + path + "' failed");
   return Status::Ok();
 }

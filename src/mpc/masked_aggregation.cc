@@ -21,9 +21,9 @@ Masked<RingVector> ApplyPairwiseMasks(
                         MpcPass::Get()),
                     round_nonce);
     if (party_index < q) {
-      for (auto& v : out) v += prg.NextU64();
+      prg.AddTo(out.data(), out.size());
     } else {
-      for (auto& v : out) v -= prg.NextU64();
+      prg.SubtractFrom(out.data(), out.size());
     }
   }
   return Masked<RingVector>::Seal(std::move(out), MpcPass::Get());

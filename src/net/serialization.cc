@@ -4,7 +4,26 @@
 #include <cstring>
 #include <string>
 
+#include "util/check.h"
+
 namespace dash {
+
+// Element blocks move with one memcpy, so the host byte order must be
+// the wire's (little-endian).
+static_assert(std::endian::native == std::endian::little,
+              "the vector codec copies host words as little-endian bytes");
+
+namespace {
+
+// Appends n 8-byte host words (u64 or IEEE-754 double bit patterns).
+void AppendWords(std::vector<uint8_t>* buffer, const void* words, size_t n) {
+  if (n == 0) return;
+  const size_t offset = buffer->size();
+  buffer->resize(offset + 8 * n);
+  std::memcpy(buffer->data() + offset, words, 8 * n);
+}
+
+}  // namespace
 
 void ByteWriter::PutU32(uint32_t v) {
   for (int i = 0; i < 4; ++i) buffer_.push_back(static_cast<uint8_t>(v >> (8 * i)));
@@ -20,18 +39,18 @@ void ByteWriter::PutDouble(double v) { PutU64(std::bit_cast<uint64_t>(v)); }
 
 void ByteWriter::PutU64Vector(const std::vector<uint64_t>& v) {
   PutU64(v.size());
-  for (const uint64_t x : v) PutU64(x);
+  AppendWords(&buffer_, v.data(), v.size());
 }
 
 void ByteWriter::PutDoubleVector(const Vector& v) {
   PutU64(v.size());
-  for (const double x : v) PutDouble(x);
+  AppendWords(&buffer_, v.data(), v.size());
 }
 
 void ByteWriter::PutMatrix(const Matrix& m) {
   PutI64(m.rows());
   PutI64(m.cols());
-  for (int64_t i = 0; i < m.size(); ++i) PutDouble(m.data()[i]);
+  AppendWords(&buffer_, m.data(), static_cast<size_t>(m.size()));
 }
 
 Status ByteReader::Need(size_t n) const {
@@ -41,6 +60,13 @@ Status ByteReader::Need(size_t n) const {
                                 std::to_string(buffer_.size() - pos_));
   }
   return Status::Ok();
+}
+
+void ByteReader::TakeWords(void* words, size_t n) {
+  if (n == 0) return;
+  DASH_CHECK_LE(n, remaining() / 8);
+  std::memcpy(words, buffer_.data() + pos_, 8 * n);
+  pos_ += 8 * n;
 }
 
 Result<uint32_t> ByteReader::GetU32() {
@@ -81,9 +107,7 @@ Result<std::vector<uint64_t>> ByteReader::GetU64Vector() {
                                 " bytes remaining");
   }
   std::vector<uint64_t> out(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    out[i] = GetU64().value();
-  }
+  TakeWords(out.data(), n);
   return out;
 }
 
@@ -96,9 +120,7 @@ Result<Vector> ByteReader::GetDoubleVector() {
                                 " bytes remaining");
   }
   Vector out(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    out[i] = GetDouble().value();
-  }
+  TakeWords(out.data(), n);
   return out;
 }
 
@@ -110,7 +132,7 @@ Result<Matrix> ByteReader::GetMatrix() {
   }
   DASH_RETURN_IF_ERROR(Need(8 * static_cast<size_t>(rows * cols)));
   Matrix m(rows, cols);
-  for (int64_t i = 0; i < m.size(); ++i) m.data()[i] = GetDouble().value();
+  TakeWords(m.data(), static_cast<size_t>(m.size()));
   return m;
 }
 

@@ -3,7 +3,9 @@
 // All multi-byte values are little-endian; doubles travel as their IEEE-754
 // bit patterns. The writers/readers are deliberately explicit (no
 // reflection) so that the byte counts the Network reports are exactly the
-// bytes a real wire implementation would carry.
+// bytes a real wire implementation would carry. The element block of a
+// vector or matrix moves with one memcpy (the build requires a
+// little-endian host), after the same length-prefix bound checks.
 
 #ifndef DASH_NET_SERIALIZATION_H_
 #define DASH_NET_SERIALIZATION_H_
@@ -64,6 +66,9 @@ class ByteReader {
 
  private:
   Status Need(size_t n) const;
+  // Copies n 8-byte words out; callers have already bounded n by
+  // remaining() / 8.
+  void TakeWords(void* words, size_t n);
 
   const std::vector<uint8_t>& buffer_;
   size_t pos_ = 0;

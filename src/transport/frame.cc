@@ -8,17 +8,30 @@
 namespace dash {
 namespace {
 
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Slice-by-8 tables for the reflected IEEE polynomial 0xEDB88320.
+// kCrcTables[0] is the classic byte table; kCrcTables[k][b] is the
+// register update for byte b followed by k zero bytes, so one step folds
+// 8 input bytes with 8 independent lookups.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables BuildCrcTables() {
+  CrcTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
+
+constexpr CrcTables kCrcTables = BuildCrcTables();
 
 void PutU16(std::vector<uint8_t>* out, uint16_t v) {
   out->push_back(static_cast<uint8_t>(v));
@@ -44,10 +57,17 @@ uint32_t GetU32(const uint8_t* p) {
 }  // namespace
 
 uint32_t Crc32(const uint8_t* data, size_t size) {
-  static const std::array<uint32_t, 256> table = BuildCrcTable();
+  const CrcTables& t = kCrcTables;
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const uint32_t lo = crc ^ GetU32(data);
+    const uint32_t hi = GetU32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -9,6 +9,7 @@
 #define DASH_UTIL_CHACHA20_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace dash {
@@ -28,8 +29,23 @@ class ChaCha20Rng {
   // Next 64 pseudo-random bits of the keystream.
   uint64_t NextU64();
 
+  // out[i] += NextU64() (resp. -=) for i in [0, n), wrapping mod 2^64:
+  // the same words in the same order as n NextU64 calls, but whole runs
+  // of 8 blocks are generated together in portable lane-major code the
+  // compiler can vectorize. Afterwards the generator stands where n
+  // NextU64 calls would have left it.
+  void AddTo(uint64_t* out, size_t n);
+  void SubtractFrom(uint64_t* out, size_t n);
+
  private:
+  // Words of one 8-block batch, in NextU64 order.
+  static constexpr size_t kBatchWords = 64;
+
   void Refill();
+  // Fills `words` with the next 8 blocks and advances the counter by 8.
+  void NextBatch(uint64_t* words);
+  template <typename Op>
+  void Combine(uint64_t* out, size_t n, Op op);
 
   std::array<uint32_t, 16> state_;
   std::array<uint32_t, 16> block_;

@@ -8,6 +8,15 @@
 
 namespace dash {
 
+Status WriteTextFile(const std::string& path, std::string_view text) {
+  std::ofstream out(path, std::ios::trunc);
+  if (!out) return IoError("cannot open '" + path + "' for writing");
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  out.close();
+  if (!out) return IoError("write to '" + path + "' failed");
+  return Status::Ok();
+}
+
 void CsvTable::AddRow(std::vector<std::string> row) {
   DASH_CHECK_EQ(row.size(), header_.size());
   rows_.push_back(std::move(row));
@@ -45,11 +54,7 @@ std::string CsvTable::ToString(char sep) const {
 }
 
 Status CsvTable::WriteFile(const std::string& path, char sep) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return IoError("cannot open '" + path + "' for writing");
-  out << ToString(sep);
-  if (!out) return IoError("write to '" + path + "' failed");
-  return Status::Ok();
+  return WriteTextFile(path, ToString(sep));
 }
 
 Result<CsvTable> CsvTable::Parse(const std::string& text, char sep) {

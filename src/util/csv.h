@@ -6,11 +6,17 @@
 #define DASH_UTIL_CSV_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
 
 namespace dash {
+
+// Writes `text` to `path`, replacing its contents. The file is closed
+// before returning, so a failed final flush (a full disk) is an IoError
+// too, not an error the stream's destructor drops.
+Status WriteTextFile(const std::string& path, std::string_view text);
 
 // An in-memory delimited table: a header row plus data rows of equal width.
 class CsvTable {

@@ -1,8 +1,11 @@
 #include "util/strings.h"
 
 #include <cerrno>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
+#include <system_error>
+
+#include "util/check.h"
 
 namespace dash {
 
@@ -66,10 +69,18 @@ Result<int64_t> ParseInt64(std::string_view text) {
   return static_cast<int64_t>(v);
 }
 
+void AppendDouble(std::string* out, double value) {
+  char buf[32];  // "%.17g" needs at most 24: "-1.2345678901234567e-308"
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof(buf), value, std::chars_format::general, 17);
+  DASH_CHECK(r.ec == std::errc());
+  out->append(buf, r.ptr);
+}
+
 std::string DoubleToString(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+  std::string out;
+  AppendDouble(&out, value);
+  return out;
 }
 
 }  // namespace dash

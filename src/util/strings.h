@@ -27,8 +27,13 @@ std::string_view StripWhitespace(std::string_view text);
 Result<double> ParseDouble(std::string_view text);
 Result<int64_t> ParseInt64(std::string_view text);
 
-// Formats a double with enough digits to round-trip ("%.17g" trimmed).
+// Formats a double with enough digits to round-trip: the bytes of
+// printf("%.17g"), untrimmed (0.1 -> "0.10000000000000001"), through
+// std::to_chars, so no locale or stdio is involved.
 std::string DoubleToString(double value);
+
+// Appends DoubleToString(value) to *out without a temporary string.
+void AppendDouble(std::string* out, double value);
 
 }  // namespace dash
 

@@ -5,14 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "data/genotype_generator.h"
 #include "stats/ols.h"
 #include "util/csv.h"
 #include "util/random.h"
+#include "util/strings.h"
 
 namespace dash {
 namespace {
@@ -187,6 +194,48 @@ TEST(ScanResultTest, WriteCsvProducesParsableTable) {
   EXPECT_EQ(table.num_rows(), 4u);
   EXPECT_NEAR(table.DoubleAt(2, 1).value(), scan.beta[2], 1e-12);
   std::remove(path.c_str());
+}
+
+std::string Printf17g(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(ScanResultTest, WriteCsvBytesArePrintf17g) {
+  // The edge cases of "%.17g": both NaN signs, both infinities, negative
+  // zero, the smallest subnormal, the largest double, a value whose
+  // shortest form is shorter than 17 digits, and both exponent switches.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> values = {
+      std::nan(""), -std::nan(""), inf, -inf, -0.0, 4.9406564584124654e-324,
+      DBL_MAX, 0.1, 1.0, 1e21, 1e-5};
+  const size_t n = values.size();
+  ScanResult r;
+  for (size_t i = 0; i < n; ++i) {
+    // Each column sees every value, in a different row.
+    r.beta.push_back(values[i]);
+    r.se.push_back(values[(i + 1) % n]);
+    r.tstat.push_back(values[(i + 2) % n]);
+    r.pval.push_back(values[(i + 3) % n]);
+  }
+  std::ostringstream want;
+  want << "variant,beta,se,tstat,pval\n";
+  for (size_t i = 0; i < n; ++i) {
+    want << i << ',' << Printf17g(r.beta[i]) << ',' << Printf17g(r.se[i])
+         << ',' << Printf17g(r.tstat[i]) << ',' << Printf17g(r.pval[i])
+         << '\n';
+  }
+  const std::string path = testing::TempDir() + "/scan_result_bytes.csv";
+  ASSERT_TRUE(r.WriteCsv(path).ok());
+  EXPECT_EQ(ReadFileBytes(path), want.str());
+  std::remove(path.c_str());
+  for (const double v : values) EXPECT_EQ(DoubleToString(v), Printf17g(v));
 }
 
 }  // namespace

@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <string>
 
+#include "core/scan_report.h"
+#include "core/scan_result.h"
 #include "data/genotype_generator.h"
+#include "util/csv.h"
 #include "util/random.h"
 
 namespace dash {
@@ -105,6 +110,30 @@ TEST(MatrixIoTest, ReadPartyCsvAssemblesBlock) {
   std::remove(yp.c_str());
   std::remove(cp.c_str());
   std::remove(short_y.c_str());
+}
+
+// Every text writer must report a write the disk refused. A small file
+// sits entirely in the stream's buffer until close, so this checks the
+// final flush, which a stream destructor would drop silently.
+TEST(TextWritersTest, FullDiskIsAnIoError) {
+  const std::string full = "/dev/full";
+  if (access(full.c_str(), W_OK) != 0) GTEST_SKIP() << "no writable " << full;
+
+  ScanResult scan;
+  scan.beta = {0.5, -0.25};
+  scan.se = {0.1, 0.2};
+  scan.tstat = {5.0, -1.25};
+  scan.pval = {1e-6, 0.21};
+  scan.dof = 10;
+  EXPECT_EQ(scan.WriteCsv(full).code(), StatusCode::kIoError);
+  EXPECT_EQ(WriteScanReport(scan, full).code(), StatusCode::kIoError);
+
+  CsvTable table({"a", "b"});
+  table.AddRow({"1", "2"});
+  EXPECT_EQ(table.WriteFile(full).code(), StatusCode::kIoError);
+
+  Matrix m(2, 2);
+  EXPECT_EQ(WriteMatrixCsv(m, full).code(), StatusCode::kIoError);
 }
 
 }  // namespace

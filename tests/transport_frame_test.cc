@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "transport/cluster_config.h"
+#include "util/random.h"
 
 namespace dash {
 namespace {
@@ -99,6 +100,42 @@ TEST(FrameTest, Crc32KnownVector) {
   // IEEE 802.3 CRC of "123456789" is 0xCBF43926.
   const uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(Crc32(data, sizeof(data)), 0xCBF43926u);
+}
+
+// Bit-at-a-time CRC-32 (reflected 0xEDB88320): no tables, so it checks
+// the slice-by-8 tables as well as the loop around them.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> out(n);
+  for (uint8_t& b : out) b = static_cast<uint8_t>(rng.NextU64() >> 56);
+  return out;
+}
+
+TEST(FrameTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Every length through eight 8-byte steps plus every tail length, at
+  // every alignment of the start.
+  const std::vector<uint8_t> buf = RandomBytes(64 + 8, 1);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(Crc32(buf.data() + offset, len),
+                ReferenceCrc32(buf.data() + offset, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+  const std::vector<uint8_t> big = RandomBytes(size_t{1} << 20, 2);
+  EXPECT_EQ(Crc32(big.data(), big.size()),
+            ReferenceCrc32(big.data(), big.size()));
 }
 
 TEST(ClusterConfigTest, ParsesPlainAndCommentedLines) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "util/chacha20.h"
 
@@ -128,6 +131,105 @@ TEST(ChaCha20Test, OutputLooksUniform) {
   for (int i = 0; i < n; ++i) ones += __builtin_popcountll(rng.NextU64());
   // 64n/2 expected one-bits, ~0.1% tolerance.
   EXPECT_NEAR(static_cast<double>(ones) / (64.0 * n), 0.5, 0.002);
+}
+
+// RFC 8439 keystream bytes (hex) as the NextU64 words that carry them:
+// each word is 8 keystream bytes, little-endian.
+std::vector<uint64_t> KeystreamWords(const std::string& hex) {
+  std::vector<uint64_t> words(hex.size() / 16, 0);
+  for (size_t i = 0; i < hex.size() / 2; ++i) {
+    const uint64_t byte = std::stoul(hex.substr(2 * i, 2), nullptr, 16);
+    words[i / 8] |= byte << (8 * (i % 8));
+  }
+  return words;
+}
+
+struct Rfc8439Vector {
+  const char* name;
+  uint8_t last_key_byte;  // the key is zero except for its byte 31
+  uint64_t stream_id;     // nonce bytes 4..11, little-endian
+  int counter;            // the block the keystream comes from
+  const char* keystream;
+};
+
+// RFC 8439 Appendix A.1 (ChaCha20 block function), test vectors 1, 2, 3
+// and 5.
+const Rfc8439Vector kRfc8439Vectors[] = {
+    {"#1", 0, 0, 0,
+     "76b8e0ada0f13d90405d6ae55386bd28bdd219b8a08ded1aa836efcc8b770dc7"
+     "da41597c5157488d7724e03fb8d84a376a43b8f41518a11cc387b669b2ee6586"},
+    {"#2", 0, 0, 1,
+     "9f07e7be5551387a98ba977c732d080dcb0f29a048e3656912c6533e32ee7aed"
+     "29b721769ce64e43d57133b074d839d531ed1f28510afb45ace10a1f4b794d6f"},
+    {"#3", 1, 0, 1,
+     "3aeb5224ecf849929b9d828db1ced4dd832025e8018b8160b82284f3c949aa5a"
+     "8eca00bbb4a73bdad192b5c42f73f2fd4e273644c8b36125a64addeb006c13a0"},
+    {"#5", 0, 0x0200000000000000ull, 0,
+     "c2c64d378cd536374ae204b9ef933fcd1a8b2288b3dfa49672ab765b54ee27c7"
+     "8a970e0e955c14f3a88e741b97c286f75f8fc299e8148362fa198a39531bed6d"},
+};
+
+TEST(ChaCha20Test, MatchesRfc8439KnownAnswers) {
+  for (const Rfc8439Vector& v : kRfc8439Vectors) {
+    SCOPED_TRACE(v.name);
+    ChaCha20Rng::Key key{};
+    key[31] = v.last_key_byte;
+    const std::vector<uint64_t> want = KeystreamWords(v.keystream);
+    ASSERT_EQ(want.size(), 8u);
+    const size_t first = 8 * static_cast<size_t>(v.counter);
+
+    // One block at a time: skip `counter` blocks, then read one.
+    ChaCha20Rng one(key, v.stream_id);
+    for (size_t i = 0; i < first; ++i) one.NextU64();
+    for (size_t i = 0; i < 8; ++i) EXPECT_EQ(one.NextU64(), want[i]) << i;
+
+    // Batched: the vector's block lies inside the first 8-block batch.
+    ChaCha20Rng added(key, v.stream_id);
+    std::vector<uint64_t> sum(64, 0);
+    added.AddTo(sum.data(), sum.size());
+    ChaCha20Rng subtracted(key, v.stream_id);
+    std::vector<uint64_t> diff(64, 0);
+    subtracted.SubtractFrom(diff.data(), diff.size());
+    for (size_t i = 0; i < 8; ++i) {
+      EXPECT_EQ(sum[first + i], want[i]) << i;
+      EXPECT_EQ(diff[first + i], 0 - want[i]) << i;
+    }
+  }
+}
+
+TEST(ChaCha20Test, AddToAndSubtractFromFollowNextU64) {
+  const auto key = ChaCha20Rng::KeyFromSeed(7);
+  for (size_t skip = 0; skip < 16; ++skip) {
+    for (size_t n = 0; n <= 150; ++n) {
+      SCOPED_TRACE("skip " + std::to_string(skip) + ", n " +
+                   std::to_string(n));
+      ChaCha20Rng ref(key, 3);
+      ChaCha20Rng add(key, 3);
+      ChaCha20Rng sub(key, 3);
+      for (size_t i = 0; i < skip; ++i) {
+        ref.NextU64();
+        add.NextU64();
+        sub.NextU64();
+      }
+      std::vector<uint64_t> base(n);
+      for (size_t i = 0; i < n; ++i) base[i] = 0x9E3779B97F4A7C15ull * (i + 1);
+      std::vector<uint64_t> sum = base;
+      std::vector<uint64_t> diff = base;
+      add.AddTo(sum.data(), n);
+      sub.SubtractFrom(diff.data(), n);
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t w = ref.NextU64();
+        ASSERT_EQ(sum[i], base[i] + w) << i;
+        ASSERT_EQ(diff[i], base[i] - w) << i;
+      }
+      // Both stand where n NextU64 calls would have left them.
+      for (int i = 0; i < 20; ++i) {
+        const uint64_t w = ref.NextU64();
+        ASSERT_EQ(add.NextU64(), w);
+        ASSERT_EQ(sub.NextU64(), w);
+      }
+    }
+  }
 }
 
 }  // namespace
