@@ -46,7 +46,7 @@ void PrintUsage() {
       "  out-of-core (X streams from a dash_pack file instead of RAM):\n"
       "                  [--stream study.dpk]\n"
       "                  [--checkpoint ckpt.dck] [--checkpoint-every K]\n"
-      "                  [--stream-delay-ms T] [--fail-after-panels J]\n");
+      "                  [--stream-delay-ms T]\n");
 }
 
 int RealMain(int argc, char** argv) {
@@ -171,10 +171,6 @@ int RealMain(int argc, char** argv) {
       // Test hook: stretch the panel loop so the kill smokes can
       // reliably SIGKILL this process mid-stream.
       if (!next_i64(&stream_config.panel_delay_ms)) return 2;
-    } else if (arg == "--fail-after-panels") {
-      // Test hook: simulated crash after this many newly streamed
-      // panels (see StreamingStatsOptions::fail_after_panels).
-      if (!next_i64(&stream_config.fail_after_panels)) return 2;
     } else if (arg == "--stall-ms") {
       // Test hook: sleep between mesh-up and the scan, so fault tests
       // can kill this process at a deterministic protocol point.

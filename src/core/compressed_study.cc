@@ -6,7 +6,7 @@
 
 #include "linalg/cholesky.h"
 #include "linalg/qr.h"
-#include "net/network.h"
+#include "transport/party_runner.h"
 
 namespace dash {
 
@@ -113,41 +113,35 @@ Result<CompressedStudy::SecureOutput> CompressedStudy::SecureAggregate(
   const int64_t m = locals[0].m_;
   const int64_t k = locals[0].k_;
   const int64_t t = locals[0].t_;
-  int64_t total = 0;
   for (size_t p = 0; p < locals.size(); ++p) {
     if (locals[p].m_ != m || locals[p].k_ != k || locals[p].t_ != t) {
       return InvalidArgumentError("party " + std::to_string(p) +
                                   " accumulator has inconsistent shape");
     }
-    total += locals[p].n_;
   }
 
-  SecureSumOptions sum_options;
-  sum_options.mode = options.aggregation;
-  sum_options.frac_bits = options.frac_bits;
-  sum_options.seed = options.seed ^ 0xc0435;
-  std::vector<Vector> totals(locals.size());
-  MeshTraffic traffic;
-  DASH_RETURN_IF_ERROR(RunPartiesInProcess(
-      static_cast<int>(locals.size()),
-      [&](Transport* transport) -> Status {
-        const size_t self = static_cast<size_t>(transport->local_party());
-        if (options.trace != nullptr) transport->AttachTrace(options.trace);
-        PartySecureVectorSum secure_sum(transport, sum_options);
-        DASH_ASSIGN_OR_RETURN(
-            totals[self],
-            secure_sum.Run(Secret<Vector>(locals[self].Flatten())));
-        return Status::Ok();
-      },
-      &traffic));
-
-  // Every party revealed the same totals.
+  std::vector<PartySummandOutput> sums(locals.size());
   SecureOutput out;
-  DASH_ASSIGN_OR_RETURN(out.study, Unflatten(totals[0], total, m, k, t));
-  out.metrics.total_bytes = traffic.total_bytes;
-  out.metrics.total_messages = traffic.total_messages;
-  out.metrics.max_link_bytes = traffic.max_link_bytes;
-  out.metrics.rounds = traffic.rounds;
+  DASH_ASSIGN_OR_RETURN(
+      out.metrics,
+      SimulateParties(
+          static_cast<int>(locals.size()),
+          [&](Transport* transport) -> Status {
+            const size_t self = static_cast<size_t>(transport->local_party());
+            const CompressedStudy& local = locals[self];
+            // Cᵀ compression needs no Q: an N_p x 0 covariate block runs
+            // only the sample-count round before the sum.
+            DASH_ASSIGN_OR_RETURN(
+                sums[self],
+                RunPartySummandProtocol(
+                    transport, Matrix(local.n_, 0), options, 0xc0435,
+                    [&local](const Matrix&) { return local.Flatten(); }));
+            return Status::Ok();
+          }));
+
+  // Every party revealed the same totals and pooled N.
+  DASH_ASSIGN_OR_RETURN(
+      out.study, Unflatten(sums[0].totals, sums[0].pooled_n, m, k, t));
   return out;
 }
 

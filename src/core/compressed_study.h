@@ -38,18 +38,23 @@ class CompressedStudy {
 
   // Secure multi-party compression: one aggregation round over the
   // configured secure-sum mode; the resulting object is public (it is
-  // exactly what the protocol reveals). See SecureCompressOutput below.
+  // exactly what the protocol reveals). Because it reveals CᵀX itself,
+  // options.projection kBeaverDotProducts and options.center_per_party
+  // fail InvalidArgument.
   struct SecureOutput;
   static Result<SecureOutput> SecureCompress(
       const std::vector<MultiPhenotypePartyData>& parties,
       const SecureScanOptions& options = {});
 
   // Securely aggregates per-party compressed accumulators (all shapes
-  // must match) into one public study, simulated as one thread per party
-  // over an in-process mesh (net/network.h). This is the communication
-  // step of the online setting (core/secure_online_scan.h): parties keep
-  // merging local batches into their accumulator and re-aggregate
-  // whenever a fresh result is wanted.
+  // must match) into one public study, simulated as P threads of
+  // RunPartySummandProtocol (transport/party_runner.h) with no Q: each
+  // party passes an N_p x 0 covariate block, so the sample-count round
+  // alone precedes the sum and yields the pooled N. This is the
+  // communication step of the online setting (core/secure_online_scan.h):
+  // parties keep merging local batches into their accumulator and
+  // re-aggregate whenever a fresh result is wanted. Options as for
+  // SecureCompress.
   static Result<SecureOutput> SecureAggregate(
       const std::vector<CompressedStudy>& locals,
       const SecureScanOptions& options = {});

@@ -5,12 +5,10 @@
 #include <string>
 #include <utility>
 
-#include "core/distributed_qr.h"
-#include "core/party_local.h"
 #include "linalg/cholesky.h"
 #include "linalg/qr.h"
-#include "net/network.h"
 #include "stats/distributions.h"
+#include "transport/party_runner.h"
 
 namespace dash {
 namespace {
@@ -207,46 +205,28 @@ Result<SecureGroupedScanOutput> SecureGroupedScan(
   DASH_RETURN_IF_ERROR(ValidateGroupShape(parties[0].x.cols(), group_size));
   const int64_t k = parties[0].c.cols();
   const int64_t groups = parties[0].x.cols() / group_size;
-  int64_t total_samples = 0;
-  for (const auto& p : parties) total_samples += p.num_samples();
-
-  SecureSumOptions sum_options;
-  sum_options.mode = options.aggregation;
-  sum_options.frac_bits = options.frac_bits;
-  sum_options.seed = options.seed;
   std::vector<GroupedScanResult> results(parties.size());
-  MeshTraffic traffic;
-  DASH_RETURN_IF_ERROR(RunPartiesInProcess(
-      static_cast<int>(parties.size()),
-      [&](Transport* transport) -> Status {
-        const size_t self = static_cast<size_t>(transport->local_party());
-        const PartyData& p = parties[self];
-        Matrix q_p(p.num_samples(), 0);
-        if (k > 0) {
-          DASH_ASSIGN_OR_RETURN(Matrix r, PartyLocalRFactor(p));
-          DASH_ASSIGN_OR_RETURN(
-              DistributedQrResult qr,
-              CombineRFactorsOverNetwork(transport, r, options.r_combine));
-          q_p = PartyLocalQ(p, qr.r_inverse);
-        }
-        PartySecureVectorSum secure_sum(transport, sum_options);
-        DASH_ASSIGN_OR_RETURN(
-            Vector totals,
-            secure_sum.Run(Secret<Vector>(
-                ComputeGroupedFlat(p.x, group_size, p.y, q_p))));
-        DASH_ASSIGN_OR_RETURN(
-            results[self],
-            FinalizeGrouped(totals, total_samples, groups, group_size, k));
-        return Status::Ok();
-      },
-      &traffic));
-
   SecureGroupedScanOutput out;
+  DASH_ASSIGN_OR_RETURN(
+      out.metrics,
+      SimulateParties(
+          static_cast<int>(parties.size()),
+          [&](Transport* transport) -> Status {
+            const size_t self = static_cast<size_t>(transport->local_party());
+            const PartyData& p = parties[self];
+            DASH_ASSIGN_OR_RETURN(
+                PartySummandOutput sum,
+                RunPartySummandProtocol(
+                    transport, p.c, options, /*seed_salt=*/0,
+                    [&](const Matrix& q_p) {
+                      return ComputeGroupedFlat(p.x, group_size, p.y, q_p);
+                    }));
+            DASH_ASSIGN_OR_RETURN(results[self],
+                                  FinalizeGrouped(sum.totals, sum.pooled_n,
+                                                  groups, group_size, k));
+            return Status::Ok();
+          }));
   out.result = std::move(results[0]);
-  out.metrics.total_bytes = traffic.total_bytes;
-  out.metrics.total_messages = traffic.total_messages;
-  out.metrics.max_link_bytes = traffic.max_link_bytes;
-  out.metrics.rounds = traffic.rounds;
   return out;
 }
 

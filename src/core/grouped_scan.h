@@ -54,7 +54,10 @@ struct SecureGroupedScanOutput {
   SecureScanMetrics metrics;
 };
 
-// Secure multi-party grouped scan over the usual protocol substrate.
+// Simulated secure grouped scan: P threads of RunPartySummandProtocol
+// (transport/party_runner.h), each finalizing the revealed totals
+// locally. The totals include Qᵀy and QᵀX_g, so options.projection
+// kBeaverDotProducts and options.center_per_party fail InvalidArgument.
 Result<SecureGroupedScanOutput> SecureGroupedScan(
     const std::vector<PartyData>& parties, int64_t group_size,
     const SecureScanOptions& options = {});

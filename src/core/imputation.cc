@@ -1,8 +1,7 @@
 #include "core/imputation.h"
 
 #include "data/missing_data.h"
-#include "mpc/secure_sum.h"
-#include "net/network.h"
+#include "transport/party_runner.h"
 
 namespace dash {
 
@@ -15,36 +14,41 @@ Result<SecureImputationOutput> SecureMeanImpute(
   int64_t total_missing = 0;
   for (const auto& p : *parties) total_missing += CountMissing(p.x);
 
-  SecureSumOptions sum_options;
-  sum_options.mode = options.aggregation;
-  sum_options.frac_bits = options.frac_bits;
-  sum_options.seed = options.seed ^ 0x1255;
-  std::vector<Vector> party_totals(static_cast<size_t>(num_parties));
-  MeshTraffic traffic;
-  DASH_RETURN_IF_ERROR(RunPartiesInProcess(
-      num_parties,
-      [&](Transport* transport) -> Status {
-        // Each party contributes [column sums | non-missing counts].
-        const size_t self = static_cast<size_t>(transport->local_party());
-        const ColumnMoments moments = ColumnSumsAndCounts((*parties)[self].x);
-        Vector flat;
-        flat.reserve(static_cast<size_t>(2 * m));
-        flat.insert(flat.end(), moments.sums.begin(), moments.sums.end());
-        flat.insert(flat.end(), moments.counts.begin(), moments.counts.end());
-        PartySecureVectorSum secure_sum(transport, sum_options);
-        DASH_ASSIGN_OR_RETURN(party_totals[self],
-                              secure_sum.Run(Secret<Vector>(std::move(flat))));
-        return Status::Ok();
-      },
-      &traffic));
-  const Vector& totals = party_totals[0];
-
+  // Projection and centering configure the scan that follows; the
+  // imputation sums plain column moments either way.
+  SecureScanOptions moment_options = options;
+  moment_options.projection = ProjectionSecurity::kRevealProjectedSums;
+  moment_options.center_per_party = false;
+  std::vector<PartySummandOutput> sums(static_cast<size_t>(num_parties));
   SecureImputationOutput out;
+  DASH_ASSIGN_OR_RETURN(
+      out.metrics,
+      SimulateParties(
+          num_parties, [&](Transport* transport) -> Status {
+            const size_t self = static_cast<size_t>(transport->local_party());
+            const Matrix& x = (*parties)[self].x;
+            // Each party contributes [column sums | non-missing counts];
+            // with no Q, an N_p x 0 covariate block runs only the
+            // sample-count round before the sum.
+            DASH_ASSIGN_OR_RETURN(
+                sums[self],
+                RunPartySummandProtocol(
+                    transport, Matrix(x.rows(), 0), moment_options, 0x1255,
+                    [&x](const Matrix&) {
+                      ColumnMoments moments = ColumnSumsAndCounts(x);
+                      moments.sums.insert(moments.sums.end(),
+                                          moments.counts.begin(),
+                                          moments.counts.end());
+                      return moments.sums;
+                    }));
+            return Status::Ok();
+          }));
+  const Vector& totals = sums[0].totals;
+  const int64_t total_samples = sums[0].pooled_n;
+
   out.total_missing = total_missing;
   out.means.assign(static_cast<size_t>(m), 0.0);
   out.call_rates.assign(static_cast<size_t>(m), 0.0);
-  int64_t total_samples = 0;
-  for (const auto& p : *parties) total_samples += p.num_samples();
   for (int64_t j = 0; j < m; ++j) {
     const double sum = totals[static_cast<size_t>(j)];
     const double count = totals[static_cast<size_t>(m + j)];
@@ -59,11 +63,6 @@ Result<SecureImputationOutput> SecureMeanImpute(
   }
 
   for (auto& p : *parties) ImputeWithMeans(out.means, &p.x);
-
-  out.metrics.total_bytes = traffic.total_bytes;
-  out.metrics.total_messages = traffic.total_messages;
-  out.metrics.max_link_bytes = traffic.max_link_bytes;
-  out.metrics.rounds = traffic.rounds;
   return out;
 }
 

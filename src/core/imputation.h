@@ -28,11 +28,13 @@ struct SecureImputationOutput {
   SecureScanMetrics metrics;
 };
 
-// Aggregates global column means over `network`-free in-process parties
-// using the configured aggregation mode, then imputes every party's X in
+// Aggregates global column means over simulated parties — P threads of
+// RunPartySummandProtocol (transport/party_runner.h) with no Q — using
+// the configured aggregation mode, then imputes every party's X in
 // place. Columns with no observed entries anywhere impute to 0 (and will
 // be flagged untestable by the scan). Parties must already validate
-// (consistent M).
+// (consistent M). options.projection and options.center_per_party
+// configure the scan that follows and are ignored here.
 Result<SecureImputationOutput> SecureMeanImpute(
     std::vector<PartyData>* parties, const SecureScanOptions& options = {});
 

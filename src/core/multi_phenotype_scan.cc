@@ -4,10 +4,9 @@
 #include <string>
 #include <utility>
 
-#include "core/distributed_qr.h"
 #include "core/suff_stats.h"
 #include "linalg/qr.h"
-#include "net/network.h"
+#include "transport/party_runner.h"
 #include "util/thread_pool.h"
 
 namespace dash {
@@ -55,6 +54,17 @@ Vector FlattenMulti(const PhenotypeSideStats& ps, const Vector& x_arena) {
   flat.insert(flat.end(), x_arena.begin() + layout.xx_offset(),
               x_arena.end());
   return flat;
+}
+
+// One block's (party's) summand in the FlattenMulti layout.
+Vector MultiPhenotypeSummand(const Matrix& x, const Matrix& ys,
+                             const Matrix& q, int num_threads) {
+  std::unique_ptr<ThreadPool> pool;
+  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
+  // Shared X-side statistics (dummy y).
+  const Vector zero_y(static_cast<size_t>(x.rows()), 0.0);
+  const Vector shared = ComputeLocalStatsFlat(x, zero_y, q, pool.get());
+  return FlattenMulti(ComputePhenotypeSide(x, ys, q), shared);
 }
 
 Status ValidateMultiParties(
@@ -126,16 +136,8 @@ Result<std::vector<ScanResult>> MultiPhenotypeScan(const Matrix& x,
     DASH_ASSIGN_OR_RETURN(QrDecomposition qr, ThinQr(c));
     q = std::move(qr.q);
   }
-  // Shared X-side statistics (dummy y).
-  std::unique_ptr<ThreadPool> pool;
-  if (options.num_threads > 1) {
-    pool = std::make_unique<ThreadPool>(options.num_threads);
-  }
-  const Vector zero_y(static_cast<size_t>(x.rows()), 0.0);
-  const Vector shared = ComputeLocalStatsFlat(x, zero_y, q, pool.get());
-  const PhenotypeSideStats ps = ComputePhenotypeSide(x, ys, q);
-  const Vector flat = FlattenMulti(ps, shared);
-  return FinalizeAll(flat, x.rows(), x.cols(), c.cols(), ys.cols());
+  return FinalizeAll(MultiPhenotypeSummand(x, ys, q, options.num_threads),
+                     x.rows(), x.cols(), c.cols(), ys.cols());
 }
 
 Result<SecureMultiPhenotypeOutput> SecureMultiPhenotypeScan(
@@ -145,54 +147,29 @@ Result<SecureMultiPhenotypeOutput> SecureMultiPhenotypeScan(
   const int64_t m = parties[0].x.cols();
   const int64_t k = parties[0].c.cols();
   const int64_t t_count = parties[0].ys.cols();
-  int64_t total_samples = 0;
-  for (const auto& p : parties) total_samples += p.num_samples();
-
-  SecureSumOptions sum_options;
-  sum_options.mode = options.aggregation;
-  sum_options.frac_bits = options.frac_bits;
-  sum_options.seed = options.seed;
   std::vector<std::vector<ScanResult>> results(parties.size());
-  MeshTraffic traffic;
-  DASH_RETURN_IF_ERROR(RunPartiesInProcess(
-      static_cast<int>(parties.size()),
-      [&](Transport* transport) -> Status {
-        const size_t self = static_cast<size_t>(transport->local_party());
-        const MultiPhenotypePartyData& p = parties[self];
-        // R combination, as in the single-phenotype protocol.
-        Matrix q_p(p.num_samples(), 0);
-        if (k > 0) {
-          DASH_ASSIGN_OR_RETURN(Matrix r, QrRFactor(p.c));
-          DASH_ASSIGN_OR_RETURN(
-              DistributedQrResult qr,
-              CombineRFactorsOverNetwork(transport, r, options.r_combine));
-          q_p = MatMul(p.c, qr.r_inverse);
-        }
-        std::unique_ptr<ThreadPool> pool;
-        if (options.num_threads > 1) {
-          pool = std::make_unique<ThreadPool>(options.num_threads);
-        }
-        const Vector zero_y(static_cast<size_t>(p.num_samples()), 0.0);
-        const Vector shared =
-            ComputeLocalStatsFlat(p.x, zero_y, q_p, pool.get());
-        const PhenotypeSideStats ps = ComputePhenotypeSide(p.x, p.ys, q_p);
-        PartySecureVectorSum secure_sum(transport, sum_options);
-        DASH_ASSIGN_OR_RETURN(
-            Vector flat_totals,
-            secure_sum.Run(Secret<Vector>(FlattenMulti(ps, shared))));
-        DASH_ASSIGN_OR_RETURN(
-            results[self],
-            FinalizeAll(flat_totals, total_samples, m, k, t_count));
-        return Status::Ok();
-      },
-      &traffic));
-
   SecureMultiPhenotypeOutput out;
+  DASH_ASSIGN_OR_RETURN(
+      out.metrics,
+      SimulateParties(
+          static_cast<int>(parties.size()),
+          [&](Transport* transport) -> Status {
+            const size_t self = static_cast<size_t>(transport->local_party());
+            const MultiPhenotypePartyData& p = parties[self];
+            DASH_ASSIGN_OR_RETURN(
+                PartySummandOutput sum,
+                RunPartySummandProtocol(
+                    transport, p.c, options, /*seed_salt=*/0,
+                    [&](const Matrix& q_p) {
+                      return MultiPhenotypeSummand(p.x, p.ys, q_p,
+                                                   options.num_threads);
+                    }));
+            DASH_ASSIGN_OR_RETURN(
+                results[self],
+                FinalizeAll(sum.totals, sum.pooled_n, m, k, t_count));
+            return Status::Ok();
+          }));
   out.results = std::move(results[0]);
-  out.metrics.total_bytes = traffic.total_bytes;
-  out.metrics.total_messages = traffic.total_messages;
-  out.metrics.max_link_bytes = traffic.max_link_bytes;
-  out.metrics.rounds = traffic.rounds;
   return out;
 }
 

@@ -42,8 +42,11 @@ struct SecureMultiPhenotypeOutput {
   SecureScanMetrics metrics;
 };
 
-// Secure multi-party version: one R combination plus one secure-sum
-// aggregation covering all phenotypes.
+// Secure multi-party version: P threads of RunPartySummandProtocol
+// (transport/party_runner.h) — one R combination plus one secure-sum
+// aggregation covering all phenotypes. The totals include Qᵀy and QᵀX,
+// so options.projection kBeaverDotProducts and options.center_per_party
+// fail InvalidArgument.
 Result<SecureMultiPhenotypeOutput> SecureMultiPhenotypeScan(
     const std::vector<MultiPhenotypePartyData>& parties,
     const SecureScanOptions& options = {});

@@ -2,20 +2,14 @@
 
 #include <string>
 
-#include "core/suff_stats.h"
-#include "linalg/cholesky.h"
-#include "linalg/qr.h"
 #include "util/check.h"
 
 namespace dash {
 
 OnlineScan::OnlineScan(int64_t num_variants, int64_t num_covariates)
-    : m_(num_variants), k_(num_covariates),
-      cty_(static_cast<size_t>(num_covariates), 0.0),
-      ctc_(num_covariates, num_covariates),
-      xy_(static_cast<size_t>(num_variants), 0.0),
-      xx_(static_cast<size_t>(num_variants), 0.0),
-      ctx_(num_covariates, num_variants) {
+    : study_(CompressedStudy::Compress(Matrix(0, num_variants), Matrix(0, 1),
+                                       Matrix(0, num_covariates))
+                 .value()) {
   DASH_CHECK_GE(num_variants, 0);
   DASH_CHECK_GE(num_covariates, 0);
 }
@@ -26,66 +20,31 @@ Status OnlineScan::AddBatch(const Matrix& x, const Vector& y,
   if (static_cast<int64_t>(y.size()) != n || c.rows() != n) {
     return InvalidArgumentError("batch x, y, c disagree on sample count");
   }
-  if (x.cols() != m_) {
-    return InvalidArgumentError("batch has " + std::to_string(x.cols()) +
-                                " variants; expected " + std::to_string(m_));
+  if (x.cols() != study_.num_variants()) {
+    return InvalidArgumentError(
+        "batch has " + std::to_string(x.cols()) + " variants; expected " +
+        std::to_string(study_.num_variants()));
   }
-  if (c.cols() != k_) {
-    return InvalidArgumentError("batch has " + std::to_string(c.cols()) +
-                                " covariates; expected " + std::to_string(k_));
+  if (c.cols() != study_.num_covariates()) {
+    return InvalidArgumentError(
+        "batch has " + std::to_string(c.cols()) + " covariates; expected " +
+        std::to_string(study_.num_covariates()));
   }
-
-  num_samples_ += n;
+  DASH_ASSIGN_OR_RETURN(
+      const CompressedStudy block,
+      CompressedStudy::Compress(x, Matrix::ColumnVector(y), c));
+  DASH_RETURN_IF_ERROR(study_.Merge(block));
   ++num_batches_;
-  yy_ += SquaredNorm(y);
-  const Vector cty = TransposeMatVec(c, y);
-  for (size_t i = 0; i < cty_.size(); ++i) cty_[i] += cty[i];
-  const Matrix ctc = TransposeMatMul(c, c);
-  for (int64_t i = 0; i < ctc_.size(); ++i) ctc_.data()[i] += ctc.data()[i];
-  const Matrix ctx = TransposeMatMul(c, x);
-  for (int64_t i = 0; i < ctx_.size(); ++i) ctx_.data()[i] += ctx.data()[i];
-  for (int64_t i = 0; i < n; ++i) {
-    const double* xi = x.row_data(i);
-    const double yi = y[static_cast<size_t>(i)];
-    for (int64_t j = 0; j < m_; ++j) {
-      const double v = xi[j];
-      if (v == 0.0) continue;
-      xy_[static_cast<size_t>(j)] += v * yi;
-      xx_[static_cast<size_t>(j)] += v * v;
-    }
-  }
   return Status::Ok();
 }
 
 Result<ScanResult> OnlineScan::Finalize() const {
-  if (num_samples_ <= k_ + 1) {
+  if (samples_seen() <= study_.num_covariates() + 1) {
     return FailedPreconditionError(
         "need N > K + 1 accumulated samples before finalizing (have " +
-        std::to_string(num_samples_) + ")");
+        std::to_string(samples_seen()) + ")");
   }
-  ScanSufficientStats s;
-  s.num_samples = num_samples_;
-  s.yy = yy_;
-  s.xy = xy_;
-  s.xx = xx_;
-  if (k_ == 0) {
-    s.qtx = Matrix(0, m_);
-    return FinalizeScan(s);
-  }
-
-  // CᵀC = L Lᵀ; Qᵀ· = L⁻¹ Cᵀ· .
-  DASH_ASSIGN_OR_RETURN(Matrix l, Cholesky(ctc_));
-  DASH_ASSIGN_OR_RETURN(s.qty, SolveLowerTriangular(l, cty_));
-  s.qtx = Matrix(k_, m_);
-  // Column j of QᵀX solves L q = CᵀX[:, j]; do a blocked forward solve
-  // across all columns at once for cache friendliness.
-  Vector col(static_cast<size_t>(k_));
-  for (int64_t j = 0; j < m_; ++j) {
-    for (int64_t kk = 0; kk < k_; ++kk) col[static_cast<size_t>(kk)] = ctx_(kk, j);
-    DASH_ASSIGN_OR_RETURN(Vector q, SolveLowerTriangular(l, col));
-    for (int64_t kk = 0; kk < k_; ++kk) s.qtx(kk, j) = q[static_cast<size_t>(kk)];
-  }
-  return FinalizeScan(s);
+  return study_.ScanAllCovariates(0);
 }
 
 }  // namespace dash

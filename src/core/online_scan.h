@@ -12,13 +12,15 @@
 // whenever C grows). Finalize() recovers the Q-statistics from the
 // Cholesky factor of CᵀC (Qᵀ = L⁻¹Cᵀ where CᵀC = LLᵀ) and applies
 // Lemma 2.1 — the result is identical to rescanning all data from
-// scratch, but each batch is touched once.
+// scratch, but each batch is touched once. The accumulator is one
+// single-phenotype CompressedStudy (core/compressed_study.h).
 
 #ifndef DASH_CORE_ONLINE_SCAN_H_
 #define DASH_CORE_ONLINE_SCAN_H_
 
 #include <cstdint>
 
+#include "core/compressed_study.h"
 #include "core/scan_result.h"
 #include "linalg/matrix.h"
 #include "util/status.h"
@@ -38,20 +40,15 @@ class OnlineScan {
   // positive definite (full-column-rank accumulated C).
   Result<ScanResult> Finalize() const;
 
-  int64_t samples_seen() const { return num_samples_; }
+  int64_t samples_seen() const { return study_.num_samples(); }
   int64_t batches_seen() const { return num_batches_; }
 
+  // The accumulated Cᵀ statistics (what SecureOnlineScan aggregates).
+  const CompressedStudy& study() const { return study_; }
+
  private:
-  int64_t m_;
-  int64_t k_;
-  int64_t num_samples_ = 0;
+  CompressedStudy study_;
   int64_t num_batches_ = 0;
-  double yy_ = 0.0;
-  Vector cty_;   // K
-  Matrix ctc_;   // K x K
-  Vector xy_;    // M
-  Vector xx_;    // M
-  Matrix ctx_;   // K x M
 };
 
 }  // namespace dash

@@ -1,10 +1,11 @@
 // Party-local computations of the secure scan — everything a party does
 // on its own data without communicating.
 //
-// Exposed separately from the protocol driver so that a real deployment
-// (where each party is its own process) can reuse the exact kernels, and
-// so tests can verify each stage in isolation. Stage 3, the party's
-// summand, is ComputeLocalStatsFlat(X_p, y_p, Q_p) (core/suff_stats.h).
+// The runner's Phases 0–1 (transport/party_runner.cc) evaluate these
+// same expressions on the party's covariate block; they are exposed as
+// stages so benches can time, and tests verify, each one in isolation.
+// Stage 3, the party's summand, is ComputeLocalStatsFlat(X_p, y_p, Q_p)
+// (core/suff_stats.h).
 
 #ifndef DASH_CORE_PARTY_LOCAL_H_
 #define DASH_CORE_PARTY_LOCAL_H_

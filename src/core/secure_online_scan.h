@@ -2,8 +2,9 @@
 // a public cloud in online fashion as new batches of samples come
 // online".
 //
-// Each party folds enrollment batches into a local Cᵀ-compressed
-// accumulator (additive, each batch touched once — core/online_scan.h);
+// Each party folds enrollment batches into its own OnlineScan, a
+// Cᵀ-compressed accumulator (additive, each batch touched once —
+// core/online_scan.h);
 // whenever a fresh genome-wide result is wanted, one secure aggregation
 // of the accumulators is run and the scan finalized. Between
 // re-aggregations there is ZERO communication; each re-aggregation costs
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/compressed_study.h"
+#include "core/online_scan.h"
 #include "core/scan_result.h"
 #include "core/secure_scan.h"
 #include "util/status.h"
@@ -36,21 +38,18 @@ class SecureOnlineScan {
                   const Matrix& c);
 
   // Runs one secure aggregation of the current accumulators and returns
-  // the scan over everything seen so far. Callable repeatedly; requires
-  // N > K + 1 accumulated samples overall.
+  // the scan over everything seen so far. Callable repeatedly; fails
+  // FailedPrecondition unless the pooled N the aggregation reveals
+  // exceeds K + 1.
   Result<SecureScanOutput> Finalize() const;
 
   int64_t samples_seen() const;
-  int64_t batches_seen() const { return batches_; }
-  int num_parties() const { return static_cast<int>(accumulators_.size()); }
+  int64_t batches_seen() const;
+  int num_parties() const { return static_cast<int>(parties_.size()); }
 
  private:
-  int64_t num_variants_;
-  int64_t num_covariates_;
   SecureScanOptions options_;
-  std::vector<CompressedStudy> accumulators_;  // one per party
-  std::vector<bool> has_data_;
-  int64_t batches_ = 0;
+  std::vector<OnlineScan> parties_;  // one accumulator per party
 };
 
 }  // namespace dash

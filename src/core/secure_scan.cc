@@ -30,34 +30,43 @@ Result<ScanResult> FinalizeScanWithAbsorbedParams(
   return FinalizeScan(adjusted);
 }
 
+Result<SecureScanMetrics> SimulateParties(
+    int num_parties, const std::function<Status(Transport*)>& party_fn) {
+  MeshTraffic traffic;
+  DASH_RETURN_IF_ERROR(RunPartiesInProcess(num_parties, party_fn, &traffic));
+  SecureScanMetrics metrics;
+  metrics.total_bytes = traffic.total_bytes;
+  metrics.total_messages = traffic.total_messages;
+  metrics.max_link_bytes = traffic.max_link_bytes;
+  metrics.rounds = traffic.rounds;
+  return metrics;
+}
+
 Result<SecureScanOutput> SecureAssociationScan::Run(
     const std::vector<PartyData>& parties) const {
   DASH_RETURN_IF_ERROR(ValidateParties(parties));
   std::vector<SecureScanOutput> outs(parties.size());
-  MeshTraffic traffic;
-  DASH_RETURN_IF_ERROR(RunPartiesInProcess(
-      static_cast<int>(parties.size()),
-      [&](Transport* transport) -> Status {
-        const size_t p = static_cast<size_t>(transport->local_party());
-        DASH_ASSIGN_OR_RETURN(
-            outs[p], RunPartySecureScan(transport, parties[p], options_));
-        return Status::Ok();
-      },
-      &traffic));
+  DASH_ASSIGN_OR_RETURN(
+      SecureScanMetrics metrics,
+      SimulateParties(static_cast<int>(parties.size()),
+                      [&](Transport* transport) -> Status {
+                        const size_t p =
+                            static_cast<size_t>(transport->local_party());
+                        DASH_ASSIGN_OR_RETURN(
+                            outs[p], RunPartySecureScan(transport, parties[p],
+                                                        options_));
+                        return Status::Ok();
+                      }));
 
-  // Every party revealed the same result; the metrics cover all of them.
-  SecureScanOutput out = std::move(outs[0]);
-  out.metrics.total_bytes = traffic.total_bytes;
-  out.metrics.total_messages = traffic.total_messages;
-  out.metrics.max_link_bytes = traffic.max_link_bytes;
-  out.metrics.rounds = traffic.rounds;
+  // Every party revealed the same result; the timers are the slowest
+  // party's.
   for (const SecureScanOutput& party : outs) {
-    out.metrics.local_compute_seconds = std::max(
-        out.metrics.local_compute_seconds, party.metrics.local_compute_seconds);
-    out.metrics.protocol_seconds =
-        std::max(out.metrics.protocol_seconds, party.metrics.protocol_seconds);
+    metrics.local_compute_seconds = std::max(
+        metrics.local_compute_seconds, party.metrics.local_compute_seconds);
+    metrics.protocol_seconds =
+        std::max(metrics.protocol_seconds, party.metrics.protocol_seconds);
   }
-  return out;
+  return SecureScanOutput{std::move(outs[0].result), metrics};
 }
 
 }  // namespace dash

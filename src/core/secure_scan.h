@@ -18,6 +18,7 @@
 #define DASH_CORE_SECURE_SCAN_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/distributed_qr.h"
@@ -68,15 +69,6 @@ struct SecureScanOptions {
   // paper's closing §3 note); supply C WITHOUT an intercept column in
   // this mode. Degrees of freedom account for the P absorbed indicators.
   bool center_per_party = false;
-
-  // Run a final commit round: every party broadcasts the FNV-1a
-  // checksum of its revealed result (MessageTag::kCommit) and
-  // cross-checks its peers'. A mismatch — the signature of an
-  // undetected fault such as a same-tag reorder — fails the scan with
-  // DataLoss("result divergence ...") instead of letting parties walk
-  // away with silently different numbers. One extra round of
-  // 8-byte payloads; both backends run it so traffic stays comparable.
-  bool commit_round = true;
 
   // Seed for protocol randomness (shares, masks, DH exponents).
   uint64_t seed = 0xda5b;
@@ -132,6 +124,16 @@ class SecureAssociationScan {
  private:
   SecureScanOptions options_;
 };
+
+// The simulator of every secure workload: runs `party_fn` once per
+// party, each on its own thread with that party's endpoint of an
+// in-process mesh (net/network.h), and returns the run's traffic —
+// bytes and messages summed over the parties, the busiest link, and
+// the rounds every party counted — or the failure that started the
+// run's collapse. party_fn runs one of the per-party entry points of
+// transport/party_runner.h and keeps what its party revealed.
+Result<SecureScanMetrics> SimulateParties(
+    int num_parties, const std::function<Status(Transport*)>& party_fn);
 
 // Extends FinalizeScan with preprocessing-absorbed parameters: dof =
 // N − K − 1 − absorbed_params (absorbed_params = P when per-party

@@ -129,16 +129,6 @@ Result<StreamingStatsResult> ComputeLocalStatsStreamed(
           SaveScanCheckpoint(options.checkpoint_path, ckpt));
       ++result.checkpoints_written;
     }
-
-    // Injected crash: stop mid-stream with whatever checkpoints a real
-    // SIGKILL would have left (none flushed for this partial tail).
-    if (options.fail_after_panels >= 0 &&
-        result.panels_streamed >= options.fail_after_panels) {
-      return UnavailableError(
-          "injected streaming failure after " +
-          std::to_string(result.panels_streamed) + " panels (panel " +
-          std::to_string(p) + ")");
-    }
   }
 
   // Header statistics come from the RAM-resident factors, after the

@@ -54,12 +54,6 @@ struct StreamingStatsOptions {
   // re-streamed panels after a crash against checkpoint I/O.
   int64_t checkpoint_every_panels = 8;
 
-  // Fault-injection hook (tests and the kill smokes): after this many
-  // NEWLY streamed panels, return Unavailable without flushing a
-  // checkpoint — exactly what a SIGKILL at that point leaves behind.
-  // -1 disables.
-  int64_t fail_after_panels = -1;
-
   // Per-panel stall (test hook so the kill smokes can reliably SIGKILL
   // a party mid-stream). 0 disables.
   int64_t panel_delay_ms = 0;

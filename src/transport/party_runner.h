@@ -1,11 +1,15 @@
-// One party's end of the secure association scan — the protocol's only
-// implementation.
+// One party's end of the secure scan and of every secure workload — the
+// protocol's only implementation. Each entry point runs the same
+// Phases 0–1 (sample counts, R-combine, Q_p), the same Phase-2 secure
+// sum and the same abort path; entry points differ only in the summand
+// they aggregate and how they finalize it.
 //
-// RunPartySecureScan performs the sends party transport->local_party()
+// An entry point performs the sends party transport->local_party()
 // makes and consumes the messages addressed to it. A deployment runs it
 // once per OS process over a TcpTransport (or a SessionChannel in the
-// daemon); the simulator, SecureAssociationScan::Run, runs it on P
-// threads over the endpoints of an in-process mesh (net/network.h). So
+// daemon); the simulator (SimulateParties, core/secure_scan.h) runs it
+// on P threads over the endpoints of an in-process mesh
+// (net/network.h). So
 //
 //   * every party, on every backend, reveals the same ScanResult bit for
 //     bit (ring/field sums are order-independent; the public mode and
@@ -25,6 +29,7 @@
 #define DASH_TRANSPORT_PARTY_RUNNER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "core/secure_scan.h"
@@ -96,9 +101,7 @@ struct StreamingPartyScan {
   std::string checkpoint_path;
   int64_t checkpoint_every_panels = 8;
 
-  // Test hooks (crash injection and pacing for the kill smokes); see
-  // StreamingStatsOptions.
-  int64_t fail_after_panels = -1;
+  // Test hook (pacing for the kill smokes); see StreamingStatsOptions.
   int64_t panel_delay_ms = 0;
 };
 
@@ -114,6 +117,30 @@ Result<SecureScanOutput> RunPartySecureScanStreamed(
     Transport* transport, const Vector& y, const Matrix& c,
     const StreamingPartyScan& stream, const SecureScanOptions& options,
     Phase1State* phase1 = nullptr);
+
+// A workload's Phase-2 summand, computed from this party's rows of the
+// pooled Q (N_p x K; N_p x 0 when the workload passes no covariates).
+using PartySummandFn = std::function<Vector(const Matrix& q_p)>;
+
+struct PartySummandOutput {
+  Vector totals;          // the summands' element-wise sum over parties
+  int64_t pooled_n = 0;   // pooled N, the Phase-0 reveal
+};
+
+// The protocol for workloads that aggregate one summand (paper §5: the
+// grouped, multi-phenotype, Cᵀ-compressed and imputation workloads):
+// Phases 0–1 over the covariate block `c` (N_p x K), then one secure
+// sum of summand(Q_p) with the scan's aggregation mode and the seed
+// options.seed ^ seed_salt. A workload with no Q passes an N_p x 0
+// block and so runs only the sample-count round before the sum. Every
+// party returns the same totals; the caller finalizes them locally.
+//
+// The totals are the plain sums, so options.projection must be
+// kRevealProjectedSums, and options.center_per_party must be false (the
+// summand is the workload's own); either one fails InvalidArgument.
+Result<PartySummandOutput> RunPartySummandProtocol(
+    Transport* transport, const Matrix& c, const SecureScanOptions& options,
+    uint64_t seed_salt, const PartySummandFn& summand);
 
 }  // namespace dash
 

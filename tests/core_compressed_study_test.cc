@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/association_scan.h"
 #include "data/genotype_generator.h"
@@ -106,6 +109,33 @@ TEST(CompressedStudyTest, SecureCompressionMatchesPooled) {
   const ScanResult direct = AssociationScan(x, ys.Col(1), c_sub).value();
   EXPECT_LT(MaxAbsDiff(from_secure.beta, direct.beta), 1e-5);
   EXPECT_LT(MaxAbsDiff(from_secure.pval, direct.pval), 1e-5);
+}
+
+TEST(CompressedStudyTest, SecureRejectsProjectionAndCentering) {
+  // The compressed study reveals the summed Cᵀ statistics themselves, so
+  // options that would hide CᵀX or absorb P degrees of freedom must fail
+  // loudly instead of being ignored — in both secure entry points.
+  std::vector<MultiPhenotypePartyData> parties;
+  std::vector<CompressedStudy> locals;
+  for (const uint64_t seed : {uint64_t{11}, uint64_t{12}}) {
+    const Study s = MakeStudy(40, 5, 2, 1, seed);
+    parties.push_back({s.x, s.ys, s.c});
+    locals.push_back(CompressedStudy::Compress(s.x, s.ys, s.c).value());
+  }
+  SecureScanOptions beaver;
+  beaver.projection = ProjectionSecurity::kBeaverDotProducts;
+  SecureScanOptions centered;
+  centered.center_per_party = true;
+  for (const auto& [opts, option] :
+       {std::pair{beaver, "projection"}, std::pair{centered, "center_per_party"}}) {
+    for (const auto& out : {CompressedStudy::SecureCompress(parties, opts),
+                            CompressedStudy::SecureAggregate(locals, opts)}) {
+      ASSERT_FALSE(out.ok()) << option;
+      EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(out.status().message().find(option), std::string::npos)
+          << out.status();
+    }
+  }
 }
 
 TEST(CompressedStudyTest, MergeEqualsCompressingTheUnion) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "core/association_scan.h"
 #include "core/burden_scan.h"
@@ -228,6 +230,33 @@ TEST(MultiPhenotypeTest, MarginalPhenotypeCostIsSmall) {
   // X-side statistics dominate: 8 phenotypes cost far less than 8x.
   EXPECT_LT(static_cast<double>(m8.total_bytes),
             3.0 * static_cast<double>(m1.total_bytes));
+}
+
+TEST(MultiPhenotypeTest, SecureRejectsProjectionAndCentering) {
+  // The multi-phenotype summand is summed and revealed as it is, so
+  // options that would hide Qᵀy and QᵀX or absorb P degrees of freedom
+  // must fail loudly instead of being ignored.
+  Rng rng(31);
+  std::vector<MultiPhenotypePartyData> parties;
+  for (const int64_t n : {int64_t{40}, int64_t{50}}) {
+    MultiPhenotypePartyData pd;
+    pd.x = GaussianMatrix(n, 6, &rng);
+    pd.c = GaussianMatrix(n, 2, &rng);
+    pd.ys = GaussianMatrix(n, 2, &rng);
+    parties.push_back(std::move(pd));
+  }
+  SecureScanOptions beaver;
+  beaver.projection = ProjectionSecurity::kBeaverDotProducts;
+  SecureScanOptions centered;
+  centered.center_per_party = true;
+  for (const auto& [opts, option] :
+       {std::pair{beaver, "projection"}, std::pair{centered, "center_per_party"}}) {
+    const auto out = SecureMultiPhenotypeScan(parties, opts);
+    ASSERT_FALSE(out.ok()) << option;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(out.status().message().find(option), std::string::npos)
+        << out.status();
+  }
 }
 
 TEST(MultiPhenotypeTest, ValidatesShapes) {

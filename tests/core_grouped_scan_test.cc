@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "core/association_scan.h"
 #include "data/genotype_generator.h"
@@ -109,6 +111,26 @@ TEST(GroupedScanTest, SecureMatchesPlaintext) {
   EXPECT_LT(MaxAbsDiff(secure.result.pval, plain.pval), 1e-6);
   EXPECT_LT(MaxAbsDiff(secure.result.beta, plain.beta), 1e-6);
   EXPECT_GT(secure.metrics.total_bytes, 0);
+}
+
+TEST(GroupedScanTest, SecureRejectsProjectionAndCentering) {
+  // The grouped summand is summed and revealed as it is, so options that
+  // would hide Qᵀy and QᵀX_g or absorb P degrees of freedom must fail
+  // loudly instead of being ignored.
+  const Study s = MakeStudy(150, 10, 2, 4);
+  const auto parties = SplitRows(s.x, s.y, s.c, {50, 60, 40}).value();
+  SecureScanOptions beaver;
+  beaver.projection = ProjectionSecurity::kBeaverDotProducts;
+  SecureScanOptions centered;
+  centered.center_per_party = true;
+  for (const auto& [opts, option] :
+       {std::pair{beaver, "projection"}, std::pair{centered, "center_per_party"}}) {
+    const auto out = SecureGroupedScan(parties, 2, opts);
+    ASSERT_FALSE(out.ok()) << option;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(out.status().message().find(option), std::string::npos)
+        << out.status();
+  }
 }
 
 TEST(GroupedScanTest, DetectsPureInteractionEffect) {

@@ -104,6 +104,21 @@ TEST(SecureImputationTest, ImputedScanMatchesPooledImputedScan) {
   EXPECT_LT(MaxAbsDiff(secure.result.pval, plain.pval), 1e-6);
 }
 
+TEST(SecureImputationTest, AcceptsTheScansProjectionAndCentering) {
+  // dash_scan_cli --impute hands the scan's options to the imputation;
+  // projection and centering configure the scan, not the column means.
+  auto plain_parties = MakePartiesWithMissingness(6, 0.1);
+  auto parties = plain_parties;
+  const SecureImputationOutput plain =
+      SecureMeanImpute(&plain_parties, {}).value();
+  SecureScanOptions opts;
+  opts.projection = ProjectionSecurity::kBeaverDotProducts;
+  opts.center_per_party = true;
+  const auto out = SecureMeanImpute(&parties, opts);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(out->means, plain.means);
+}
+
 TEST(SecureImputationTest, FullyMissingColumnImputesToZero) {
   auto parties = MakePartiesWithMissingness(4, 0.0);
   for (auto& p : parties) {

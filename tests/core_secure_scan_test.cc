@@ -272,12 +272,6 @@ TEST(SecureScanTest, RoundsCountedPerMode) {
   // 1 sample-count round + 1 R round + 2 additive rounds + 1 commit
   // round.
   EXPECT_EQ(a.rounds, 5);
-
-  SecureScanOptions no_commit = masked;
-  no_commit.commit_round = false;
-  const auto n =
-      SecureAssociationScan(no_commit).Run(w.parties).value().metrics;
-  EXPECT_EQ(n.rounds, 4);
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 //      the kernels' column blocks, every dispatchable ISA, file-backed
 //      sources, and thread pools.
 //
-//   2. RESUME. Killing the stream after ANY panel (fail_after_panels
+//   2. RESUME. Killing the stream after ANY panel (a FailingPanelSource
 //      sweeps every crash point) and re-running from the surviving
 //      checkpoint yields the same bits as an uninterrupted run —
 //      whatever the checkpoint cadence.
@@ -105,6 +105,32 @@ Vector InMemoryReference(const Study& study) {
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "streaming_identity_" + name;
 }
+
+// A party killed mid-stream: panels from `fail_at` on read as
+// Unavailable. The prefetcher reports a read error only when the scan
+// consumes that panel, so the scan stops after folding (and
+// checkpointing) panels 0..fail_at-1 — what a SIGKILL there leaves.
+class FailingPanelSource final : public PanelSource {
+ public:
+  FailingPanelSource(PanelSource* inner, int64_t fail_at)
+      : inner_(inner), fail_at_(fail_at) {}
+
+  int64_t num_samples() const override { return inner_->num_samples(); }
+  int64_t num_variants() const override { return inner_->num_variants(); }
+  uint64_t fingerprint() const override { return inner_->fingerprint(); }
+
+  Status ReadPanel(int64_t panel, PackedGenotypeMatrix* out) override {
+    if (panel >= fail_at_) {
+      return UnavailableError("injected read failure at panel " +
+                              std::to_string(panel));
+    }
+    return inner_->ReadPanel(panel, out);
+  }
+
+ private:
+  PanelSource* inner_;
+  int64_t fail_at_;
+};
 
 // ---- 1. identity -----------------------------------------------------
 
@@ -205,8 +231,8 @@ TEST(StreamingIdentityTest, KillAtEveryPanelThenResumeIsBitIdentical) {
       StreamingStatsOptions crash;
       crash.checkpoint_path = ckpt;
       crash.checkpoint_every_panels = every;
-      crash.fail_after_panels = j;
-      auto killed = ComputeLocalStatsStreamed(&source, study.y, study.q, crash);
+      FailingPanelSource failing(&source, j);
+      auto killed = ComputeLocalStatsStreamed(&failing, study.y, study.q, crash);
       ASSERT_FALSE(killed.ok());
       EXPECT_EQ(killed.status().code(), StatusCode::kUnavailable);
 
@@ -248,9 +274,9 @@ TEST(StreamingIdentityTest, ResumeSweepOnFileSourceEveryIsa) {
       StreamingStatsOptions crash;
       crash.checkpoint_path = ckpt;
       crash.checkpoint_every_panels = 1;
-      crash.fail_after_panels = j;
-      auto killed = ComputeLocalStatsStreamed(reader.value().get(), study.y,
-                                              study.q, crash);
+      FailingPanelSource failing(reader.value().get(), j);
+      auto killed =
+          ComputeLocalStatsStreamed(&failing, study.y, study.q, crash);
       ASSERT_FALSE(killed.ok());
 
       StreamingStatsOptions resume;
@@ -322,9 +348,9 @@ TEST(StreamingIdentityTest, ForeignOrDamagedCheckpointMeansFreshStart) {
     StreamingStatsOptions crash;
     crash.checkpoint_path = ckpt;
     crash.checkpoint_every_panels = 1;
-    crash.fail_after_panels = 2;
-    auto killed = ComputeLocalStatsStreamed(&other_source, other.y, other.q,
-                                            crash);
+    FailingPanelSource failing(&other_source, 2);
+    auto killed =
+        ComputeLocalStatsStreamed(&failing, other.y, other.q, crash);
     ASSERT_FALSE(killed.ok());
   }
 
@@ -344,8 +370,8 @@ TEST(StreamingIdentityTest, ForeignOrDamagedCheckpointMeansFreshStart) {
     StreamingStatsOptions crash;
     crash.checkpoint_path = ckpt;
     crash.checkpoint_every_panels = 1;
-    crash.fail_after_panels = 2;
-    auto killed = ComputeLocalStatsStreamed(&source, study.y, study.q, crash);
+    FailingPanelSource failing(&source, 2);
+    auto killed = ComputeLocalStatsStreamed(&failing, study.y, study.q, crash);
     ASSERT_FALSE(killed.ok());
     std::ifstream in(ckpt, std::ios::binary);
     std::string bytes((std::istreambuf_iterator<char>(in)),

@@ -309,22 +309,6 @@ TEST(FaultInjectionTest, EveryFaultKindInEveryRoundTcp) {
   CheckEveryFaultKindInEveryRound("tcp", RunTcpCell);
 }
 
-// Without the commit round, the same sweep documents WHY it exists:
-// this assertion is the weaker one (no silent-wrong-result guarantee).
-TEST(FaultInjectionTest, CommitRoundIsTheDifference) {
-  const ScanWorkload workload = SmallWorkload();
-  SecureScanOptions with_commit = BaseOptions();
-  SecureScanOptions without_commit = BaseOptions();
-  without_commit.commit_round = false;
-  const auto a = SecureAssociationScan(with_commit).Run(workload.parties);
-  const auto b = SecureAssociationScan(without_commit).Run(workload.parties);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-  // The commit round adds exactly one round and never changes the bits.
-  EXPECT_EQ(a->metrics.rounds, b->metrics.rounds + 1);
-  EXPECT_EQ(ScanResultChecksum(a->result), ScanResultChecksum(b->result));
-}
-
 // ---------------------------------------------------------------------
 // FaultProxy: byte-level faults under the REAL wire format. A 2-party
 // mesh where party 1's config points party 0's endpoint at the proxy,

@@ -22,6 +22,7 @@
 #include "data/workloads.h"
 #include "net/serialization.h"
 #include "transport/cluster_config.h"
+#include "transport/fault_transport.h"
 #include "transport/party_runner.h"
 #include "transport/tcp_transport.h"
 
@@ -107,28 +108,40 @@ std::vector<Result<SecureScanOutput>> RunParties(
 }
 
 // A party that skips the commit round (model: phase4_commit, order 90)
-// and immediately pushes the next scan's Phase-0 frame. Peers blocked
-// in Receive(kCommit) must fail with FailedPrecondition ("protocol
-// desync: expected tag ..."), not time out — the static model says a
-// kSampleCount frame can never legally follow the share rounds without
-// an intervening kCommit on this link.
+// and immediately pushes the next scan's Phase-0 frame: party 2's
+// outgoing commit frames are dropped, and only the first frame per link
+// matches the rule, so the "scan 2" kSampleCount frame still goes out.
+// Peers blocked in Receive(kCommit) must fail with FailedPrecondition
+// ("protocol desync: expected tag ..."), not time out — the static
+// model says a kSampleCount frame can never legally follow the share
+// rounds without an intervening kCommit on this link.
 TEST(ProtocolConformanceTest, SkippedCommitRoundIsDesyncNotHang) {
   ScanWorkload workload = SmallWorkload();
   const int p = static_cast<int>(workload.parties.size());
+  // The commit round is the last round of a clean run.
+  const auto clean = SecureAssociationScan().Run(workload.parties);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  FaultRule drop_commit;
+  drop_commit.kind = FaultKind::kDrop;
+  drop_commit.round = clean->metrics.rounds;
+  drop_commit.from = 2;
+  drop_commit.nth = 0;
+  FaultPlan skip_commit;
+  skip_commit.rules.push_back(drop_commit);
   auto outs = RunParties(p, [&](int i, Transport* transport) {
     SecureScanOptions options;
     if (i == 2) {
-      options.commit_round = false;
+      FaultInjectingTransport faulty(transport, skip_commit);
       Result<SecureScanOutput> out = RunPartySecureScan(
-          transport, workload.parties[static_cast<size_t>(i)], options);
-      // Commit-less scan succeeds locally; eagerly begin "scan 2".
+          &faulty, workload.parties[static_cast<size_t>(i)], options);
+      // The commit-less scan succeeds locally; eagerly begin "scan 2".
       EXPECT_TRUE(out.ok()) << out.status();
       ByteWriter w;
       w.PutI64(workload.parties[2].num_samples());
       const std::vector<uint8_t> payload = w.Take();
       for (int q = 0; q < p; ++q) {
         if (q == i) continue;
-        (void)transport->Send(i, q, MessageTag::kSampleCount, payload);
+        (void)faulty.Send(i, q, MessageTag::kSampleCount, payload);
       }
       return out;
     }

@@ -230,7 +230,7 @@ TEST(SimulatorGoldenTest, SecureScanBitsAndTraffic) {
   }
 }
 
-// --- Workloads built on the secure sum and R-combine ------------------
+// --- Workloads on the runner's summand protocol -----------------------
 
 struct GoldenWorkload {
   const char* name;
@@ -241,11 +241,11 @@ struct GoldenWorkload {
 
 // clang-format off
 constexpr GoldenWorkload kGoldenWorkloads[] = {
-    {"grouped", 0x78d2e12e8747f815ull, 5504, 5},
-    {"multi-phenotype", 0x38576f81103c161eull, 10896, 3},
-    {"compressed-study", 0xfd06a8bd9e69866dull, 37760, 2},
-    {"mean-impute", 0x6844677a0c1407b8ull, 1824, 2},
-    {"online", 0x0b2d2014300d8455ull, 4608, 1},
+    {"grouped", 0x78d2e12e8747f815ull, 5648, 6},
+    {"multi-phenotype", 0x38576f81103c161eull, 11040, 4},
+    {"compressed-study", 0xfd06a8bd9e69866dull, 38240, 3},
+    {"mean-impute", 0x6844677a0c1407b8ull, 1968, 3},
+    {"online", 0x0b2d2014300d8455ull, 4752, 2},
     {"burden", 0xbe9a9699288dca72ull, 7840, 5},
 };
 // clang-format on

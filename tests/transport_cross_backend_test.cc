@@ -1,9 +1,9 @@
 // The load-bearing guarantee of the transport subsystem: running the
-// scan as P separate TCP endpoints (one thread each here; one process
-// each in deployment) produces the SAME bits as the simulator's P
-// threads over the in-process mesh — results, per-link traffic, and
-// trace. Both run the one per-party runner; only the bytes-moving layer
-// differs.
+// scan, or the summand protocol every secure workload runs, as P
+// separate TCP endpoints (one thread each here; one process each in
+// deployment) produces the SAME bits as the simulator's P threads over
+// the in-process mesh — results, per-link traffic, and trace. Both run
+// the one per-party runner; only the bytes-moving layer differs.
 
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/secure_scan.h"
+#include "core/suff_stats.h"
 #include "data/workloads.h"
 #include "net/network.h"
 #include "net/trace.h"
@@ -255,6 +256,114 @@ TEST(CrossBackendTest, BeaverAdditiveBinaryTree) {
   options.r_combine = RCombineMode::kBinaryTree;
   options.projection = ProjectionSecurity::kBeaverDotProducts;
   RunBothBackends(options);
+}
+
+// The summand entry point every secure workload runs: the same
+// Phases 0–1 and secure sum as P loopback TCP endpoints and as P mesh
+// threads must reveal the same totals bit for bit and the same pooled
+// N, over the same rounds, with each party sending the same bytes.
+struct SummandRun {
+  Result<PartySummandOutput> output = InvalidArgumentError("did not run");
+  int rounds = 0;
+  int64_t sent_bytes = 0;
+};
+
+void RunSummandBothBackends(const SecureScanOptions& options) {
+  const ScanWorkload workload = SmallWorkload();
+  const int p = static_cast<int>(workload.parties.size());
+  // A summand that depends on Q_p, so the R-combine feeds the sum.
+  const auto run_party = [&](Transport* transport) {
+    const PartyData& party =
+        workload.parties[static_cast<size_t>(transport->local_party())];
+    SummandRun run;
+    run.output = RunPartySummandProtocol(
+        transport, party.c, options, /*seed_salt=*/0x5a17,
+        [&party](const Matrix& q_p) {
+          return ComputeLocalStatsFlat(party.x, party.y, q_p);
+        });
+    run.rounds = transport->metrics().rounds();
+    run.sent_bytes = transport->metrics().total_bytes();
+    return run;
+  };
+
+  std::vector<SummandRun> mesh(static_cast<size_t>(p));
+  const Status status = RunPartiesInProcess(p, [&](Transport* endpoint) {
+    SummandRun& run = mesh[static_cast<size_t>(endpoint->local_party())];
+    run = run_party(endpoint);
+    return run.output.ok() ? Status::Ok() : run.output.status();
+  });
+  ASSERT_TRUE(status.ok()) << status;
+
+  ClusterConfig cluster;
+  for (const uint16_t port : FreePorts(p)) {
+    cluster.endpoints.push_back({"127.0.0.1", port});
+  }
+  TcpTransportOptions tcp_options;
+  tcp_options.connect_timeout_ms = 10000;
+  std::vector<SummandRun> tcp(static_cast<size_t>(p));
+  // Every endpoint stays up until all parties are done, so no party's
+  // close can race a peer still reading its last frame.
+  std::vector<std::unique_ptr<TcpTransport>> transports(
+      static_cast<size_t>(p));
+  std::vector<std::thread> threads;
+  for (int i = 0; i < p; ++i) {
+    threads.emplace_back([&, i] {
+      auto transport = TcpTransport::Connect(cluster, i, tcp_options);
+      if (!transport.ok()) {
+        tcp[static_cast<size_t>(i)].output = transport.status();
+        return;
+      }
+      transports[static_cast<size_t>(i)] = std::move(transport).value();
+      tcp[static_cast<size_t>(i)] =
+          run_party(transports[static_cast<size_t>(i)].get());
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  int64_t pooled_n = 0;
+  for (const PartyData& party : workload.parties) {
+    pooled_n += party.num_samples();
+  }
+  for (size_t i = 0; i < static_cast<size_t>(p); ++i) {
+    ASSERT_TRUE(tcp[i].output.ok()) << "party " << i << ": "
+                                    << tcp[i].output.status();
+    ExpectBitIdentical(tcp[i].output->totals, mesh[0].output->totals,
+                       "totals");
+    ExpectBitIdentical(mesh[i].output->totals, mesh[0].output->totals,
+                       "mesh totals");
+    EXPECT_EQ(tcp[i].output->pooled_n, pooled_n) << "party " << i;
+    EXPECT_EQ(mesh[i].output->pooled_n, pooled_n) << "party " << i;
+    EXPECT_EQ(tcp[i].rounds, mesh[i].rounds) << "party " << i;
+    EXPECT_EQ(tcp[i].sent_bytes, mesh[i].sent_bytes) << "party " << i;
+  }
+}
+
+TEST(CrossBackendTest, SummandMaskedBroadcastStack) {
+  SecureScanOptions options;
+  options.aggregation = AggregationMode::kMasked;
+  options.r_combine = RCombineMode::kBroadcastStack;
+  RunSummandBothBackends(options);
+}
+
+TEST(CrossBackendTest, SummandMaskedBinaryTree) {
+  SecureScanOptions options;
+  options.aggregation = AggregationMode::kMasked;
+  options.r_combine = RCombineMode::kBinaryTree;
+  RunSummandBothBackends(options);
+}
+
+TEST(CrossBackendTest, SummandShamirBroadcastStack) {
+  SecureScanOptions options;
+  options.aggregation = AggregationMode::kShamir;
+  options.r_combine = RCombineMode::kBroadcastStack;
+  RunSummandBothBackends(options);
+}
+
+TEST(CrossBackendTest, SummandShamirBinaryTree) {
+  SecureScanOptions options;
+  options.aggregation = AggregationMode::kShamir;
+  options.r_combine = RCombineMode::kBinaryTree;
+  RunSummandBothBackends(options);
 }
 
 TEST(CrossBackendTest, PerPartyMetricsMatchTheMeshLedger) {
