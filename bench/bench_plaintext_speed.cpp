@@ -14,7 +14,9 @@
 // arena form (`flat/*`), every SIMD dense path this CPU can run
 // (`avx2/*`, `avx512/*`), and the 2-bit packed-genotype popcount
 // kernels in pre-packed steady state (`packed/*`,
-// `packed_<isa>/genotype`) — plus the sparse-storage kernels, where
+// `packed_<isa>/genotype`, and `packed*/rare` on a rare-variant draw
+// whose checksum is asserted against the sparse scalar kernel) — plus
+// the sparse-storage kernels, where
 // `sparse_packed/genotype` is ComputeLocalStatsSparseFlat's dosage
 // repack path. Every variant's result checksum is asserted equal to the
 // scalar kernel's — the bench doubles as a bit-identity smoke test.
@@ -259,20 +261,21 @@ uint64_t BenchDense(const KernelArgs& a, const std::string& dataset,
 // Times the packed-genotype popcount kernel in pre-packed steady state
 // (the resident scan service packs once per cohort in Phase 1 and
 // reuses the packed matrix across scans) on every ISA this CPU can
-// run, plus the auto-dispatched default.
-void BenchPacked(const KernelArgs& a, const Matrix& x_geno, const Vector& y,
+// run, plus the auto-dispatched default, as `packed/<dataset>` and
+// `packed_<isa>/<dataset>`. Each checksum must equal scalar_sum.
+void BenchPacked(const KernelArgs& a, const std::string& dataset,
+                 const PackedGenotypeMatrix& packed, const Vector& y,
                  const Matrix& q, uint64_t scalar_sum,
                  std::vector<dash_bench::BenchEntry>* entries) {
-  const PackedGenotypeMatrix packed = PackedGenotypeMatrix::FromDense(x_geno);
-  std::printf("-- genotype, 2-bit packed storage (density %.2f) --\n",
-              packed.Density());
+  std::printf("-- %s, 2-bit packed storage (density %.4f) --\n",
+              dataset.c_str(), packed.Density());
   uint64_t packed_sum = 0;
   const double packed_s = TimeBest(a.reps, &packed_sum, [&] {
     return WireChecksum(ComputeLocalStatsPackedFlat(packed, y, q));
   });
-  AddEntry(entries, a, "packed/genotype", packed_s, packed_sum);
+  AddEntry(entries, a, "packed/" + dataset, packed_s, packed_sum);
   DASH_CHECK(scalar_sum == packed_sum)
-      << "packed kernel diverged from scalar";
+      << "packed kernel diverged from scalar on " << dataset;
   for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
     ScopedIsa pin(isa);
     uint64_t isa_sum = 0;
@@ -280,14 +283,33 @@ void BenchPacked(const KernelArgs& a, const Matrix& x_geno, const Vector& y,
       return WireChecksum(ComputeLocalStatsPackedFlat(packed, y, q));
     });
     AddEntry(entries, a,
-             std::string("packed_") + kernels::StatsIsaName(isa) +
-                 "/genotype",
+             std::string("packed_") + kernels::StatsIsaName(isa) + "/" +
+                 dataset,
              isa_s, isa_sum);
     DASH_CHECK(scalar_sum == isa_sum)
         << "packed " << kernels::StatsIsaName(isa)
-        << " kernel diverged from scalar";
+        << " kernel diverged from scalar on " << dataset;
   }
   std::printf("\n");
+}
+
+// The `rare` dataset: MAF 0.001-0.02, drawn sparse and packed from the
+// sparse form, so no dense N x M matrix is built. Every 8-column group
+// sits below the AVX-512 kernel's lane crossover, so these rows time
+// the pair replay, whose flops are proportional to nnz (claim C6).
+void BenchPackedRare(const KernelArgs& a, const Vector& y, const Matrix& q,
+                     std::vector<dash_bench::BenchEntry>* entries) {
+  GenotypeOptions gopts;
+  gopts.num_samples = a.n;
+  gopts.num_variants = a.m;
+  gopts.maf_min = 0.001;
+  gopts.maf_max = 0.02;
+  gopts.seed = 0x4a7e;
+  const SparseColumnMatrix sparse = GenerateSparseGenotypes(gopts);
+  const uint64_t scalar_sum =
+      WireChecksum(ComputeLocalStatsSparseScalar(sparse, y, q));
+  BenchPacked(a, "rare", PackedGenotypeMatrix::FromSparse(sparse), y, q,
+              scalar_sum, entries);
 }
 
 // Round-trips the genotype draw through a temporary DASHPACK study and
@@ -347,7 +369,9 @@ int RunKernelBench(const KernelArgs& a) {
   const uint64_t geno_scalar_sum =
       BenchDense(a, "genotype", x_geno, y, q, &entries);
 
-  BenchPacked(a, x_geno, y, q, geno_scalar_sum, &entries);
+  BenchPacked(a, "genotype", PackedGenotypeMatrix::FromDense(x_geno), y, q,
+              geno_scalar_sum, &entries);
+  BenchPackedRare(a, y, q, &entries);
 
   // Sparse-storage kernels on the same genotype draw. The optimized
   // path (ComputeLocalStatsSparseFlat) repacks dosage columns into the

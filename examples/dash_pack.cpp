@@ -2,7 +2,7 @@
 // workload as a DASHPACK packed study file (data/panel_stream.h) — the
 // input of dash_party --stream and the daemon's streamed jobs.
 //
-//   $ dash_pack --party 0 --parties 3 --variants 2000 --samples 500 \
+//   $ dash_pack --party 0 --parties 3 --variants 2000 --samples 500
 //               --data-seed 42 --out party0.dpk
 //
 // The same (--parties, --variants, --samples, --data-seed) tuple that

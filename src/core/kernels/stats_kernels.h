@@ -3,8 +3,11 @@
 // The scan hot path has two inner kernels: the dense row-panel kernel
 // behind ComputeStatsColumns (X·y, X·X, QᵀX over a column block) and
 // the packed-genotype column-range kernel that accumulates the same
-// statistics from 2-bit packed words with popcount class counts and
-// per-nonzero gathers. Each exists in up to three implementations —
+// statistics from 2-bit packed words with popcount class counts and,
+// per 8-column group, either per-nonzero gathers (the pair replay,
+// flops proportional to nnz) or — on AVX-512, for groups above a
+// density crossover — a column-lane pass that visits every row with
+// eight variants per vector. Each exists in up to three implementations —
 // portable C++, AVX2, AVX-512 — compiled in per-ISA translation units
 // (src/core/kernels/stats_kernels_*.cc) with per-file -mavx2 /
 // -mavx512f flags, so the binary itself stays runnable on any x86-64
@@ -24,8 +27,8 @@
 // (never to partial sums of one column), multiplies and adds stay
 // separate instructions (the ISA units are compiled with
 // -ffp-contract=off so no FMA contraction changes rounding), and the
-// packed kernels replay nonzeros in ascending row order. See
-// tests/core_kernel_identity_test.cc.
+// packed kernels add each column's nonzeros in ascending row order on
+// either path. See tests/core_kernel_identity_test.cc.
 
 #ifndef DASH_CORE_KERNELS_STATS_KERNELS_H_
 #define DASH_CORE_KERNELS_STATS_KERNELS_H_

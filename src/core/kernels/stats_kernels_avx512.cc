@@ -12,7 +12,10 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include "core/kernels/stats_kernels.h"
@@ -67,12 +70,44 @@ namespace {
 
 constexpr uint64_t kEvenBits = 0x5555555555555555ULL;
 constexpr double kDosage[4] = {0.0, 1.0, 2.0, 0.0};
+constexpr int64_t kRowsPerWord = PackedGenotypeMatrix::kRowsPerWord;
+
+// Variants per lane group: one zmm holds one accumulator lane of eight
+// adjacent columns.
+constexpr int64_t kLaneGroup = 8;
+
+// Density crossover between the two packed paths, as a cost ratio. On
+// every row of a group the column-lane path spends 2·KA + 3 vector ops
+// (a mul and a masked add per accumulator, then the dosage lookup, the
+// nonzero test and the code shift); the pair replay spends about
+// kReplayCostPerNonzero such ops on each nonzero it replays (ctz,
+// branch, broadcast, dependent add chain). A group takes the lane path
+// over a word panel when the replay would cost more, i.e. above a
+// density of (2·KA + 3) / (8 · kReplayCostPerNonzero): about one
+// nonzero in 8 genotypes at K = 10. Fitted to one-thread density sweeps
+// at K = 3, 10 and 20 (DESIGN.md §13).
+constexpr int64_t kReplayCostPerNonzero = 24;
+
+// Bit 2r is set iff row r of the word holds a nonzero call (code 1 or
+// 2); codes 0 and 3 (missing) contribute nothing.
+inline uint64_t NonzeroBits(uint64_t word) {
+  return (word & kEvenBits) ^ ((word >> 1) & kEvenBits);
+}
+
+// Adds a word's heterozygote (code 1) and homozygote (code 2) counts.
+// X·X is the exact integer #het + 4·#hom, so its order never matters.
+inline void CountClasses(uint64_t word, int64_t* het, int64_t* hom) {
+  const uint64_t lo = word & kEvenBits;
+  const uint64_t hi = (word >> 1) & kEvenBits;
+  *het += __builtin_popcountll(lo & ~hi);
+  *hom += __builtin_popcountll(hi & ~lo);
+}
 
 // One column's QᵀX + X·y accumulator: KP padded lanes (K covariates,
 // then the phenotype — X·y is just one more projection, so it rides
 // the same vector ops instead of paying its own scalar mul+add chain
 // per nonzero) held in KP/8 zmm registers plus one ymm for a 4-wide
-// remainder. KP <= 24 so at most 3 zmm per column — the pair kernel
+// remainder. KP <= 24 so at most 3 zmm per column — the pair replay
 // keeps two of these (6 zmm + 2 ymm) register-resident across a whole
 // word panel.
 template <int KP>
@@ -107,32 +142,161 @@ struct ProjAcc {
                            _mm256_mul_pd(vt, _mm256_loadu_pd(qrow + 8 * kNz)));
     }
   }
+  // Adds the lowest nonzero row left in *nz (NonzeroBits of `word`,
+  // whose row 0 is row `base`) and clears it from *nz.
+  void AddNext(uint64_t word, uint64_t* nz, int64_t base, const double* qp) {
+    const int b = __builtin_ctzll(*nz);
+    *nz &= *nz - 1;
+    Add(kDosage[(word >> b) & 3u], qp + (base + (b >> 1)) * KP);
+  }
 };
 
-// Pair-interleaved packed kernel. Two adjacent columns share the word
-// loop so their per-nonzero add chains interleave: one column's chain
-// (~4-cycle add latency per nonzero) leaves the FP ports mostly idle,
-// and the second independent chain fills them — measured ~1.4x over
-// the single-column form on the 100k x 10k scan shape.
+// Pair replay of words [w0, w1) of two columns whose accumulators live
+// at pra / prb. The two columns share the word loop so their
+// per-nonzero add chains interleave: one column's chain (~4-cycle add
+// latency per nonzero) leaves the FP ports mostly idle, and the second
+// independent chain fills them — measured 1.08x over replaying each
+// column alone (ReplayColumn) on rare data, N = 100k, M = 10k, MAF
+// 0.001-0.02 (DESIGN.md §13).
+template <int KP>
+void ReplayPair(const uint64_t* cwa, const uint64_t* cwb, int64_t w0,
+                int64_t w1, const double* qp, double* pra, double* prb,
+                int64_t* het, int64_t* hom) {
+  ProjAcc<KP> pa;
+  ProjAcc<KP> pb;
+  pa.Load(pra);
+  pb.Load(prb);
+  for (int64_t wi = w0; wi < w1; ++wi) {
+    const uint64_t worda = cwa[wi];
+    const uint64_t wordb = cwb[wi];
+    if ((worda | wordb) == 0) continue;
+    CountClasses(worda, het, hom);
+    CountClasses(wordb, het + 1, hom + 1);
+    const int64_t base = wi * kRowsPerWord;
+    uint64_t nza = NonzeroBits(worda);
+    uint64_t nzb = NonzeroBits(wordb);
+    while ((nza | nzb) != 0) {
+      if (nza != 0) pa.AddNext(worda, &nza, base, qp);
+      if (nzb != 0) pb.AddNext(wordb, &nzb, base, qp);
+    }
+  }
+  pa.Store(pra);
+  pb.Store(prb);
+}
+
+// The odd last column of a short group.
+template <int KP>
+void ReplayColumn(const uint64_t* cw, int64_t w0, int64_t w1,
+                  const double* qp, double* pr, int64_t* het, int64_t* hom) {
+  ProjAcc<KP> pacc;
+  pacc.Load(pr);
+  for (int64_t wi = w0; wi < w1; ++wi) {
+    const uint64_t word = cw[wi];
+    CountClasses(word, het, hom);
+    uint64_t nz = NonzeroBits(word);
+    while (nz != 0) pacc.AddNext(word, &nz, wi * kRowsPerWord, qp);
+  }
+  pacc.Store(pr);
+}
+
+// acc[I] += dosage · q(i, I) on the lanes in nz, for every I of the
+// pack. The fold unrolls at any optimization level, so the KA
+// accumulators stay in registers.
+template <size_t... I>
+inline void LaneRow(__m512d* acc, __m512d dosage, __mmask8 nz,
+                    const double* qrow, std::index_sequence<I...>) {
+  ((acc[I] = _mm512_mask_add_pd(
+        acc[I], nz, acc[I], _mm512_mul_pd(dosage, _mm512_set1_pd(qrow[I])))),
+   ...);
+}
+
+// Lane I of a group's accumulators: row I of QᵀX for I < KA - 1, X·y
+// for the last; each is 8 adjacent output columns of `out`.
+template <size_t... I>
+inline void LoadLanes(__m512d* acc, const double* xy, const double* qtx,
+                      int64_t stride, std::index_sequence<I...>) {
+  constexpr size_t kLast = sizeof...(I) - 1;
+  ((acc[I] = _mm512_loadu_pd(I == kLast ? xy : qtx + I * stride)), ...);
+}
+template <size_t... I>
+inline void StoreLanes(const __m512d* acc, double* xy, double* qtx,
+                       int64_t stride, std::index_sequence<I...>) {
+  constexpr size_t kLast = sizeof...(I) - 1;
+  (_mm512_storeu_pd(I == kLast ? xy : qtx + I * stride, acc[I]), ...);
+}
+
+// Column-lane path over words [w0, w1) of the 8 columns whose first
+// word array is `words` (column c's words follow at c * wpc). Each zmm
+// lane is one column, as in the dense kernel, so each output element
+// keeps its own accumulator and its own add chain. Every row of a word
+// is visited in ascending order; the row's 2-bit codes index a dosage
+// table and the add is masked to codes 1 and 2, so each element
+// receives exactly the scalar reference's products in its order.
+// Accumulators load from and store to `out`, whose QᵀX rows and X·y
+// are already lane-major.
+template <int KP, int KA>
+void LaneGroup(const uint64_t* words, int64_t wpc, int64_t w0, int64_t w1,
+               const double* qp, double* xy, double* qtx, int64_t stride,
+               int64_t* het, int64_t* hom) {
+  using Lanes = std::make_index_sequence<KA>;
+  __m512d acc[KA];
+  LoadLanes(acc, xy, qtx, stride, Lanes{});
+  const __m512i column_offsets = _mm512_mullo_epi64(
+      _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7), _mm512_set1_epi64(wpc));
+  // vpermpd reads three index bits: the row's code plus the low bit of
+  // the next row's, hence the table repeated twice.
+  const __m512d dosage_of = _mm512_setr_pd(0.0, 1.0, 2.0, 0.0,  //
+                                           0.0, 1.0, 2.0, 0.0);
+  // The mask/maskz forms with a zero source keep GCC from flagging the
+  // plain forms' undefined pass-through operand.
+  const __m512i zero = _mm512_setzero_si512();
+  for (int64_t wi = w0; wi < w1; ++wi) {
+    __m512i codes = _mm512_mask_i64gather_epi64(zero, 0xFF, column_offsets,
+                                                words + wi, 8);
+    if (_mm512_test_epi64_mask(codes, codes) == 0) continue;
+    // Scalar popcounts: they run beside the vector ops, not on their
+    // ports.
+    for (int64_t c = 0; c < kLaneGroup; ++c) {
+      CountClasses(words[c * wpc + wi], het + c, hom + c);
+    }
+    const double* qrow = qp + wi * kRowsPerWord * KP;
+    for (int64_t r = 0; r < kRowsPerWord; ++r, qrow += KP) {
+      const __m512d dosage =
+          _mm512_maskz_permutexvar_pd(0xFF, codes, dosage_of);
+      const __m512i bits = _mm512_castpd_si512(dosage);
+      LaneRow(acc, dosage, _mm512_test_epi64_mask(bits, bits), qrow, Lanes{});
+      codes = _mm512_maskz_srli_epi64(0xFF, codes, 2);
+    }
+  }
+  StoreLanes(acc, xy, qtx, stride, Lanes{});
+}
+
+// Packed column-range kernel for K = KA - 1 covariates, KP = KA rounded
+// up to 4. Per column block and word panel, each 8-column group takes
+// the column-lane path if it is dense enough (kReplayCostPerNonzero)
+// and the pair replay if not. Both give every output element the
+// scalar reference's products in ascending row order, so a group may
+// switch paths from one panel to the next without changing a bit;
+// dosage multiplies by 1.0 / 2.0 are exact. Both also count the
+// dosage classes of the words they visit: X·X is the exact integer
+// #het + 4·#hom.
 //
 // q and y are copied once into a KP-padded row-major scratch
-// ([q(i,0..k-1), y[i], 0...] per row) so a row's vector loads never
-// cross into the next row or read past the allocation (padding lanes
-// accumulate into proj entries > k that are never written back).
-// Bit-identity: each column's nonzeros are replayed in ascending row
-// order (ctz over the nonzero mask), each output element — X·y's lane
-// k included — has its own accumulator lane seeing exactly the scalar
-// reference's add chain, dosage multiplies by 1.0/2.0 are exact, and
-// X·X is an exact popcount sum.
-template <int KP>
+// ([q(i,0..k-1), y[i], 0...] per row), padded with zero rows to whole
+// 32-row words: the lane path loads a q row for every slot of a word,
+// and the replay's vector loads never cross into the next row or read
+// past the allocation (its padding lanes accumulate into proj entries
+// > k that are never written back).
+template <int KA>
 void PackedColumnsImpl(const PackedGenotypeMatrix& x, const double* y,
                        const Matrix& q, int64_t col_begin, int64_t col_end,
                        const StatsBlockView& out) {
-  const int64_t k = q.cols();
+  constexpr int KP = (KA + 3) / 4 * 4;
+  constexpr int64_t k = KA - 1;
   const int64_t n = x.rows();
   const int64_t wpc = x.words_per_column();
 
-  std::vector<double> qpad(static_cast<size_t>(n * KP), 0.0);
+  std::vector<double> qpad(static_cast<size_t>(wpc * kRowsPerWord * KP), 0.0);
   {
     const double* qd = q.data();
     double* dst = qpad.data();
@@ -143,22 +307,27 @@ void PackedColumnsImpl(const PackedGenotypeMatrix& x, const double* y,
   }
   const double* qp = qpad.data();
 
+  // The replay's accumulators: one KP-lane row per column (lane kk =
+  // QᵀX, lane k = X·y, padding lanes 0). A group's accumulators are in
+  // proj only between replay visits (in_proj); the lane path keeps
+  // them in `out`, whose layout it shares. het/hom are per-call
+  // integer counts; out.xx picks them up with an exact integer add at
+  // the end of each block.
   std::vector<double> proj(static_cast<size_t>(kPackedColBlock * KP), 0.0);
   std::vector<int64_t> het(static_cast<size_t>(kPackedColBlock), 0);
   std::vector<int64_t> hom(static_cast<size_t>(kPackedColBlock), 0);
+  bool in_proj[kPackedColBlock / kLaneGroup];
   double* const projd = proj.data();
   int64_t* const hetd = het.data();
   int64_t* const homd = hom.data();
 
-  for (int64_t j0 = col_begin; j0 < col_end; j0 += kPackedColBlock) {
-    const int64_t j1 = std::min(col_end, j0 + kPackedColBlock);
-    // Seed proj from `out` (lane kk = QᵀX, lane k = X·y, padding lanes
-    // 0): the kernel ACCUMULATES into its destination (callers zero the
-    // arena before the first call), so an out-of-core sweep feeding row
-    // panels through repeated calls continues the exact per-element add
-    // chain of a single full-matrix sweep. het/hom stay per-call
-    // integer counts; out.xx picks them up with an exact integer add.
-    for (int64_t j = j0; j < j1; ++j) {
+  // Moves columns [g0, g1)'s accumulators between `out` and proj. The
+  // kernel ACCUMULATES into its destination (callers zero the arena
+  // before the first call), so an out-of-core sweep feeding row panels
+  // through repeated calls continues the exact per-element add chain
+  // of a single full-matrix sweep.
+  const auto seed_proj = [&](int64_t j0, int64_t g0, int64_t g1) {
+    for (int64_t j = g0; j < g1; ++j) {
       const int64_t off = j - col_begin;
       double* pr = projd + (j - j0) * KP;
       for (int64_t kk = 0; kk < k; ++kk) {
@@ -167,130 +336,99 @@ void PackedColumnsImpl(const PackedGenotypeMatrix& x, const double* y,
       pr[k] = out.xy[off];
       for (int64_t kk = k + 1; kk < KP; ++kk) pr[kk] = 0.0;
     }
-    std::fill(het.begin(), het.end(), 0);
-    std::fill(hom.begin(), hom.end(), 0);
-
-    for (int64_t w0 = 0; w0 < wpc; w0 += kPackedPanelWords) {
-      const int64_t w1 = std::min(wpc, w0 + kPackedPanelWords);
-      int64_t j = j0;
-      for (; j + 2 <= j1; j += 2) {
-        const uint64_t* cwa = x.column_words(j);
-        const uint64_t* cwb = x.column_words(j + 1);
-        double* pra = projd + (j - j0) * KP;
-        double* prb = pra + KP;
-        ProjAcc<KP> pa;
-        ProjAcc<KP> pb;
-        pa.Load(pra);
-        pb.Load(prb);
-        int64_t hetsa = 0, homsa = 0, hetsb = 0, homsb = 0;
-        for (int64_t wi = w0; wi < w1; ++wi) {
-          const uint64_t worda = cwa[wi];
-          const uint64_t wordb = cwb[wi];
-          if ((worda | wordb) == 0) continue;
-          const int64_t base = wi * PackedGenotypeMatrix::kRowsPerWord;
-          const uint64_t loa = worda & kEvenBits;
-          const uint64_t hia = (worda >> 1) & kEvenBits;
-          uint64_t nza = (loa | hia) & ~(loa & hia);
-          hetsa += __builtin_popcountll(loa & ~hia);
-          homsa += __builtin_popcountll(hia & ~loa);
-          const uint64_t lob = wordb & kEvenBits;
-          const uint64_t hib = (wordb >> 1) & kEvenBits;
-          uint64_t nzb = (lob | hib) & ~(lob & hib);
-          hetsb += __builtin_popcountll(lob & ~hib);
-          homsb += __builtin_popcountll(hib & ~lob);
-          while ((nza | nzb) != 0) {
-            if (nza != 0) {
-              const int b = __builtin_ctzll(nza);
-              nza &= nza - 1;
-              const int64_t i = base + (b >> 1);
-              pa.Add(kDosage[(worda >> b) & 3u], qp + i * KP);
-            }
-            if (nzb != 0) {
-              const int b = __builtin_ctzll(nzb);
-              nzb &= nzb - 1;
-              const int64_t i = base + (b >> 1);
-              pb.Add(kDosage[(wordb >> b) & 3u], qp + i * KP);
-            }
-          }
-        }
-        hetd[j - j0] += hetsa;
-        homd[j - j0] += homsa;
-        hetd[j - j0 + 1] += hetsb;
-        homd[j - j0 + 1] += homsb;
-        pa.Store(pra);
-        pb.Store(prb);
-      }
-      for (; j < j1; ++j) {  // odd last column of the block
-        const uint64_t* cw = x.column_words(j);
-        double* pr = projd + (j - j0) * KP;
-        ProjAcc<KP> pacc;
-        pacc.Load(pr);
-        int64_t hets = 0, homs = 0;
-        for (int64_t wi = w0; wi < w1; ++wi) {
-          const uint64_t word = cw[wi];
-          if (word == 0) continue;
-          const uint64_t lo = word & kEvenBits;
-          const uint64_t hi = (word >> 1) & kEvenBits;
-          uint64_t nz = (lo | hi) & ~(lo & hi);
-          hets += __builtin_popcountll(lo & ~hi);
-          homs += __builtin_popcountll(hi & ~lo);
-          const int64_t base = wi * PackedGenotypeMatrix::kRowsPerWord;
-          while (nz != 0) {
-            const int b = __builtin_ctzll(nz);
-            nz &= nz - 1;
-            const int64_t i = base + (b >> 1);
-            pacc.Add(kDosage[(word >> b) & 3u], qp + i * KP);
-          }
-        }
-        hetd[j - j0] += hets;
-        homd[j - j0] += homs;
-        pacc.Store(pr);
-      }
-    }
-
-    for (int64_t j = j0; j < j1; ++j) {
+  };
+  const auto spill_proj = [&](int64_t j0, int64_t g0, int64_t g1) {
+    for (int64_t j = g0; j < g1; ++j) {
       const int64_t off = j - col_begin;
       const double* pr = projd + (j - j0) * KP;
       out.xy[off] = pr[k];
-      out.xx[off] += static_cast<double>(hetd[j - j0]) +
-                     4.0 * static_cast<double>(homd[j - j0]);
       for (int64_t kk = 0; kk < k; ++kk) {
         out.qtx[kk * out.qtx_stride + off] = pr[kk];
       }
     }
+  };
+
+  for (int64_t j0 = col_begin; j0 < col_end; j0 += kPackedColBlock) {
+    const int64_t j1 = std::min(col_end, j0 + kPackedColBlock);
+    std::fill(het.begin(), het.end(), 0);
+    std::fill(hom.begin(), hom.end(), 0);
+    std::fill(std::begin(in_proj), std::end(in_proj), false);
+
+    for (int64_t w0 = 0; w0 < wpc; w0 += kPackedPanelWords) {
+      const int64_t w1 = std::min(wpc, w0 + kPackedPanelWords);
+      for (int64_t g0 = j0; g0 < j1; g0 += kLaneGroup) {
+        const int64_t g1 = std::min(j1, g0 + kLaneGroup);
+        // The density comes from a sample, the panel's first word of
+        // each column: a full count before the replay, which counts
+        // inline anyway, cost rare data ~8% (DESIGN.md §13). A wrong
+        // guess near the crossover costs little; it never costs a bit.
+        int64_t sample_nnz = 0;
+        for (int64_t j = g0; j < g1; ++j) {
+          sample_nnz +=
+              __builtin_popcountll(NonzeroBits(x.column_words(j)[w0]));
+        }
+        bool& replaying = in_proj[(g0 - j0) / kLaneGroup];
+        if (g1 - g0 == kLaneGroup && sample_nnz * kReplayCostPerNonzero >=
+                                         kRowsPerWord * (2 * KA + 3)) {
+          if (replaying) spill_proj(j0, g0, g1);
+          replaying = false;
+          const int64_t off = g0 - col_begin;
+          LaneGroup<KP, KA>(x.column_words(g0), wpc, w0, w1, qp,
+                            out.xy + off, out.qtx + off, out.qtx_stride,
+                            hetd + (g0 - j0), homd + (g0 - j0));
+          continue;
+        }
+        if (!replaying) seed_proj(j0, g0, g1);
+        replaying = true;
+        int64_t j = g0;
+        for (; j + 2 <= g1; j += 2) {
+          double* pr = projd + (j - j0) * KP;
+          ReplayPair<KP>(x.column_words(j), x.column_words(j + 1), w0, w1, qp,
+                         pr, pr + KP, hetd + (j - j0), homd + (j - j0));
+        }
+        if (j < g1) {
+          ReplayColumn<KP>(x.column_words(j), w0, w1, qp,
+                           projd + (j - j0) * KP, hetd + (j - j0),
+                           homd + (j - j0));
+        }
+      }
+    }
+
+    for (int64_t g0 = j0; g0 < j1; g0 += kLaneGroup) {
+      if (in_proj[(g0 - j0) / kLaneGroup]) {
+        spill_proj(j0, g0, std::min(j1, g0 + kLaneGroup));
+      }
+    }
+    for (int64_t j = j0; j < j1; ++j) {
+      out.xx[j - col_begin] += static_cast<double>(hetd[j - j0]) +
+                               4.0 * static_cast<double>(homd[j - j0]);
+    }
   }
 }
+
+// One instantiation per K = KA - 1 < 24: the lane path keeps exactly
+// K + 1 accumulators, the replay KA rounded up to 4 lanes.
+template <size_t... I>
+constexpr std::array<PackedColumnsFn, sizeof...(I)> PackedColumnsByK(
+    std::index_sequence<I...>) {
+  return {&PackedColumnsImpl<static_cast<int>(I) + 1>...};
+}
+
+constexpr auto kPackedColumnsByK =
+    PackedColumnsByK(std::make_index_sequence<24>());
 
 }  // namespace
 
 void PackedColumnsAvx512(const PackedGenotypeMatrix& x, const double* y,
                          const Matrix& q, int64_t col_begin, int64_t col_end,
                          const StatsBlockView& out) {
-  // KP must fit the K covariates plus the phenotype lane (k + 1).
-  switch (const int64_t k = q.cols(); (k + 4) / 4) {
-    case 1:
-      PackedColumnsImpl<4>(x, y, q, col_begin, col_end, out);
-      break;
-    case 2:
-      PackedColumnsImpl<8>(x, y, q, col_begin, col_end, out);
-      break;
-    case 3:
-      PackedColumnsImpl<12>(x, y, q, col_begin, col_end, out);
-      break;
-    case 4:
-      PackedColumnsImpl<16>(x, y, q, col_begin, col_end, out);
-      break;
-    case 5:
-      PackedColumnsImpl<20>(x, y, q, col_begin, col_end, out);
-      break;
-    case 6:
-      PackedColumnsImpl<24>(x, y, q, col_begin, col_end, out);
-      break;
-    default:
-      // k > 23 (more covariates than the register-resident
-      // accumulators cover): the portable kernel handles any K.
-      PackedColumnsPortable(x, y, q, col_begin, col_end, out);
-      break;
+  const auto k = static_cast<size_t>(q.cols());
+  if (k < kPackedColumnsByK.size()) {
+    kPackedColumnsByK[k](x, y, q, col_begin, col_end, out);
+  } else {
+    // k > 23 (more covariates than the register-resident
+    // accumulators cover): the portable kernel handles any K.
+    PackedColumnsPortable(x, y, q, col_begin, col_end, out);
   }
 }
 

@@ -28,8 +28,10 @@
 //   - Hard-call dosage data (every value in {0, 1, 2}, probed cheaply
 //     and verified during packing) is repacked into a per-task 2-bit
 //     PackedGenotypeMatrix scratch and handed to the popcount kernel,
-//     whose flop count is proportional to the block's nonzeros (claim
-//     C6) — it beats the dense path at every genotype density.
+//     whose flop count is proportional to the block's nonzeros for
+//     8-column groups below the column-lane crossover (claim C6;
+//     denser groups take a flat per-row path, DESIGN.md §13) — it
+//     beats the dense path at every genotype density.
 //   - Anything else runs the dense row-panel sweep, strip-mined into
 //     panels of kStatsRowPanel rows that dispatch to a branchless dense
 //     micro-kernel or a zero-skipping sparse one by measured density.
@@ -110,8 +112,10 @@ inline constexpr int64_t kStatsRowPanel = 256;
 
 // Packed-genotype column-range kernel: ACCUMULATES xy/xx/qtx for
 // columns [col_begin, col_end) of an already 2-bit-packed X into `out`
-// with the popcount kernel — O(nnz) flops plus one popcount per 32
-// genotypes; missing calls expand to 0.0. The caller zeroes the
+// with the popcount kernel — O(nnz) flops for 8-column groups below the
+// column-lane crossover, O(rows) vector ops per group above it (AVX-512;
+// DESIGN.md §13), plus one popcount per 32 genotypes; missing calls
+// expand to 0.0. The caller zeroes the
 // destination before the first call. The accumulate contract (shared
 // by the dense and sparse column-range kernels inside suff_stats.cc) is
 // what lets the out-of-core path stream X in row panels: repeated calls

@@ -40,6 +40,21 @@ int64_t WordsPerPanel(int64_t panel_rows) {
          PackedGenotypeMatrix::kRowsPerWord;
 }
 
+// The first column of x whose last word holds a nonzero code past row
+// x.rows() - 1, or -1. Those slots must stay code 0 (packed_matrix.h):
+// the kernels consume whole words, so a padding nonzero would make them
+// read y and Q past the last row. One mask test per column.
+int64_t ColumnWithPaddingCode(const PackedGenotypeMatrix& x) {
+  const int64_t tail = x.rows() % PackedGenotypeMatrix::kRowsPerWord;
+  if (tail == 0) return -1;
+  const uint64_t padding = ~uint64_t{0} << (2 * tail);
+  const int64_t last = x.words_per_column() - 1;
+  for (int64_t j = 0; j < x.cols(); ++j) {
+    if ((x.column_words(j)[last] & padding) != 0) return j;
+  }
+  return -1;
+}
+
 struct StudyShape {
   int64_t n = 0;
   int64_t m = 0;
@@ -202,6 +217,11 @@ Status WritePackedStudy(const std::string& path, const PackedGenotypeMatrix& x,
   }
   if (shape.n > kMaxDim || shape.m > kMaxDim || shape.k > kMaxCovariates) {
     return InvalidArgumentError("WritePackedStudy: dimensions out of range");
+  }
+  if (const int64_t j = ColumnWithPaddingCode(x); j >= 0) {
+    return InvalidArgumentError(
+        "WritePackedStudy: column " + std::to_string(j) +
+        " has a nonzero code past row " + std::to_string(shape.n - 1));
   }
 
   const std::string tmp = path + ".tmp";
@@ -373,6 +393,13 @@ Status PackedStudyReader::ReadPanel(int64_t panel, PackedGenotypeMatrix* out) {
   if (Fnv1aBytes(words, static_cast<size_t>(payload)) != stored_sum) {
     return DataLossError("DASHPACK panel " + std::to_string(panel) +
                          " checksum mismatch: " + path_);
+  }
+  // Only the last panel can end mid-word; a file patched there with a
+  // re-stamped checksum still must not reach the kernels.
+  if (const int64_t j = ColumnWithPaddingCode(*out); j >= 0) {
+    return DataLossError("DASHPACK panel " + std::to_string(panel) +
+                         " column " + std::to_string(j) +
+                         " has a nonzero code past its last row: " + path_);
   }
   return Status::Ok();
 }

@@ -7,12 +7,18 @@
 // they derive heterozygote / homozygote / missing / nonzero masks with
 // three bit operations each, count dosage classes with popcount, and
 // touch y / Q rows only at nonzero genotypes — so the flop count of the
-// sufficient-statistics scan is proportional to sparsity instead of N.
+// sufficient-statistics scan is proportional to sparsity instead of N,
+// for 8-column groups below the column-lane crossover. Denser groups
+// on AVX-512 visit every row of a word with eight variants per vector,
+// a flat per-row cost below what their replay would take (DESIGN.md
+// §13).
 //
 // Word layout: column j occupies words_per_column() consecutive words;
 // row i lives in word i / 32 at bit offset 2 * (i % 32) (little-endian
 // within the word). Rows beyond rows() in the final word are always
-// code 0, so kernels may consume whole words without a tail guard.
+// code 0, so kernels may consume whole words without a tail guard
+// (mutable_column_words can break that; WritePackedStudy and
+// PackedStudyReader::ReadPanel refuse such data).
 //
 // Missing semantics: a missing call (code 3) contributes nothing to any
 // statistic — identical to dosage 0. Callers that want mean imputation

@@ -164,44 +164,73 @@ TEST(KernelIdentityTest, IsaSweepGenotypeAllStorages) {
   // kernel bit for bit through the auto path (which packs dosage
   // blocks), the pre-packed path, the dense no-pack path and the
   // sparse repack path.
+  const auto expect_all_storages_match = [](const Matrix& x, uint64_t seed) {
+    const int64_t n = x.rows();
+    Rng rng(seed);
+    const Vector y = GaussianVector(n, &rng);
+    const Matrix q = MakeQ(n, 4, &rng);
+    const Vector want = ComputeLocalStatsScalar(x, y, q);
+    const PackedGenotypeMatrix packed = PackedGenotypeMatrix::FromDense(x);
+    const SparseColumnMatrix sparse = SparseColumnMatrix::FromDense(x);
+    for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
+      ScopedIsa pin(isa);
+      SCOPED_TRACE(kernels::StatsIsaName(isa));
+      ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q), want);
+      ExpectArenaBitIdentical(ComputeLocalStatsPackedFlat(packed, y, q),
+                              want);
+      ExpectArenaBitIdentical(ComputeLocalStatsDense(x, y, q), want);
+      ExpectArenaBitIdentical(ComputeLocalStatsSparseFlat(sparse, y, q),
+                              want);
+    }
+  };
   for (const int64_t m : kVariantSizes) {
-    for (const int64_t n : {33, 301}) {
+    // n = 32 is exactly one packed word; 33 spills one row into a second.
+    for (const int64_t n : {32, 33, 301}) {
       GenotypeOptions geno;
       geno.num_samples = n;
       geno.num_variants = m;
       geno.maf_min = 0.01;
       geno.maf_max = 0.4;
       geno.seed = static_cast<uint64_t>(m * 1000 + n);
-      const Matrix x = GenerateGenotypes(geno);
-      Rng rng(static_cast<uint64_t>(m) + 99);
-      const Vector y = GaussianVector(n, &rng);
-      const Matrix q = MakeQ(n, 4, &rng);
-      const Vector want = ComputeLocalStatsScalar(x, y, q);
-      const PackedGenotypeMatrix packed = PackedGenotypeMatrix::FromDense(x);
-      const SparseColumnMatrix sparse = SparseColumnMatrix::FromDense(x);
-      for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
-        ScopedIsa pin(isa);
-        SCOPED_TRACE(std::string(kernels::StatsIsaName(isa)) +
-                     " n=" + std::to_string(n) + " m=" + std::to_string(m));
-        ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q), want);
-        ExpectArenaBitIdentical(ComputeLocalStatsPackedFlat(packed, y, q),
-                                want);
-        ExpectArenaBitIdentical(ComputeLocalStatsDense(x, y, q), want);
-        ExpectArenaBitIdentical(ComputeLocalStatsSparseFlat(sparse, y, q),
-                                want);
-      }
+      SCOPED_TRACE("n=" + std::to_string(n) + " m=" + std::to_string(m));
+      expect_all_storages_match(GenerateGenotypes(geno),
+                                static_cast<uint64_t>(m) + 99);
     }
   }
+  // One 128-column block whose 8-column groups alternate MAF 0.005 and
+  // 0.3, flipping at every 256-row word panel: the AVX-512 packed
+  // kernel replays every other group and runs the rest on its column
+  // lanes, side by side in one block, and each group changes path
+  // from one panel to the next.
+  const int64_t n = 600, m = 128;
+  GenotypeOptions geno;
+  geno.num_samples = n;
+  geno.num_variants = m;
+  geno.maf_min = geno.maf_max = 0.005;
+  geno.seed = 61;
+  const Matrix rare = GenerateGenotypes(geno);
+  geno.maf_min = geno.maf_max = 0.3;
+  geno.seed = 62;
+  const Matrix common = GenerateGenotypes(geno);
+  Matrix x(n, m);
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < m; ++j) {
+      x(i, j) = (j / 8 + i / 256) % 2 == 0 ? rare(i, j) : common(i, j);
+    }
+  }
+  SCOPED_TRACE("alternating MAF 0.005 / 0.3 groups");
+  expect_all_storages_match(x, 63);
 }
 
 TEST(KernelIdentityTest, IsaSweepCovariateWidths) {
   // K straddles every projection-accumulator specialization (KP covers
   // K covariates plus the phenotype lane, so the widest K is 23 on
   // AVX-512 and 15 on AVX2): the 4-wide steps, the odd widths that
-  // exercise the padded tail lanes, and K past the widest
-  // specialization, which must fall back to the portable packed kernel
-  // — still bit-identically.
-  for (const int64_t k : {0, 1, 3, 4, 7, 8, 12, 16, 17, 24, 27}) {
+  // exercise the padded tail lanes, the benchmark's K = 10, the widest
+  // AVX-512 specialization (KP = 24, K = 20..23), and K past it, which
+  // must fall back to the portable packed kernel — still
+  // bit-identically.
+  for (const int64_t k : {0, 1, 3, 4, 7, 8, 10, 12, 16, 17, 23, 24, 27}) {
     GenotypeOptions geno;
     geno.num_samples = 300;
     geno.num_variants = 130;
@@ -308,7 +337,7 @@ TEST(KernelIdentityTest, IsaSweepThreadPoolAndPackedRoundTrip) {
 TEST(KernelIdentityTest, PackedColumnRangeMatchesFullComputation) {
   // The packed column-range kernel must reproduce the corresponding
   // slice of the full wire image for any [begin, end), even when the
-  // boundaries fall mid cache-block.
+  // boundaries fall mid cache-block or mid 8-column group.
   GenotypeOptions geno;
   geno.num_samples = 260;
   geno.num_variants = 200;
@@ -316,18 +345,20 @@ TEST(KernelIdentityTest, PackedColumnRangeMatchesFullComputation) {
   geno.maf_max = 0.4;
   geno.seed = 31;
   const Matrix x = GenerateGenotypes(geno);
-  Rng rng(31);
-  const int64_t n = 260, m = 200, k = 3;
-  const Vector y = GaussianVector(n, &rng);
-  const Matrix q = MakeQ(n, k, &rng);
+  const int64_t n = 260, m = 200;
   const PackedGenotypeMatrix packed = PackedGenotypeMatrix::FromDense(x);
-  const Vector full = ComputeLocalStatsScalar(x, y, q);
-  const StatsWireLayout layout{m, k};
-  const struct { int64_t begin, end; } ranges[] = {
-      {0, 200}, {0, 1}, {199, 200}, {13, 141}, {128, 200}, {50, 50}};
+  const struct { int64_t k, begin, end; } ranges[] = {
+      {3, 0, 200},   {3, 0, 1},    {3, 199, 200}, {3, 13, 141},
+      {3, 128, 200}, {3, 50, 50},  {10, 5, 200}};
   for (const auto& r : ranges) {
-    SCOPED_TRACE("[" + std::to_string(r.begin) + ", " + std::to_string(r.end) +
-                 ")");
+    const int64_t k = r.k;
+    SCOPED_TRACE("k=" + std::to_string(k) + " [" + std::to_string(r.begin) +
+                 ", " + std::to_string(r.end) + ")");
+    Rng rng(31);
+    const Vector y = GaussianVector(n, &rng);
+    const Matrix q = MakeQ(n, k, &rng);
+    const Vector full = ComputeLocalStatsScalar(x, y, q);
+    const StatsWireLayout layout{m, k};
     const int64_t w = r.end - r.begin;
     // The column-range kernels ACCUMULATE into their destination, so
     // the buffer must start zeroed (as every production caller does).

@@ -289,6 +289,42 @@ TEST(PanelStreamTest, BadPanelChecksumDetectedLazily) {
   EXPECT_EQ(bad.code(), StatusCode::kDataLoss) << bad;
 }
 
+TEST(PanelStreamTest, NonzeroPaddingCodeRejectedByWriterAndReader) {
+  // Slots past the last row of a column's last word must hold code 0:
+  // the packed kernels consume whole words, so a nonzero padding code
+  // would make them read y and Q past the last row. The public
+  // mutable_column_words can still plant one.
+  Study study = MakeStudy(33, 4, 2);
+  const uint64_t padding_code = uint64_t{1} << 2;  // row 33: code 1
+  study.x.mutable_column_words(0)[1] |= padding_code;
+  const Status refused = WritePackedStudy(TempPath("padding_w.dpk"), study.x,
+                                          study.y, study.c, study.tag);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << refused;
+
+  // A clean file patched afterwards (word edited, panel checksum
+  // re-stamped) passes every checksum; the reader must still refuse it.
+  study.x.mutable_column_words(0)[1] &= ~padding_code;
+  const std::string path = WriteStudyFile(study, "padding_r.dpk");
+  std::string bytes = ReadFileBytes(path);
+  const size_t panel_offset =
+      72 + static_cast<size_t>(study.x.rows() * (1 + study.c.cols())) * 8 + 8;
+  const size_t payload = static_cast<size_t>(study.x.cols()) * 2 * 8;
+  ASSERT_EQ(bytes.size(), panel_offset + payload + 8);
+  uint64_t word = 0;
+  std::memcpy(&word, bytes.data() + panel_offset + 8, 8);  // column 0, word 1
+  word |= padding_code;
+  std::memcpy(bytes.data() + panel_offset + 8, &word, 8);
+  const uint64_t sum = Fnv1aBytes(bytes.data() + panel_offset, payload);
+  std::memcpy(bytes.data() + panel_offset + payload, &sum, 8);
+  WriteFileBytes(path, bytes);
+
+  auto opened = PackedStudyReader::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  PackedGenotypeMatrix panel(0, 0);
+  const Status bad = opened.value()->ReadPanel(0, &panel);
+  EXPECT_EQ(bad.code(), StatusCode::kDataLoss) << bad;
+}
+
 TEST(PanelStreamTest, ReadPanelPastEndIsOutOfRange) {
   const Study study = MakeStudy(300, 10, 2);
   const std::string path = WriteStudyFile(study, "range.dpk");
