@@ -8,12 +8,18 @@
 // Series 2 sweeps M at fixed N: bytes must grow linearly, and we report
 // bytes/M against the information-theoretic floor of 16 bytes/M (every
 // party must receive beta and se).
+// Series 3 sweeps P at fixed N and M and reports the most bytes any one
+// party sends: Phase 2's reduce-scatter + all-gather keeps that under
+// two summand vectors for any P.
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "core/secure_scan.h"
 #include "data/workloads.h"
+#include "net/network.h"
+#include "transport/party_runner.h"
 
 namespace {
 
@@ -37,6 +43,27 @@ SecureScanMetrics Metrics(const ScanWorkload& w, AggregationMode mode) {
   const auto out = SecureAssociationScan(opts).Run(w.parties);
   DASH_CHECK(out.ok()) << out.status();
   return out->metrics;
+}
+
+// The most bytes one party sends in a scan of `parties` as P threads
+// over the in-process mesh (each endpoint counts its own sends).
+int64_t MaxPartyBytes(const std::vector<PartyData>& parties,
+                      AggregationMode mode) {
+  SecureScanOptions opts;
+  opts.aggregation = mode;
+  opts.frac_bits = 32;
+  std::vector<int64_t> sent(parties.size(), 0);
+  const Status status = RunPartiesInProcess(
+      static_cast<int>(parties.size()), [&](Transport* transport) -> Status {
+        const size_t p = static_cast<size_t>(transport->local_party());
+        DASH_ASSIGN_OR_RETURN(
+            SecureScanOutput out,
+            RunPartySecureScan(transport, parties[p], opts));
+        sent[p] = out.metrics.total_bytes;
+        return Status::Ok();
+      });
+  DASH_CHECK(status.ok()) << status;
+  return *std::max_element(sent.begin(), sent.end());
 }
 
 int RealMain() {
@@ -76,6 +103,28 @@ int RealMain() {
     std::printf("\n");
   }
 
+  std::printf(
+      "\n-- series 3: sweep P, N = 3000, M = 1000 (max bytes one party "
+      "sends) --\n");
+  std::printf("%-8s | %12s %12s %12s %12s | %9s\n", "P", "public",
+              "additive", "masked", "shamir", "vector");
+  for (const int parties : {2, 3, 5, 8}) {
+    GwasWorkloadOptions data;
+    data.party_sizes.assign(static_cast<size_t>(parties), 3000 / parties);
+    data.num_variants = 1000;
+    data.num_covariates = 4;
+    data.seed = 11;
+    const auto w = MakeGwasWorkload(data);
+    DASH_CHECK(w.ok()) << w.status();
+    std::printf("%-8d |", parties);
+    for (const auto mode : modes) {
+      std::printf(" %12lld", static_cast<long long>(
+                                 MaxPartyBytes(w->parties, mode)));
+    }
+    // One summand vector: L = 1 + K + (2 + K) * M words.
+    std::printf(" | %9lld\n", 8LL * (1 + 4 + 6 * 1000));
+  }
+
   std::printf("\n-- per-link view (masked, N = 3000, M = 4000) --\n");
   const ScanWorkload w = MakeSized(3000, 4000, 99);
   const SecureScanMetrics m = Metrics(w, AggregationMode::kMasked);
@@ -86,7 +135,10 @@ int RealMain() {
               static_cast<long long>(m.total_messages));
   std::printf(
       "\nexpected shape: series 1 rows identical down the column; series 2\n"
-      "bytes/M constant per mode (the O(M) claim), with masked cheapest.\n");
+      "bytes/M constant per mode (the O(M) claim), with masked cheapest;\n"
+      "series 3 masked under two vectors at every P, additive and shamir\n"
+      "growing only by their share round's (P-1) vectors, public by\n"
+      "(P-1) vectors.\n");
   return 0;
 }
 

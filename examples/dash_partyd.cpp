@@ -413,6 +413,11 @@ int SimulateJob(const std::string& args, int parties) {
                  args.c_str());
     return 2;
   }
+  const Status valid = ValidateJobSpec(spec, parties);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "--simulate-job: %s\n", valid.ToString().c_str());
+    return 2;
+  }
   auto workload = WorkloadForSpec(spec, parties);
   if (!workload.ok()) {
     std::fprintf(stderr, "workload: %s\n",
@@ -583,6 +588,7 @@ int RealMain(int argc, char** argv) {
   Mutex shutdown_mu(LockRank::kLeaf);
   CondVar shutdown_cv;
   bool shutdown_requested = false;
+  control_options.num_parties = num_parties;
   ControlServer control(&scheduler, &cache,
                         [&] {
                           MutexLock lock(&shutdown_mu);

@@ -38,7 +38,7 @@ int RealMain() {
 
   // --- The secure multi-party scan -------------------------------------
   SecureScanOptions options;
-  options.aggregation = AggregationMode::kMasked;  // 1-round secure sum
+  options.aggregation = AggregationMode::kMasked;  // masked secure sum
   const auto secure = SecureAssociationScan(options).Run(parties);
   if (!secure.ok()) {
     std::fprintf(stderr, "secure scan failed: %s\n",

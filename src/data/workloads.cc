@@ -28,8 +28,15 @@ Result<ScanWorkload> MakeGwasWorkload(const GwasWorkloadOptions& options) {
   if (options.num_covariates < 1) {
     return InvalidArgumentError("need at least the intercept covariate");
   }
+  if (options.num_variants < 0 || options.num_causal < 0) {
+    return InvalidArgumentError("variant counts must be non-negative");
+  }
   if (options.num_causal > options.num_variants) {
     return InvalidArgumentError("more causal variants than variants");
+  }
+  if (!(0.0 <= options.maf_min && options.maf_min <= options.maf_max &&
+        options.maf_max <= 0.5)) {
+    return InvalidArgumentError("need 0 <= maf_min <= maf_max <= 0.5");
   }
   int64_t n = 0;
   for (const int64_t s : options.party_sizes) {

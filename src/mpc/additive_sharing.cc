@@ -1,5 +1,6 @@
 #include "mpc/additive_sharing.h"
 
+#include <cstddef>
 #include <utility>
 
 #include "util/check.h"
@@ -78,18 +79,21 @@ Result<Masked<RingVector>> AccumulateAdditiveShares(
   return Masked<RingVector>::Seal(std::move(partial), MpcPass::Get());
 }
 
-Result<Vector> OpenAdditiveTotal(const Masked<RingVector>& own_partial,
-                                 const std::vector<RingVector>& peer_partials,
-                                 const FixedPointCodec& codec) {
-  RingVector total = own_partial.wire();
-  for (const RingVector& peer : peer_partials) {
+Result<RingVector> OpenAdditiveChunk(const Masked<RingVector>& own_partial,
+                                     size_t begin, size_t end,
+                                     const std::vector<RingVector>& peer_chunks) {
+  const RingVector& own = own_partial.wire();
+  DASH_CHECK(begin <= end && end <= own.size());
+  RingVector total(own.begin() + static_cast<std::ptrdiff_t>(begin),
+                   own.begin() + static_cast<std::ptrdiff_t>(end));
+  for (const RingVector& peer : peer_chunks) {
     if (peer.size() != total.size()) {
       return FailedPreconditionError(
           "protocol desync: partial sum length mismatch");
     }
     for (size_t e = 0; e < total.size(); ++e) total[e] += peer[e];
   }
-  return codec.DecodeVector(total);
+  return total;
 }
 
 }  // namespace dash

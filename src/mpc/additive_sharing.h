@@ -53,13 +53,15 @@ Result<Masked<RingVector>> AccumulateAdditiveShares(
     const Secret<RingVector>& own_share,
     const std::vector<RingVector>& received_shares);
 
-// Opens the total from the party's own partial and every peer's
-// broadcast partial, and decodes it. Reveal point (round-key
-// phase2-additive): the sum of ALL partials is the aggregate total,
-// which is the protocol's declared output.
-Result<Vector> OpenAdditiveTotal(const Masked<RingVector>& own_partial,
-                                 const std::vector<RingVector>& peer_partials,
-                                 const FixedPointCodec& codec);
+// Opens chunk [begin, end) of the ring total: own_partial's words there
+// plus every peer's partial for that chunk (each peer_chunks entry is
+// end - begin long; another length is a protocol desync). Reveal point
+// (round-key phase2-additive): the sum of ALL P partials is the
+// aggregate total, so the output is exactly that chunk of the
+// protocol's declared output.
+Result<RingVector> OpenAdditiveChunk(const Masked<RingVector>& own_partial,
+                                     size_t begin, size_t end,
+                                     const std::vector<RingVector>& peer_chunks);
 
 }  // namespace dash
 

@@ -1,5 +1,6 @@
 #include "mpc/masked_aggregation.h"
 
+#include <cstddef>
 #include <utility>
 
 #include "util/check.h"
@@ -29,17 +30,29 @@ Masked<RingVector> ApplyPairwiseMasks(
   return Masked<RingVector>::Seal(std::move(out), MpcPass::Get());
 }
 
-Result<Vector> OpenMaskedTotal(const Masked<RingVector>& own_masked,
-                               const std::vector<RingVector>& peer_masked,
-                               const FixedPointCodec& codec) {
-  RingVector total = own_masked.wire();
-  for (const RingVector& peer : peer_masked) {
+Result<RingVector> OpenMaskedChunk(const Masked<RingVector>& own_masked,
+                                   size_t begin, size_t end,
+                                   const std::vector<RingVector>& peer_chunks) {
+  const RingVector& own = own_masked.wire();
+  DASH_CHECK(begin <= end && end <= own.size());
+  RingVector total(own.begin() + static_cast<std::ptrdiff_t>(begin),
+                   own.begin() + static_cast<std::ptrdiff_t>(end));
+  for (const RingVector& peer : peer_chunks) {
     if (peer.size() != total.size()) {
       return FailedPreconditionError(
           "protocol desync: masked vector length mismatch");
     }
     for (size_t e = 0; e < total.size(); ++e) total[e] += peer[e];
   }
+  return total;
+}
+
+Result<Vector> OpenMaskedTotal(const Masked<RingVector>& own_masked,
+                               const std::vector<RingVector>& peer_masked,
+                               const FixedPointCodec& codec) {
+  DASH_ASSIGN_OR_RETURN(
+      RingVector total,
+      OpenMaskedChunk(own_masked, 0, own_masked.wire().size(), peer_masked));
   return codec.DecodeVector(total);
 }
 

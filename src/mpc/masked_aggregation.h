@@ -7,8 +7,11 @@
 //   masked_p = v_p + sum_{q > p} PRG(k_pq) - sum_{q < p} PRG(k_qp)
 //   sum_p masked_p = sum_p v_p  (mod 2^64)
 //
-// A single broadcast of masked_p per party then reveals only the total —
-// one message per party per sum, the cheapest of the secure modes.
+// Summing the masked_p element by element reveals only the total. The
+// secure sum (mpc/secure_sum.h) splits that sum by chunks: each party
+// sends chunk o of masked_p to party o, which opens chunk o of the
+// total — one vector's worth of words per party per sum, the cheapest
+// of the secure modes.
 //
 // `round_nonce` must change between protocol invocations that reuse the
 // same pairwise keys; it selects a fresh ChaCha20 stream so masks are
@@ -39,10 +42,19 @@ Masked<RingVector> ApplyPairwiseMasks(
     const std::vector<Secret<ChaCha20Rng::Key>>& pairwise_keys,
     uint64_t round_nonce);
 
-// Opens the total from the party's own masked vector and every peer's
-// broadcast one, and decodes it. Reveal point (round-key phase2-masked):
-// the pairwise masks cancel in the sum of ALL vectors, so the output is
-// exactly the aggregate the protocol reveals.
+// Opens chunk [begin, end) of the ring total: own_masked's words there
+// plus every peer's words for that chunk (each peer_chunks entry is
+// end - begin long; another length is a protocol desync). Reveal point
+// (round-key phase2-masked): an element's pairwise masks cancel once all
+// P parties' words for it are added, so the output is exactly that chunk
+// of the aggregate the protocol reveals. PartySecureVectorSum opens only
+// the chunk it owns.
+Result<RingVector> OpenMaskedChunk(const Masked<RingVector>& own_masked,
+                                   size_t begin, size_t end,
+                                   const std::vector<RingVector>& peer_chunks);
+
+// The whole-vector form: opens and decodes the total from the party's
+// own masked vector and every peer's full one.
 Result<Vector> OpenMaskedTotal(const Masked<RingVector>& own_masked,
                                const std::vector<RingVector>& peer_masked,
                                const FixedPointCodec& codec);

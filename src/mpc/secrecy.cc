@@ -4,6 +4,7 @@
 #include <atomic>
 
 #include "net/serialization.h"
+#include "util/check.h"
 #include "util/mutex.h"
 
 namespace dash {
@@ -64,6 +65,16 @@ void SecrecyAudit::ResetForTest() {
 std::vector<uint8_t> MaskAndSerialize(const Masked<RingVector>& masked) {
   ByteWriter w;
   w.PutU64Vector(masked.wire());
+  return w.Take();
+}
+
+std::vector<uint8_t> MaskAndSerialize(const Masked<RingVector>& masked,
+                                      size_t begin, size_t end) {
+  const RingVector& words = masked.wire();
+  DASH_CHECK(begin <= end && end <= words.size());
+  ByteWriter w;
+  w.PutU64(words.size());
+  w.PutU64Span(words.data() + begin, end - begin);
   return w.Take();
 }
 

@@ -156,6 +156,13 @@ T Declassify(const Secret<T>& secret, const DeclassifyContext& ctx) {
 [[nodiscard]] std::vector<uint8_t> MaskAndSerialize(
     const Masked<RingVector>& masked);
 
+// Wire bytes of the chunk [begin, end) of sealed material, led by the
+// full vector's length: one reduce message of a secure sum
+// (mpc/secure_sum.h). The receiver checks that length against its own
+// before it adds anything.
+[[nodiscard]] std::vector<uint8_t> MaskAndSerialize(
+    const Masked<RingVector>& masked, size_t begin, size_t end);
+
 // Wire bytes of a single share, destined for its holder only. Any one
 // share is marginally uniform; sending the same share to two parties
 // would break the secrecy argument, which is why this returns bytes for

@@ -1,5 +1,7 @@
 #include "mpc/secure_sum.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <string>
 #include <utility>
 
@@ -43,6 +45,27 @@ Rng PartyRng(const SecureSumOptions& options, int local) {
   uint64_t seed = SplitMix64(&seed_state);
   for (int i = 0; i < local; ++i) seed = SplitMix64(&seed_state);
   return Rng(seed);
+}
+
+// Party `owner`'s chunk of an L-word summand is [ChunkBegin(L, P, owner),
+// ChunkBegin(L, P, owner + 1)); with L < P some chunks are empty.
+size_t ChunkBegin(size_t length, int parties, int owner) {
+  return length * static_cast<size_t>(owner) / static_cast<size_t>(parties);
+}
+
+// Parses one reduce message (MaskAndSerialize's chunk form): the
+// sender's full length, then its words for our chunk. A length other
+// than ours is a desync, caught before anything is added.
+Result<RingVector> ReadChunk(const Message& msg, size_t length) {
+  ByteReader r(msg.payload);
+  DASH_ASSIGN_OR_RETURN(uint64_t peer_length, r.GetU64());
+  if (peer_length != length) {
+    return FailedPreconditionError(
+        "protocol desync: party " + std::to_string(msg.from) +
+        " sums a vector of length " + std::to_string(peer_length) +
+        ", this party one of length " + std::to_string(length));
+  }
+  return r.GetU64Vector();
 }
 
 }  // namespace
@@ -150,6 +173,43 @@ Result<Vector> PartySecureVectorSum::RunPublic(
   return total;
 }
 
+Result<Vector> PartySecureVectorSum::GatherTotal(const RingVector& own_chunk,
+                                                 size_t length) {
+  const int p = net_->num_parties();
+  // All-gather: every owner sends its opened chunk to every peer, and
+  // each party places the P chunks side by side and decodes the total
+  // with its own codec — a party configured differently from its peers
+  // reveals a different result, which the commit round catches.
+  net_->BeginRound();
+  ByteWriter w;
+  w.PutU64Vector(own_chunk);
+  DASH_ROUND(phase2_gather, kTotalChunk);
+  DASH_RETURN_IF_ERROR(
+      net_->Broadcast(local_, MessageTag::kTotalChunk, w.Take()));
+  RingVector total(length);
+  std::copy(own_chunk.begin(), own_chunk.end(),
+            total.begin() + static_cast<std::ptrdiff_t>(
+                                ChunkBegin(length, p, local_)));
+  for (int q = 0; q < p; ++q) {
+    if (q == local_) continue;
+    DASH_ROUND(phase2_gather, kTotalChunk);
+    DASH_ASSIGN_OR_RETURN(Message msg,
+                          net_->Receive(local_, q, MessageTag::kTotalChunk));
+    const size_t begin = ChunkBegin(length, p, q);
+    const size_t size = ChunkBegin(length, p, q + 1) - begin;
+    ByteReader r(msg.payload);
+    DASH_ASSIGN_OR_RETURN(uint64_t n, r.GetU64());
+    if (n != size) {
+      return FailedPreconditionError(
+          "protocol desync: party " + std::to_string(q) + " opened " +
+          std::to_string(n) + " words of its " + std::to_string(size) +
+          "-word chunk");
+    }
+    DASH_RETURN_IF_ERROR(r.GetWords(total.data() + begin, size));
+  }
+  return codec_.DecodeVector(total);
+}
+
 Result<Vector> PartySecureVectorSum::RunAdditive(const Secret<Vector>& input) {
   const int p = net_->num_parties();
 
@@ -168,9 +228,9 @@ Result<Vector> PartySecureVectorSum::RunAdditive(const Secret<Vector>& input) {
                    SerializeShareForHolder(shares[static_cast<size_t>(j)])));
   }
 
-  // Round 2: sum the shares we hold and broadcast the partial; partials
-  // are uniformly random individually (hence Masked), and all of them
-  // open the total.
+  // Round 2: sum the shares we hold into our partial (individually
+  // uniform, hence Masked; all P partials add up to the total) and send
+  // chunk o of it to party o, which opens chunk o of the total.
   net_->BeginRound();
   std::vector<RingVector> received;
   received.reserve(static_cast<size_t>(p - 1));
@@ -185,10 +245,15 @@ Result<Vector> PartySecureVectorSum::RunAdditive(const Secret<Vector>& input) {
   }
   DASH_ASSIGN_OR_RETURN(Masked<RingVector> partial,
                         AccumulateAdditiveShares(own, received));
-  DASH_ROUND(phase2_additive_reveal, kPartialSum);
-  DASH_RETURN_IF_ERROR(net_->Broadcast(local_, MessageTag::kPartialSum,
-                                       MaskAndSerialize(partial)));
-
+  const size_t length = partial.wire().size();
+  for (int o = 0; o < p; ++o) {
+    if (o == local_) continue;
+    DASH_ROUND(phase2_additive_reveal, kPartialSum);
+    DASH_RETURN_IF_ERROR(net_->Send(
+        local_, o, MessageTag::kPartialSum,
+        MaskAndSerialize(partial, ChunkBegin(length, p, o),
+                         ChunkBegin(length, p, o + 1))));
+  }
   std::vector<RingVector> peer_partials;
   peer_partials.reserve(static_cast<size_t>(p - 1));
   for (int q = 0; q < p; ++q) {
@@ -196,27 +261,36 @@ Result<Vector> PartySecureVectorSum::RunAdditive(const Secret<Vector>& input) {
     DASH_ROUND(phase2_additive_reveal, kPartialSum);
     DASH_ASSIGN_OR_RETURN(Message msg,
                           net_->Receive(local_, q, MessageTag::kPartialSum));
-    ByteReader r(msg.payload);
-    DASH_ASSIGN_OR_RETURN(RingVector peer, r.GetU64Vector());
-    peer_partials.push_back(std::move(peer));
+    DASH_ASSIGN_OR_RETURN(RingVector chunk, ReadChunk(msg, length));
+    peer_partials.push_back(std::move(chunk));
   }
-  return OpenAdditiveTotal(partial, peer_partials, codec_);
+  DASH_ASSIGN_OR_RETURN(
+      RingVector own_total,
+      OpenAdditiveChunk(partial, ChunkBegin(length, p, local_),
+                        ChunkBegin(length, p, local_ + 1), peer_partials));
+  return GatherTotal(own_total, length);
 }
 
 Result<Vector> PartySecureVectorSum::RunMasked(const Secret<Vector>& input) {
   const int p = net_->num_parties();
 
-  // One round: broadcast our masked contribution; the masks cancel in
-  // the sum over all P masked vectors, our own included.
+  // Reduce: mask our whole contribution — the masks cancel element by
+  // element in the sum over all P parties — and send chunk o of it to
+  // party o, which opens chunk o of the total.
   net_->BeginRound();
   DASH_ASSIGN_OR_RETURN(Secret<RingVector> encoded,
                         codec_.EncodeSecretVector(input));
   const Masked<RingVector> masked =
       ApplyPairwiseMasks(local_, encoded, pairwise_keys_, round_nonce_);
-  DASH_ROUND(phase2_masked, kMaskedValue);
-  DASH_RETURN_IF_ERROR(net_->Broadcast(local_, MessageTag::kMaskedValue,
-                                       MaskAndSerialize(masked)));
-
+  const size_t length = masked.wire().size();
+  for (int o = 0; o < p; ++o) {
+    if (o == local_) continue;
+    DASH_ROUND(phase2_masked, kMaskedValue);
+    DASH_RETURN_IF_ERROR(net_->Send(
+        local_, o, MessageTag::kMaskedValue,
+        MaskAndSerialize(masked, ChunkBegin(length, p, o),
+                         ChunkBegin(length, p, o + 1))));
+  }
   std::vector<RingVector> peers;
   peers.reserve(static_cast<size_t>(p - 1));
   for (int q = 0; q < p; ++q) {
@@ -224,11 +298,14 @@ Result<Vector> PartySecureVectorSum::RunMasked(const Secret<Vector>& input) {
     DASH_ROUND(phase2_masked, kMaskedValue);
     DASH_ASSIGN_OR_RETURN(Message msg,
                           net_->Receive(local_, q, MessageTag::kMaskedValue));
-    ByteReader r(msg.payload);
-    DASH_ASSIGN_OR_RETURN(RingVector peer, r.GetU64Vector());
-    peers.push_back(std::move(peer));
+    DASH_ASSIGN_OR_RETURN(RingVector chunk, ReadChunk(msg, length));
+    peers.push_back(std::move(chunk));
   }
-  return OpenMaskedTotal(masked, peers, codec_);
+  DASH_ASSIGN_OR_RETURN(
+      RingVector own_total,
+      OpenMaskedChunk(masked, ChunkBegin(length, p, local_),
+                      ChunkBegin(length, p, local_ + 1), peers));
+  return GatherTotal(own_total, length);
 }
 
 Result<Vector> PartySecureVectorSum::RunShamir(const Secret<Vector>& input) {
@@ -255,7 +332,8 @@ Result<Vector> PartySecureVectorSum::RunShamir(const Secret<Vector>& input) {
   }
 
   // Round 2: sum the shares we hold (a share of the total by linearity —
-  // individually uniform, hence Masked) and exchange the sum shares.
+  // individually uniform, hence Masked) and send chunk o of that sum
+  // share to party o, which interpolates chunk o of the total.
   net_->BeginRound();
   std::vector<RingVector> received;
   received.reserve(static_cast<size_t>(p - 1));
@@ -270,27 +348,32 @@ Result<Vector> PartySecureVectorSum::RunShamir(const Secret<Vector>& input) {
   }
   DASH_ASSIGN_OR_RETURN(Masked<RingVector> held,
                         AccumulateShamirShares(own, received));
-  const std::vector<uint8_t> payload = MaskAndSerialize(held);
-  for (int to = 0; to < p; ++to) {
-    if (to == local_) continue;
+  const size_t length = held.wire().size();
+  for (int o = 0; o < p; ++o) {
+    if (o == local_) continue;
     DASH_ROUND(phase2_shamir_reveal, kPartialSum);
-    DASH_RETURN_IF_ERROR(
-        net_->Send(local_, to, MessageTag::kPartialSum, payload));
+    DASH_RETURN_IF_ERROR(net_->Send(
+        local_, o, MessageTag::kPartialSum,
+        MaskAndSerialize(held, ChunkBegin(length, p, o),
+                         ChunkBegin(length, p, o + 1))));
   }
 
-  // Reconstruct at x = 0 from all P sum shares (our own slot comes from
-  // `held`; the vector's local slot stays empty).
+  // Interpolate at x = 0 from all P sum shares of our chunk (our own
+  // slot comes from `held`; the vector's local slot stays empty).
   std::vector<RingVector> sum_shares(static_cast<size_t>(p));
   for (int q = 0; q < p; ++q) {
     if (q == local_) continue;
     DASH_ROUND(phase2_shamir_reveal, kPartialSum);
     DASH_ASSIGN_OR_RETURN(Message msg,
                           net_->Receive(local_, q, MessageTag::kPartialSum));
-    ByteReader r(msg.payload);
     DASH_ASSIGN_OR_RETURN(sum_shares[static_cast<size_t>(q)],
-                          r.GetU64Vector());
+                          ReadChunk(msg, length));
   }
-  return OpenShamirTotal(held, local_, sum_shares, codec_);
+  DASH_ASSIGN_OR_RETURN(
+      RingVector own_total,
+      OpenShamirChunk(held, ChunkBegin(length, p, local_),
+                      ChunkBegin(length, p, local_ + 1), local_, sum_shares));
+  return GatherTotal(own_total, length);
 }
 
 }  // namespace dash

@@ -9,16 +9,25 @@
 //    not secure, exact in doubles; the baseline the secure modes are
 //    measured against ("sharing them to sum").
 //  * kAdditive — each party additively secret-shares its fixed-point
-//    contribution among all parties; parties broadcast their share sums;
-//    only the total is revealed. Two vector rounds.
+//    contribution among all parties, then reveals the total from the
+//    parties' share sums. One share round, then reduce and gather.
 //  * kMasked — pairwise ChaCha20 masks that cancel in the total
-//    (Bonawitz-style); one vector round after a one-time key agreement.
+//    (Bonawitz-style); reduce and gather after a one-time key agreement.
 //  * kShamir — Shamir sharing over F_(2^61-1) with threshold
-//    floor((P-1)/2); two vector rounds.
+//    floor((P-1)/2); one share round, then reduce and gather.
+//
+// The secure modes end in the same two rounds. Party o owns chunk o =
+// [floor(o*L/P), floor((o+1)*L/P)) of the L-word vector. Reduce: every
+// party sends chunk o of its sealed vector (masked contribution, share
+// sum) to party o, which opens chunk o of the total. Gather: every owner
+// sends its opened chunk to every peer, and each party decodes the
+// assembled total with its own codec. A party so sends about
+// 2(P-1)*L/P words per sum (plus (P-1)*L in a share round), under two
+// vectors for any P.
 //
 // All modes reveal exactly the element-wise sum to every party and cost
-// O(length) bytes per link, independent of the per-party sample counts —
-// the communication property experiment E3 verifies.
+// O(length) bytes per party, independent of the per-party sample counts
+// — the communication property experiment E3 verifies.
 //
 // PartySecureVectorSum is the protocol's only implementation. Each party
 // runs its own instance over its own party-bound transport: one TCP
@@ -84,6 +93,8 @@ struct SecureSumOptions {
 //  * masked     — same ring argument after the pairwise masks cancel;
 //  * shamir     — F_(2^61-1) adds are exact; reconstruction weights are
 //                 a deterministic function of the fixed points 1..P.
+// Decoding word e depends only on word e, so opening the total chunk by
+// chunk changes no bit.
 //
 // Party i draws its share/mask/DH randomness from the i-th output of
 // the SplitMix64 chain over options.seed, so two deployments with equal
@@ -92,7 +103,8 @@ struct SecureSumOptions {
 // setup, as a long-lived deployment would.
 //
 // A peer vector of the wrong length fails every mode with
-// FailedPrecondition ("protocol desync").
+// FailedPrecondition ("protocol desync"): every reduce message carries
+// its sender's full length, which the owner checks before it adds.
 class PartySecureVectorSum {
  public:
   // `transport` must outlive this object.
@@ -115,6 +127,10 @@ class PartySecureVectorSum {
   Result<Vector> RunAdditive(const Secret<Vector>& input);
   Result<Vector> RunMasked(const Secret<Vector>& input);
   Result<Vector> RunShamir(const Secret<Vector>& input);
+  // The all-gather every secure mode ends with: sends this party's
+  // opened chunk of the ring total to every peer, assembles the
+  // `length`-word total from all P chunks and decodes it.
+  Result<Vector> GatherTotal(const RingVector& own_chunk, size_t length);
 
   Transport* net_;
   int local_;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "mpc/prime_field.h"
+#include "util/check.h"
 
 namespace dash {
 namespace {
@@ -163,16 +164,16 @@ Result<Masked<RingVector>> AccumulateShamirShares(
   return Masked<RingVector>::Seal(std::move(held), MpcPass::Get());
 }
 
-Result<Vector> OpenShamirTotal(const Masked<RingVector>& own_partial,
-                               int own_index,
-                               const std::vector<RingVector>& partials_by_party,
-                               const FixedPointCodec& codec) {
+Result<RingVector> OpenShamirChunk(
+    const Masked<RingVector>& own_partial, size_t begin, size_t end,
+    int own_index, const std::vector<RingVector>& partials_by_party) {
   const int parties = static_cast<int>(partials_by_party.size());
   if (own_index < 0 || own_index >= parties) {
     return InvalidArgumentError("own_index outside the party set");
   }
   const RingVector& own = own_partial.wire();
-  const size_t len = own.size();
+  DASH_CHECK(begin <= end && end <= own.size());
+  const size_t len = end - begin;
   std::vector<uint64_t> xs(static_cast<size_t>(parties));
   for (int j = 0; j < parties; ++j) {
     xs[static_cast<size_t>(j)] = static_cast<uint64_t>(j) + 1;
@@ -186,17 +187,16 @@ Result<Vector> OpenShamirTotal(const Masked<RingVector>& own_partial,
           "protocol desync: Shamir sum share length mismatch");
     }
   }
-  Vector result(len);
+  RingVector result(len);
   for (size_t e = 0; e < len; ++e) {
     uint64_t acc = 0;
     for (int j = 0; j < parties; ++j) {
       const uint64_t y = (j == own_index)
-                             ? own[e]
+                             ? own[begin + e]
                              : partials_by_party[static_cast<size_t>(j)][e];
       acc = FieldAdd(acc, FieldMul(weights[static_cast<size_t>(j)], y));
     }
-    const int64_t signed_ring = FieldDecodeSigned(acc);
-    result[e] = codec.Decode(static_cast<uint64_t>(signed_ring));
+    result[e] = static_cast<uint64_t>(FieldDecodeSigned(acc));
   }
   return result;
 }

@@ -79,17 +79,18 @@ Result<Masked<RingVector>> AccumulateShamirShares(
     const Secret<RingVector>& own_share,
     const std::vector<RingVector>& received_shares);
 
-// Lagrange-reconstructs the total at x = 0 from the parties' partials
-// and decodes it. partials_by_party has one slot per party (evaluation
-// point j+1); the slot at `own_index` is taken from own_partial and may
-// be left empty. A peer partial of the wrong length is a protocol
-// desync (FailedPrecondition). Reveal point (round-key
-// phase2-shamir): >= t+1 sum shares interpolate to exactly the
-// aggregate total the protocol reveals.
-Result<Vector> OpenShamirTotal(const Masked<RingVector>& own_partial,
-                               int own_index,
-                               const std::vector<RingVector>& partials_by_party,
-                               const FixedPointCodec& codec);
+// Lagrange-reconstructs chunk [begin, end) of the total at x = 0 from
+// the parties' partials and maps each field element back to its signed
+// ring word (the encoding FixedPointCodec decodes). partials_by_party
+// has one slot per party (evaluation point j+1) holding that party's
+// words for the chunk; the slot at `own_index` is taken from
+// own_partial[begin, end) and may be left empty. A peer chunk of the
+// wrong length is a protocol desync (FailedPrecondition). Reveal point
+// (round-key phase2-shamir): >= t+1 sum shares interpolate to exactly
+// that chunk of the aggregate total the protocol reveals.
+Result<RingVector> OpenShamirChunk(
+    const Masked<RingVector>& own_partial, size_t begin, size_t end,
+    int own_index, const std::vector<RingVector>& partials_by_party);
 
 }  // namespace dash
 

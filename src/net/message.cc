@@ -30,6 +30,8 @@ const char* MessageTagName(MessageTag tag) {
       return "Abort";
     case MessageTag::kPhase1Probe:
       return "Phase1Probe";
+    case MessageTag::kTotalChunk:
+      return "TotalChunk";
   }
   return "Unknown";
 }

@@ -28,6 +28,7 @@ enum class MessageTag : uint32_t {
   kCommit = 11,          // result-checksum cross-check (commit round)
   kAbort = 12,           // abort notification {origin, round, Status}
   kPhase1Probe = 13,     // Phase-1 cache agreement bit (u32 0/1, public)
+  kTotalChunk = 14,      // one owner's opened chunk of a secure-sum total
 };
 
 struct Message {

@@ -38,8 +38,12 @@ void ByteWriter::PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
 void ByteWriter::PutDouble(double v) { PutU64(std::bit_cast<uint64_t>(v)); }
 
 void ByteWriter::PutU64Vector(const std::vector<uint64_t>& v) {
-  PutU64(v.size());
-  AppendWords(&buffer_, v.data(), v.size());
+  PutU64Span(v.data(), v.size());
+}
+
+void ByteWriter::PutU64Span(const uint64_t* v, size_t n) {
+  PutU64(n);
+  AppendWords(&buffer_, v, n);
 }
 
 void ByteWriter::PutDoubleVector(const Vector& v) {
@@ -95,8 +99,7 @@ Result<double> ByteReader::GetDouble() {
   return std::bit_cast<double>(v);
 }
 
-Result<std::vector<uint64_t>> ByteReader::GetU64Vector() {
-  DASH_ASSIGN_OR_RETURN(uint64_t n, GetU64());
+Status ByteReader::NeedWords(uint64_t n) const {
   // Bound the count by the bytes actually present BEFORE allocating:
   // a corrupted length prefix like 2^61 would make 8 * n wrap around,
   // slip past Need() and then abort inside the huge vector allocation.
@@ -106,6 +109,12 @@ Result<std::vector<uint64_t>> ByteReader::GetU64Vector() {
                                 std::to_string(remaining()) +
                                 " bytes remaining");
   }
+  return Status::Ok();
+}
+
+Result<std::vector<uint64_t>> ByteReader::GetU64Vector() {
+  DASH_ASSIGN_OR_RETURN(uint64_t n, GetU64());
+  DASH_RETURN_IF_ERROR(NeedWords(n));
   std::vector<uint64_t> out(n);
   TakeWords(out.data(), n);
   return out;
@@ -113,15 +122,16 @@ Result<std::vector<uint64_t>> ByteReader::GetU64Vector() {
 
 Result<Vector> ByteReader::GetDoubleVector() {
   DASH_ASSIGN_OR_RETURN(uint64_t n, GetU64());
-  if (n > remaining() / 8) {  // see GetU64Vector: 8 * n may wrap
-    return InvalidArgumentError("truncated message: vector length " +
-                                std::to_string(n) + " exceeds the " +
-                                std::to_string(remaining()) +
-                                " bytes remaining");
-  }
+  DASH_RETURN_IF_ERROR(NeedWords(n));
   Vector out(n);
   TakeWords(out.data(), n);
   return out;
+}
+
+Status ByteReader::GetWords(uint64_t* out, size_t n) {
+  DASH_RETURN_IF_ERROR(NeedWords(n));
+  TakeWords(out, n);
+  return Status::Ok();
 }
 
 Result<Matrix> ByteReader::GetMatrix() {

@@ -27,8 +27,10 @@ class ByteWriter {
   void PutI64(int64_t v);
   void PutDouble(double v);
 
-  // Length-prefixed sequences.
+  // Length-prefixed sequences. PutU64Span writes the n words at `v`,
+  // e.g. one chunk of a larger vector, exactly as PutU64Vector would.
   void PutU64Vector(const std::vector<uint64_t>& v);
+  void PutU64Span(const uint64_t* v, size_t n);
   void PutDoubleVector(const Vector& v);
   void PutMatrix(const Matrix& m);
 
@@ -60,14 +62,20 @@ class ByteReader {
   Result<Vector> GetDoubleVector();
   Result<Matrix> GetMatrix();
 
+  // Reads n 8-byte words with no length prefix straight into `out`,
+  // e.g. one chunk of a larger vector whose length the caller knows.
+  Status GetWords(uint64_t* out, size_t n);
+
   // True when every byte has been consumed.
   bool AtEnd() const { return pos_ == buffer_.size(); }
   size_t remaining() const { return buffer_.size() - pos_; }
 
  private:
   Status Need(size_t n) const;
+  // InvalidArgument unless n 8-byte words remain.
+  Status NeedWords(uint64_t n) const;
   // Copies n 8-byte words out; callers have already bounded n by
-  // remaining() / 8.
+  // NeedWords.
   void TakeWords(void* words, size_t n);
 
   const std::vector<uint8_t>& buffer_;

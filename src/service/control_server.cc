@@ -210,6 +210,8 @@ std::string ControlServer::HandleLine(const std::string& line) {
       }
       spec.stream = true;
     }
+    const Status valid = ValidateJobSpec(spec, options_.num_parties);
+    if (!valid.ok()) return ErrLine(valid);
     const Status submitted = scheduler_->Submit(spec);
     if (!submitted.ok()) return ErrLine(submitted);
     return "OK submitted " + std::to_string(spec.job_id);

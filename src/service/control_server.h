@@ -38,6 +38,9 @@ namespace dash {
 struct ControlServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral; port() reports the bound one
+  // Parties in the daemon's cluster: SUBMIT checks a job's cohort size
+  // against ValidateJobSpec for this many parties.
+  int num_parties = 1;
 };
 
 class ControlServer {

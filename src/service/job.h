@@ -60,6 +60,20 @@ struct JobSpec {
   int64_t deadline_ms = 0;
 };
 
+// Largest cohort one job may name, in genotype cells: P parties x
+// samples_per_party x variants. Every daemon builds the whole pooled
+// cohort from the spec (data/workloads.h), so this bounds one job's
+// genotype matrix at 2 GiB of doubles. The largest smoke job,
+// 3 x 2,048 x 512, is about 3.1M cells.
+inline constexpr int64_t kMaxJobCells = int64_t{1} << 28;
+
+// InvalidArgument unless a cohort of `num_parties` parties can be built
+// from `spec`: num_parties, variants, samples_per_party and covariates
+// all >= 1, and at most kMaxJobCells genotype cells. The SUBMIT verb and
+// `dash_partyd --simulate-job` call it before anything is built;
+// JobScheduler::Submit does not.
+Status ValidateJobSpec(const JobSpec& spec, int num_parties);
+
 enum class JobState {
   kQueued = 0,
   kRunning = 1,

@@ -10,22 +10,6 @@
 
 namespace dash {
 
-const char* JobStateName(JobState state) {
-  switch (state) {
-    case JobState::kQueued:
-      return "queued";
-    case JobState::kRunning:
-      return "running";
-    case JobState::kDone:
-      return "done";
-    case JobState::kFailed:
-      return "failed";
-    case JobState::kCancelled:
-      return "cancelled";
-  }
-  return "unknown";
-}
-
 JobScheduler::JobScheduler(SessionFactory factory, ScanFn scan,
                            Phase1Cache* cache, JobSchedulerOptions options)
     : factory_(std::move(factory)),

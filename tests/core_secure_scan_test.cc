@@ -262,16 +262,16 @@ TEST(SecureScanTest, RoundsCountedPerMode) {
   masked.r_combine = RCombineMode::kBroadcastStack;
   const auto m = SecureAssociationScan(masked).Run(w.parties).value().metrics;
   // 1 sample-count round + 1 R round + 1 DH setup round + 1 masked
-  // broadcast round + 1 commit round.
-  EXPECT_EQ(m.rounds, 5);
+  // reduce round + 1 gather round + 1 commit round.
+  EXPECT_EQ(m.rounds, 6);
 
   SecureScanOptions additive;
   additive.aggregation = AggregationMode::kAdditive;
   const auto a =
       SecureAssociationScan(additive).Run(w.parties).value().metrics;
-  // 1 sample-count round + 1 R round + 2 additive rounds + 1 commit
-  // round.
-  EXPECT_EQ(a.rounds, 5);
+  // 1 sample-count round + 1 R round + 2 additive rounds + 1 gather
+  // round + 1 commit round.
+  EXPECT_EQ(a.rounds, 6);
 }
 
 }  // namespace

@@ -195,6 +195,16 @@ TEST(WorkloadsTest, GwasWorkloadValidation) {
   opts.num_causal = 1000;
   opts.num_variants = 10;
   EXPECT_FALSE(MakeGwasWorkload(opts).ok());
+  // A shape the genotype generator would abort on is a typed error.
+  opts.num_causal = -5;
+  opts.num_variants = -5;
+  EXPECT_EQ(MakeGwasWorkload(opts).status().code(),
+            StatusCode::kInvalidArgument);
+  opts.num_causal = 1;
+  opts.num_variants = 10;
+  opts.maf_max = 0.7;
+  EXPECT_EQ(MakeGwasWorkload(opts).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(WorkloadsTest, ConfoundedWorkloadInducesSimpsonsParadox) {

@@ -150,8 +150,9 @@ TEST(EdgeCaseTest, TwoPartyMaskedAggregationIsMinimalMesh) {
   MeshTraffic traffic;
   EXPECT_NEAR(MeshSecureSum({{1.25}, {-0.25}}, opts, &traffic).value()[0],
               1.0, 1e-9);
-  // 2 key-exchange messages + 2 masked broadcasts.
-  EXPECT_EQ(traffic.total_messages, 4);
+  // 2 key-exchange messages + 2 masked chunks to their owners + 2
+  // opened chunks gathered.
+  EXPECT_EQ(traffic.total_messages, 6);
 }
 
 TEST(EdgeCaseTest, ManyPartiesSmallData) {

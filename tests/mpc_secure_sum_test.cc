@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
+#include <vector>
 
 #include "mesh_sum_util.h"
 #include "net/network.h"
@@ -30,26 +30,37 @@ Vector PlainSum(const std::vector<Vector>& inputs) {
   return total;
 }
 
-// Bytes all parties send for one Run() after the one-time setup.
-int64_t SteadyStateBytes(AggregationMode mode, int parties, size_t len,
-                         uint64_t seed) {
+// Bytes each party sends for one Run() after the one-time setup.
+std::vector<int64_t> SteadyStateBytesPerParty(AggregationMode mode,
+                                              int parties, size_t len,
+                                              uint64_t seed) {
   SecureSumOptions opts;
   opts.mode = mode;
   opts.frac_bits = 24;
   const auto inputs = RandomInputs(parties, len, seed);
-  std::atomic<int64_t> bytes{0};
+  std::vector<int64_t> bytes(static_cast<size_t>(parties), 0);
   const Status status = RunPartiesInProcess(parties, [&](Transport* t) {
+    const int p = t->local_party();
     PartySecureVectorSum sum(t, opts);
     DASH_RETURN_IF_ERROR(sum.Setup());
-    const int64_t setup = t->metrics().total_bytes();
+    const int64_t setup = t->metrics().BytesSentBy(p);
     DASH_RETURN_IF_ERROR(
-        sum.Run(Secret<Vector>(inputs[static_cast<size_t>(t->local_party())]))
-            .status());
-    bytes += t->metrics().total_bytes() - setup;
+        sum.Run(Secret<Vector>(inputs[static_cast<size_t>(p)])).status());
+    bytes[static_cast<size_t>(p)] = t->metrics().BytesSentBy(p) - setup;
     return Status::Ok();
   });
   EXPECT_TRUE(status.ok()) << status;
-  return bytes.load();
+  return bytes;
+}
+
+// Bytes all parties send for one Run() after the one-time setup.
+int64_t SteadyStateBytes(AggregationMode mode, int parties, size_t len,
+                         uint64_t seed) {
+  int64_t total = 0;
+  for (const int64_t b : SteadyStateBytesPerParty(mode, parties, len, seed)) {
+    total += b;
+  }
+  return total;
 }
 
 // Sweep: every aggregation mode, several party counts.
@@ -193,6 +204,57 @@ TEST(SecureSumTest, BytesScaleLinearlyInLength) {
     // Fixed per-message overhead keeps the ratio just under 10x.
     EXPECT_GT(bytes_large, 9 * bytes_small) << AggregationModeName(mode);
     EXPECT_LT(bytes_large, 11 * bytes_small) << AggregationModeName(mode);
+  }
+}
+
+// Party p's bytes in the reduce and gather rounds of one sum, each
+// message with its 16-byte header: to every owner o it sends the full
+// length, a length prefix and chunk o of its vector; then it sends its
+// own opened chunk, length-prefixed, to every peer. Chunk o of an L-word
+// vector is [o*L/P, (o+1)*L/P).
+int64_t ReduceGatherBytes(size_t len, int parties, int p) {
+  const auto chunk = [&](int o) {
+    return static_cast<int64_t>(len * static_cast<size_t>(o + 1) /
+                                    static_cast<size_t>(parties) -
+                                len * static_cast<size_t>(o) /
+                                    static_cast<size_t>(parties));
+  };
+  int64_t bytes = 0;
+  for (int o = 0; o < parties; ++o) {
+    if (o == p) continue;
+    bytes += 16 + 8 + 8 + 8 * chunk(o);
+    bytes += 16 + 8 + 8 * chunk(p);
+  }
+  return bytes;
+}
+
+// Reduce-scatter + all-gather: a party sends about 2(P-1)/P vectors'
+// worth of words per sum, so its bytes stay below two vectors whatever
+// P is. Additive and Shamir pay a full share vector per peer first; their
+// reveal rounds then shrink the same way. L is prime, so the chunks are
+// uneven.
+TEST(SecureSumTest, MaskedBytesPerPartyIndependentOfP) {
+  constexpr size_t kLen = 10007;
+  for (const int parties : {3, 5, 8}) {
+    for (const AggregationMode mode :
+         {AggregationMode::kMasked, AggregationMode::kAdditive,
+          AggregationMode::kShamir}) {
+      const int64_t share_round =
+          mode == AggregationMode::kMasked
+              ? 0
+              : (parties - 1) * (16 + 8 + 8 * static_cast<int64_t>(kLen));
+      const std::vector<int64_t> bytes =
+          SteadyStateBytesPerParty(mode, parties, kLen, 11);
+      for (int p = 0; p < parties; ++p) {
+        const int64_t reveal = bytes[static_cast<size_t>(p)] - share_round;
+        EXPECT_EQ(reveal, ReduceGatherBytes(kLen, parties, p))
+            << AggregationModeName(mode) << " P=" << parties << " party "
+            << p;
+        EXPECT_LT(reveal, 2 * 8 * static_cast<int64_t>(kLen) + 64 * parties)
+            << AggregationModeName(mode) << " P=" << parties << " party "
+            << p;
+      }
+    }
   }
 }
 

@@ -65,10 +65,12 @@ TEST(ProtocolTraceTest, CapturesWholeSecureSumTranscript) {
   ASSERT_TRUE(MeshSecureSum({{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}}, opts,
                             &traffic, &trace)
                   .ok());
-  // Additive: 6 share messages + 6 partial broadcasts.
+  // Additive: 6 share messages + 6 partial chunks to their owners + 6
+  // opened chunks gathered.
   EXPECT_EQ(trace.CountTag(MessageTag::kAdditiveShare), 6);
   EXPECT_EQ(trace.CountTag(MessageTag::kPartialSum), 6);
-  EXPECT_EQ(trace.size(), 12);
+  EXPECT_EQ(trace.CountTag(MessageTag::kTotalChunk), 6);
+  EXPECT_EQ(trace.size(), 18);
   // Transcript totals agree with the endpoints' own accounting, and the
   // sequence numbers are one global order.
   int64_t traced_bytes = 0;

@@ -214,5 +214,48 @@ TEST(ProtocolConformanceTest, DivergentResultIsDataLossAtCommit) {
   }
 }
 
+// An owner that sends different opened chunks to different peers (here
+// party 1 flips one value byte of the chunk it gathers to party 2, past
+// any CRC: only party 1 carries the fault plan) leaves party 2 with
+// another total than parties 0 and 1. The reduce and gather rounds
+// cannot see it — each chunk has exactly one owner — so the commit round
+// must: DataLoss at every party, in every mode that gathers.
+TEST(ProtocolConformanceTest, DivergentGatherIsDataLossAtCommit) {
+  ScanWorkload workload = SmallWorkload();
+  const int p = static_cast<int>(workload.parties.size());
+  for (const AggregationMode mode :
+       {AggregationMode::kMasked, AggregationMode::kAdditive,
+        AggregationMode::kShamir}) {
+    SecureScanOptions options;
+    options.aggregation = mode;
+    const auto clean = SecureAssociationScan(options).Run(workload.parties);
+    ASSERT_TRUE(clean.ok()) << clean.status();
+    // The gather is the round right before the commit round.
+    FaultRule corrupt;
+    corrupt.kind = FaultKind::kCorrupt;
+    corrupt.round = clean->metrics.rounds - 1;
+    corrupt.from = 1;
+    corrupt.to = 2;
+    FaultPlan plan;
+    plan.rules.push_back(corrupt);
+    auto outs = RunParties(p, [&](int i, Transport* transport) {
+      const PartyData& party = workload.parties[static_cast<size_t>(i)];
+      if (i == 1) {
+        FaultInjectingTransport faulty(transport, plan);
+        return RunPartySecureScan(&faulty, party, options);
+      }
+      return RunPartySecureScan(transport, party, options);
+    });
+    for (int i = 0; i < p; ++i) {
+      ASSERT_FALSE(outs[static_cast<size_t>(i)].ok())
+          << AggregationModeName(mode) << " party " << i;
+      EXPECT_EQ(outs[static_cast<size_t>(i)].status().code(),
+                StatusCode::kDataLoss)
+          << AggregationModeName(mode) << " party " << i << ": "
+          << outs[static_cast<size_t>(i)].status();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dash

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -128,7 +129,8 @@ Allowlist LoadAllowlist() {
 
 // The reveal point each wire tag must have passed through. Tags not in
 // this map carry public protocol metadata (sample counts, R factors,
-// commit checksums) that the protocol reveals by design.
+// opened chunks of the total, commit checksums) that the protocol
+// reveals by design.
 const std::map<MessageTag, std::string>& SecretTagRevealPoints() {
   static const auto* kMap = new std::map<MessageTag, std::string>{
       {MessageTag::kAdditiveShare, "SerializeShareForHolder"},
@@ -150,7 +152,7 @@ bool IsSecretCarrying(MessageTag tag) {
 bool IsPublicMetadata(MessageTag tag) {
   return tag == MessageTag::kSampleCount || tag == MessageTag::kRFactor ||
          tag == MessageTag::kTreeR || tag == MessageTag::kCommit ||
-         tag == MessageTag::kPhase1Probe;
+         tag == MessageTag::kPhase1Probe || tag == MessageTag::kTotalChunk;
 }
 
 double OneBitFraction(const std::vector<uint8_t>& bytes) {
@@ -165,7 +167,7 @@ double OneBitFraction(const std::vector<uint8_t>& bytes) {
 ScanWorkload BoundaryWorkload() {
   GwasWorkloadOptions options;
   options.party_sizes = {40, 60, 50};
-  options.num_variants = 25;
+  options.num_variants = 60;
   options.num_covariates = 3;
   options.num_causal = 2;
   options.seed = 7;
@@ -225,10 +227,17 @@ void CheckBoundary(const std::vector<CapturedMessage>& sent,
       ASSERT_NE(it, reveal_points.end());
       EXPECT_TRUE(allowlist.names.count(it->second))
           << it->second << " missing from secrecy_allowlist.txt";
+      // Pool the ring words: skip the length prefix, and in the
+      // reduce messages also the full length that leads it.
+      const size_t prefix = (msg.tag == MessageTag::kMaskedValue ||
+                             msg.tag == MessageTag::kPartialSum)
+                                ? 16
+                                : 8;
       if (msg.tag != MessageTag::kPublicKey &&
-          msg.payload.size() > 8) {
-        // Pool the ring words (skip the 8-byte length prefix).
-        secret_bytes.insert(secret_bytes.end(), msg.payload.begin() + 8,
+          msg.payload.size() > prefix) {
+        secret_bytes.insert(secret_bytes.end(),
+                            msg.payload.begin() +
+                                static_cast<std::ptrdiff_t>(prefix),
                             msg.payload.end());
       }
     }

@@ -364,6 +364,16 @@ TEST_F(ControlProtocolTest, MalformedSubmitsAreRejected) {
   EXPECT_NE(server_.HandleLine("SUBMIT 0 a 32 64 3 7 masked 0")
                 .find("ERR InvalidArgument"),
             std::string::npos);
+  // Shapes no cohort can have, or too large to build, are refused before
+  // the job is admitted; the next valid SUBMIT is still served.
+  for (const char* line : {"SUBMIT 3 c -5 96 3 42 masked 0",
+                           "SUBMIT 3 c 100000000000 1000000 3 42 masked 0"}) {
+    const std::string reply = server_.HandleLine(line);
+    EXPECT_EQ(reply.rfind("ERR InvalidArgument", 0), 0u) << line << ": "
+                                                          << reply;
+  }
+  EXPECT_EQ(server_.HandleLine("SUBMIT 3 c 32 64 3 7 masked 0"),
+            "OK submitted 3");
 }
 
 TEST_F(ControlProtocolTest, CancelInvalidateStatsShutdown) {

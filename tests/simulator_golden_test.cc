@@ -106,29 +106,29 @@ constexpr GoldenScan kGoldenScans[] = {
     {1, "additive-stack-beaver-centered", 0xa8925ff07a446abdull, 0, 0, 0, 2},
     {1, "shamir-stack-beaver", 0xe76a9fb4efbc34c8ull, 0, 0, 0, 2},
     {2, "public-stack", 0x9b123dbe5dfa2701ull, 1696, 8, 848, 4},
-    {2, "additive-tree-centered", 0x259820a637810a18ull, 2464, 10, 1232, 6},
-    {2, "masked-stack-threads", 0xb0286543b90459a0ull, 1744, 10, 872, 5},
-    {2, "shamir-tree-centered", 0x259820a637810a18ull, 2464, 10, 1232, 6},
+    {2, "additive-tree-centered", 0x259820a637810a18ull, 2528, 12, 1264, 7},
+    {2, "masked-stack-threads", 0xb0286543b90459a0ull, 1808, 12, 904, 6},
+    {2, "shamir-tree-centered", 0x259820a637810a18ull, 2528, 12, 1264, 7},
     {2, "public-tree", 0x9b123dbe5dfa2701ull, 1696, 8, 848, 5},
-    {2, "masked-tree-beaver", 0x44c1c58a696feca8ull, 4720, 14, 2360, 8},
-    {2, "additive-stack-beaver-centered", 0x3bdb6f40e21c57b2ull, 4112, 14, 2056, 7},
-    {2, "shamir-stack-beaver", 0x44c1c58a696feca8ull, 5248, 14, 2624, 7},
+    {2, "masked-tree-beaver", 0x44c1c58a696feca8ull, 4784, 16, 2392, 9},
+    {2, "additive-stack-beaver-centered", 0x3bdb6f40e21c57b2ull, 4176, 16, 2088, 8},
+    {2, "shamir-stack-beaver", 0x44c1c58a696feca8ull, 5312, 16, 2656, 8},
     {3, "public-stack", 0xdb16a7a122469e2aull, 5088, 24, 848, 4},
-    {3, "additive-tree-centered", 0xbcb56daa871fb640ull, 7264, 28, 1232, 7},
-    {3, "masked-stack-threads", 0xc400eb37a6ec7858ull, 5232, 30, 872, 5},
-    {3, "shamir-tree-centered", 0xbcb56daa871fb640ull, 7264, 28, 1232, 7},
+    {3, "additive-tree-centered", 0xbcb56daa871fb640ull, 6384, 34, 1088, 8},
+    {3, "masked-stack-threads", 0xc400eb37a6ec7858ull, 4080, 36, 680, 6},
+    {3, "shamir-tree-centered", 0xbcb56daa871fb640ull, 6384, 34, 1088, 8},
     {3, "public-tree", 0x1eab8a18d0e51eaeull, 4880, 22, 848, 6},
-    {3, "masked-tree-beaver", 0x1f51de7035a50cedull, 13952, 40, 2360, 9},
-    {3, "additive-stack-beaver-centered", 0x1b121eaeca5e3000ull, 12336, 42, 2056, 7},
-    {3, "shamir-stack-beaver", 0x1f51de7035a50cedull, 15744, 42, 2624, 7},
+    {3, "masked-tree-beaver", 0x1f51de7035a50cedull, 13616, 46, 2304, 10},
+    {3, "additive-stack-beaver-centered", 0x1b121eaeca5e3000ull, 12000, 48, 2000, 8},
+    {3, "shamir-stack-beaver", 0x1f51de7035a50cedull, 15408, 48, 2568, 8},
     {5, "public-stack", 0xfc12e77665a20b99ull, 16960, 80, 848, 4},
-    {5, "additive-tree-centered", 0xca16c99d55a240c0ull, 23872, 88, 1232, 8},
-    {5, "masked-stack-threads", 0x842dad2c8cc6d1cbull, 17440, 100, 872, 5},
-    {5, "shamir-tree-centered", 0xca16c99d55a240c0ull, 23872, 88, 1232, 8},
+    {5, "additive-tree-centered", 0xca16c99d55a240c0ull, 18080, 108, 944, 9},
+    {5, "masked-stack-threads", 0x842dad2c8cc6d1cbull, 10016, 120, 504, 6},
+    {5, "shamir-tree-centered", 0xca16c99d55a240c0ull, 18080, 108, 944, 9},
     {5, "public-tree", 0xfc12e77665a20b99ull, 15712, 68, 848, 7},
-    {5, "masked-tree-beaver", 0x2992c867eebd93d7ull, 45952, 128, 2360, 10},
-    {5, "additive-stack-beaver-centered", 0x48441f210bf6a60eull, 41120, 140, 2056, 7},
-    {5, "shamir-stack-beaver", 0x2992c867eebd93d7ull, 52480, 140, 2624, 7},
+    {5, "masked-tree-beaver", 0x2992c867eebd93d7ull, 43424, 148, 2232, 11},
+    {5, "additive-stack-beaver-centered", 0x48441f210bf6a60eull, 38592, 160, 1936, 8},
+    {5, "shamir-stack-beaver", 0x2992c867eebd93d7ull, 49952, 160, 2504, 8},
 };
 // clang-format on
 
@@ -241,12 +241,12 @@ struct GoldenWorkload {
 
 // clang-format off
 constexpr GoldenWorkload kGoldenWorkloads[] = {
-    {"grouped", 0x78d2e12e8747f815ull, 5648, 6},
-    {"multi-phenotype", 0x38576f81103c161eull, 11040, 4},
-    {"compressed-study", 0xfd06a8bd9e69866dull, 38240, 3},
-    {"mean-impute", 0x6844677a0c1407b8ull, 1968, 3},
+    {"grouped", 0x78d2e12e8747f815ull, 4240, 7},
+    {"multi-phenotype", 0x38576f81103c161eull, 9568, 5},
+    {"compressed-study", 0xfd06a8bd9e69866dull, 27840, 4},
+    {"mean-impute", 0x6844677a0c1407b8ull, 1648, 4},
     {"online", 0x0b2d2014300d8455ull, 4752, 2},
-    {"burden", 0xbe9a9699288dca72ull, 7840, 5},
+    {"burden", 0xbe9a9699288dca72ull, 6176, 6},
 };
 // clang-format on
 
