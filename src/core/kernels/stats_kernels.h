@@ -26,9 +26,11 @@
 // (ComputeLocalStatsScalar): SIMD lanes map to distinct output columns
 // (never to partial sums of one column), multiplies and adds stay
 // separate instructions (the ISA units are compiled with
-// -ffp-contract=off so no FMA contraction changes rounding), and the
-// packed kernels add each column's nonzeros in ascending row order on
-// either path. See tests/core_kernel_identity_test.cc.
+// -ffp-contract=off so no FMA contraction changes rounding) except in
+// the AVX-512 packed kernel, whose explicit FMAs are exact by a
+// checked premise (stats_kernels_avx512.cc), and the packed kernels
+// add each column's nonzeros in ascending row order on either path.
+// See tests/core_kernel_identity_test.cc.
 
 #ifndef DASH_CORE_KERNELS_STATS_KERNELS_H_
 #define DASH_CORE_KERNELS_STATS_KERNELS_H_

@@ -2,9 +2,21 @@
 // compiled with per-file flags -mavx512f -mavx512bw -mavx512dq
 // -mavx512vl and -ffp-contract=off (see src/CMakeLists.txt); the
 // contract flag matters for bit-identity — with FMA available the
-// compiler would otherwise fuse the explicit mul+add intrinsic pairs
-// below into FMAs, which round once instead of twice and diverge from
-// the scalar reference.
+// compiler would otherwise fuse the dense kernel's explicit mul+add
+// intrinsic pairs into FMAs, which round once instead of twice and
+// diverge from the scalar reference.
+//
+// The packed kernel is the one exception, and it fuses on purpose:
+// both of its paths add each dosage product with one explicit FMA. A
+// lane adds only for codes 1 and 2, so the product is 1.0·v or 2.0·v,
+// which is exact whenever 2·|v| does not overflow. An FMA rounds
+// acc + d·v once; the reference's mul rounds the exact product (a
+// no-op) and its add then rounds the same sum once. The bits are
+// therefore equal, including the sign of a zero sum (the default
+// MXCSR: no FTZ, no DAZ, which the library never changes).
+// PackedColumnsImpl checks the premise on every q entry and y value it
+// copies (|v| <= 2^1022, which also rejects NaN and ±inf) and hands
+// any call that fails it to the portable kernel.
 #ifndef __AVX512F__
 #error "stats_kernels_avx512.cc requires -mavx512f (per-file flag in src/CMakeLists.txt)"
 #endif
@@ -13,6 +25,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <iterator>
 #include <utility>
@@ -77,15 +90,14 @@ constexpr int64_t kRowsPerWord = PackedGenotypeMatrix::kRowsPerWord;
 constexpr int64_t kLaneGroup = 8;
 
 // Density crossover between the two packed paths, as a cost ratio. On
-// every row of a group the column-lane path spends 2·KA + 3 vector ops
-// (a mul and a masked add per accumulator, then the dosage lookup, the
-// nonzero test and the code shift); the pair replay spends about
+// every row of a group the column-lane path spends KA + 3 vector ops
+// (one masked FMA per accumulator, then the dosage lookup, the nonzero
+// test and the code shift); the pair replay spends about
 // kReplayCostPerNonzero such ops on each nonzero it replays (ctz,
-// branch, broadcast, dependent add chain). A group takes the lane path
+// branch, broadcast, dependent FMA chain). A group takes the lane path
 // over a word panel when the replay would cost more, i.e. above a
-// density of (2·KA + 3) / (8 · kReplayCostPerNonzero): about one
-// nonzero in 8 genotypes at K = 10. Fitted to one-thread density sweeps
-// at K = 3, 10 and 20 (DESIGN.md §13).
+// density of (KA + 3) / (8 · kReplayCostPerNonzero). Fitted to
+// one-thread density sweeps at K = 3, 10 and 20 (DESIGN.md §13).
 constexpr int64_t kReplayCostPerNonzero = 24;
 
 // Bit 2r is set iff row r of the word holds a nonzero call (code 1 or
@@ -105,8 +117,8 @@ inline void CountClasses(uint64_t word, int64_t* het, int64_t* hom) {
 
 // One column's QᵀX + X·y accumulator: KP padded lanes (K covariates,
 // then the phenotype — X·y is just one more projection, so it rides
-// the same vector ops instead of paying its own scalar mul+add chain
-// per nonzero) held in KP/8 zmm registers plus one ymm for a 4-wide
+// the same vector ops instead of paying its own scalar chain per
+// nonzero) held in KP/8 zmm registers plus one ymm for a 4-wide
 // remainder. KP <= 24 so at most 3 zmm per column — the pair replay
 // keeps two of these (6 zmm + 2 ymm) register-resident across a whole
 // word panel.
@@ -125,21 +137,23 @@ struct ProjAcc {
     for (int c = 0; c < kNz; ++c) _mm512_storeu_pd(p + 8 * c, z[c]);
     if constexpr (kHasTail) _mm256_storeu_pd(p + 8 * kNz, tail);
   }
+  // One exact fused update per lane (v is a dosage, 1.0 or 2.0; see
+  // the file comment). The ymm tail uses the EVEX masked form, which
+  // AVX512VL provides: plain _mm256_fmadd_pd would need -mfma.
   void Add(double v, const double* qrow) {
     // Separate zmm/ymm broadcasts: GCC's _mm512_castpd512_pd256 trips
     // -Wmaybe-uninitialized through _mm256_undefined_pd, and the extra
-    // vbroadcastsd is free next to the FP-add chain.
+    // vbroadcastsd is free next to the FMA chain.
     if constexpr (kNz > 0) {
       const __m512d vb = _mm512_set1_pd(v);
       for (int c = 0; c < kNz; ++c) {
-        z[c] = _mm512_add_pd(z[c],
-                             _mm512_mul_pd(vb, _mm512_loadu_pd(qrow + 8 * c)));
+        z[c] = _mm512_fmadd_pd(vb, _mm512_loadu_pd(qrow + 8 * c), z[c]);
       }
     }
     if constexpr (kHasTail) {
       const __m256d vt = _mm256_set1_pd(v);
-      tail = _mm256_add_pd(tail,
-                           _mm256_mul_pd(vt, _mm256_loadu_pd(qrow + 8 * kNz)));
+      tail = _mm256_mask3_fmadd_pd(vt, _mm256_loadu_pd(qrow + 8 * kNz), tail,
+                                   0x0F);
     }
   }
   // Adds the lowest nonzero row left in *nz (NonzeroBits of `word`,
@@ -153,7 +167,7 @@ struct ProjAcc {
 
 // Pair replay of words [w0, w1) of two columns whose accumulators live
 // at pra / prb. The two columns share the word loop so their
-// per-nonzero add chains interleave: one column's chain (~4-cycle add
+// per-nonzero FMA chains interleave: one column's chain (~4-cycle
 // latency per nonzero) leaves the FP ports mostly idle, and the second
 // independent chain fills them — measured 1.08x over replaying each
 // column alone (ReplayColumn) on rare data, N = 100k, M = 10k, MAF
@@ -200,13 +214,13 @@ void ReplayColumn(const uint64_t* cw, int64_t w0, int64_t w1,
 }
 
 // acc[I] += dosage · q(i, I) on the lanes in nz, for every I of the
-// pack. The fold unrolls at any optimization level, so the KA
-// accumulators stay in registers.
+// pack, as one exact masked FMA (file comment). The fold unrolls at any
+// optimization level, so the KA accumulators stay in registers.
 template <size_t... I>
 inline void LaneRow(__m512d* acc, __m512d dosage, __mmask8 nz,
                     const double* qrow, std::index_sequence<I...>) {
-  ((acc[I] = _mm512_mask_add_pd(
-        acc[I], nz, acc[I], _mm512_mul_pd(dosage, _mm512_set1_pd(qrow[I])))),
+  ((acc[I] = _mm512_mask3_fmadd_pd(dosage, _mm512_set1_pd(qrow[I]), acc[I],
+                                   nz)),
    ...);
 }
 
@@ -230,7 +244,7 @@ inline void StoreLanes(const __m512d* acc, double* xy, double* qtx,
 // lane is one column, as in the dense kernel, so each output element
 // keeps its own accumulator and its own add chain. Every row of a word
 // is visited in ascending order; the row's 2-bit codes index a dosage
-// table and the add is masked to codes 1 and 2, so each element
+// table and the FMA is masked to codes 1 and 2, so each element
 // receives exactly the scalar reference's products in its order.
 // Accumulators load from and store to `out`, whose QᵀX rows and X·y
 // are already lane-major.
@@ -277,16 +291,18 @@ void LaneGroup(const uint64_t* words, int64_t wpc, int64_t w0, int64_t w1,
 // and the pair replay if not. Both give every output element the
 // scalar reference's products in ascending row order, so a group may
 // switch paths from one panel to the next without changing a bit;
-// dosage multiplies by 1.0 / 2.0 are exact. Both also count the
-// dosage classes of the words they visit: X·X is the exact integer
-// #het + 4·#hom.
+// dosage multiplies by 1.0 / 2.0 are exact, and so are the fused
+// updates that add them. Both also count the dosage classes of the
+// words they visit: X·X is the exact integer #het + 4·#hom.
 //
 // q and y are copied once into a KP-padded row-major scratch
 // ([q(i,0..k-1), y[i], 0...] per row), padded with zero rows to whole
 // 32-row words: the lane path loads a q row for every slot of a word,
 // and the replay's vector loads never cross into the next row or read
 // past the allocation (its padding lanes accumulate into proj entries
-// > k that are never written back).
+// > k that are never written back). The copy also checks the fused
+// updates' premise, |v| <= 2^1022 for every copied value; a call that
+// fails it runs the portable kernel instead.
 template <int KA>
 void PackedColumnsImpl(const PackedGenotypeMatrix& x, const double* y,
                        const Matrix& q, int64_t col_begin, int64_t col_end,
@@ -300,9 +316,19 @@ void PackedColumnsImpl(const PackedGenotypeMatrix& x, const double* y,
   {
     const double* qd = q.data();
     double* dst = qpad.data();
+    bool exact = true;
     for (int64_t i = 0; i < n; ++i) {
-      for (int64_t kk = 0; kk < k; ++kk) dst[i * KP + kk] = qd[i * k + kk];
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const double v = qd[i * k + kk];
+        exact &= std::fabs(v) <= 0x1p1022;
+        dst[i * KP + kk] = v;
+      }
+      exact &= std::fabs(y[i]) <= 0x1p1022;
       dst[i * KP + k] = y[i];
+    }
+    if (!exact) {
+      PackedColumnsPortable(x, y, q, col_begin, col_end, out);
+      return;
     }
   }
   const double* qp = qpad.data();
@@ -368,8 +394,8 @@ void PackedColumnsImpl(const PackedGenotypeMatrix& x, const double* y,
               __builtin_popcountll(NonzeroBits(x.column_words(j)[w0]));
         }
         bool& replaying = in_proj[(g0 - j0) / kLaneGroup];
-        if (g1 - g0 == kLaneGroup && sample_nnz * kReplayCostPerNonzero >=
-                                         kRowsPerWord * (2 * KA + 3)) {
+        if (g1 - g0 == kLaneGroup &&
+            sample_nnz * kReplayCostPerNonzero >= kRowsPerWord * (KA + 3)) {
           if (replaying) spill_proj(j0, g0, g1);
           replaying = false;
           const int64_t off = g0 - col_begin;

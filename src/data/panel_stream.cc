@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <string>
@@ -15,23 +16,24 @@
 namespace dash {
 namespace {
 
-// --- DASHPACK layout --------------------------------------------------
+// --- DASHPACK layout (version 2) --------------------------------------
 // [magic "DASHPK01" | u64 version | i64 n | i64 m | i64 k |
 //  i64 panel_rows | u64 tag | u64 fingerprint | u64 header_checksum]
 // [y: n doubles] [C: n*k doubles row-major] [u64 yc_checksum]
 // for each panel p (rows [p*256, min(n, (p+1)*256))):
 //   [m * wp(p) u64 words, column-major] [u64 panel_checksum]
 // wp(p) = ceil(rows_p / 32); every panel but the last has wp = 8, so
-// panel offsets are a closed-form seek. All checksums are FNV-1a over
-// the raw bytes of the region they close.
+// panel offsets are a closed-form seek. The header and y/C checksums
+// are FNV-1a over the raw bytes of the region they close; each panel
+// checksum is PanelChecksum over the panel's words. A version 1 file
+// (FNV-1a panel checksums) is refused: re-pack it.
 
 constexpr char kMagic[8] = {'D', 'A', 'S', 'H', 'P', 'K', '0', '1'};
-constexpr uint64_t kFormatVersion = 1;
+constexpr uint64_t kFormatVersion = 2;
 // magic + (version, n, m, k, panel_rows, tag, fingerprint, checksum).
 constexpr int64_t kHeaderBytes = 72;
 // Dimension sanity bounds: large enough for any real study, small
-// enough that every size expression below fits comfortably in 128-bit
-// intermediate arithmetic.
+// enough that the exact file size fits in 128-bit arithmetic.
 constexpr int64_t kMaxDim = int64_t{1} << 40;
 constexpr int64_t kMaxCovariates = int64_t{1} << 20;
 
@@ -75,11 +77,20 @@ struct StudyShape {
   int64_t panel_offset(int64_t p) const {
     return panels_offset() + p * full_panel_stride();
   }
+  // The exact file size, in closed form and in 128 bits: full panels
+  // times their stride, plus the last partial panel. A hostile header's
+  // dimensions can neither overflow it nor make it slow. Once the real
+  // file size has matched it, every int64 expression above is bounded
+  // by that size.
   unsigned __int128 total_bytes() const {
-    unsigned __int128 total = static_cast<unsigned __int128>(panels_offset());
-    const int64_t panels = num_panels();
-    for (int64_t p = 0; p < panels; ++p) {
-      total += static_cast<unsigned __int128>(panel_payload_bytes(p)) + 8;
+    using U128 = unsigned __int128;
+    const U128 un = static_cast<U128>(n);
+    const U128 um = static_cast<U128>(m);
+    U128 total = kHeaderBytes + un * (1 + static_cast<U128>(k)) * 8 + 8;
+    total += static_cast<U128>(n / kStudyPanelRows) *
+             (um * (kStudyPanelRows / 4) + 8);
+    if (const int64_t tail = n % kStudyPanelRows; tail > 0) {
+      total += um * static_cast<U128>(WordsPerPanel(tail)) * 8 + 8;
     }
     return total;
   }
@@ -165,6 +176,25 @@ uint64_t Fnv1aBytes(const void* data, size_t len, uint64_t h) {
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+uint64_t PanelChecksum(const uint64_t* words, size_t n) {
+  constexpr uint64_t kP1 = 0x9E3779B185EBCA87ULL;
+  constexpr uint64_t kP2 = 0xC2B2AE3D27D4EB4FULL;
+  const auto step = [](uint64_t acc, uint64_t w) {
+    return std::rotl(acc + w * kP2, 31) * kP1;
+  };
+  // xxHash64's lane seeds at seed 0, then n, folded last.
+  uint64_t lanes[5] = {kP1 + kP2, kP2, 0, 0 - kP1, n};
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    lanes[0] = step(lanes[0], words[i]);
+    lanes[1] = step(lanes[1], words[i + 1]);
+    lanes[2] = step(lanes[2], words[i + 2]);
+    lanes[3] = step(lanes[3], words[i + 3]);
+  }
+  for (; i < n; ++i) lanes[i % 4] = step(lanes[i % 4], words[i]);
+  return Fnv1aBytes(lanes, sizeof(lanes));
 }
 
 Status AtomicWriteFile(const std::string& path, const void* data, size_t len) {
@@ -267,7 +297,7 @@ Status WritePackedStudy(const std::string& path, const PackedGenotypeMatrix& x,
         std::memcpy(block.data() + j * wp, x.column_words(j) + w0,
                     static_cast<size_t>(wp) * 8);
       }
-      const uint64_t sum = Fnv1aBytes(block.data(), block.size() * 8);
+      const uint64_t sum = PanelChecksum(block.data(), block.size());
       st = WriteAll(fd, block.data(), block.size() * 8, tmp);
       if (st.ok()) st = WriteAll(fd, &sum, 8, tmp);
     }
@@ -390,7 +420,7 @@ Status PackedStudyReader::ReadPanel(int64_t panel, PackedGenotypeMatrix* out) {
         ReadAllAt(fd_, words, static_cast<size_t>(payload), off, path_));
   }
   DASH_RETURN_IF_ERROR(ReadAllAt(fd_, &stored_sum, 8, off + payload, path_));
-  if (Fnv1aBytes(words, static_cast<size_t>(payload)) != stored_sum) {
+  if (PanelChecksum(words, static_cast<size_t>(payload / 8)) != stored_sum) {
     return DataLossError("DASHPACK panel " + std::to_string(panel) +
                          " checksum mismatch: " + path_);
   }

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -284,6 +285,34 @@ TEST(KernelIdentityTest, IsaSweepAllZeroAndAllMissingColumns) {
     ExpectArenaBitIdentical(ComputeLocalStatsPackedFlat(packed, y, q), want);
     ExpectArenaBitIdentical(ComputeLocalStatsDense(x, y, q), want);
     ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q), want);
+  }
+}
+
+TEST(KernelIdentityTest, IsaSweepPackedGuardKeepsOverflowingProducts) {
+  // The AVX-512 packed kernel adds each dosage product with one FMA,
+  // which matches the reference's mul+add only while 2·|v| cannot
+  // overflow. Here 2·y[1] does: the reference's product rounds to inf,
+  // while an FMA would add the exact 2e308 to -1.7e308 and stay
+  // finite. Every code is nonzero, so the group takes the column-lane
+  // path, and the kernel's guard must send the call to the portable
+  // kernel instead.
+  const int64_t n = 32, m = 8, k = 3;
+  PackedGenotypeMatrix packed(n, m);
+  for (int64_t j = 0; j < m; ++j) {
+    for (int64_t i = 0; i < n; ++i) packed.Set(i, j, i == 1 ? 2 : 1);
+  }
+  Vector y(n, 0.0);
+  y[0] = -1.7e308;
+  y[1] = 1e308;
+  Rng rng(91);
+  const Matrix q = MakeQ(n, k, &rng);
+  const Vector want = ComputeLocalStatsScalar(packed.ToDense(), y, q);
+  ASSERT_TRUE(std::isinf(want[static_cast<size_t>(
+      StatsWireLayout{m, k}.xy_offset())]));
+  for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
+    ScopedIsa pin(isa);
+    SCOPED_TRACE(kernels::StatsIsaName(isa));
+    ExpectArenaBitIdentical(ComputeLocalStatsPackedFlat(packed, y, q), want);
   }
 }
 

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/genotype_generator.h"
@@ -84,6 +85,13 @@ void FlipByteAt(const std::string& path, size_t offset) {
   ASSERT_LT(offset, bytes.size());
   bytes[offset] = static_cast<char>(bytes[offset] ^ 0x5a);
   WriteFileBytes(path, bytes);
+}
+
+// Re-stamps the header checksum of a DASHPACK image, so a patched
+// header field reaches the reader's checks behind it.
+void RestampHeader(std::string* bytes) {
+  const uint64_t sum = Fnv1aBytes(bytes->data(), 64);
+  std::memcpy(bytes->data() + 64, &sum, 8);
 }
 
 void ExpectPanelsBitIdentical(const PackedGenotypeMatrix& a,
@@ -259,6 +267,70 @@ TEST(PanelStreamTest, CorruptHeaderFieldAlwaysRejected) {
   }
 }
 
+TEST(PanelStreamTest, VersionOneFileRefused) {
+  // Version 1 closed panels with FNV-1a; no v1 reader is kept, so such
+  // a file is refused up front and must be re-packed.
+  const Study study = MakeStudy(300, 10, 2);
+  const std::string path = WriteStudyFile(study, "v1.dpk");
+  std::string bytes = ReadFileBytes(path);
+  const uint64_t v1 = 1;
+  std::memcpy(bytes.data() + 8, &v1, 8);
+  RestampHeader(&bytes);
+  WriteFileBytes(path, bytes);
+  auto opened = PackedStudyReader::Open(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(opened.status().message().find("unsupported DASHPACK version 1"),
+            std::string::npos)
+      << opened.status();
+}
+
+TEST(PanelStreamTest, HugeHeaderDimensionsAreSizeMismatch) {
+  // A bare 72-byte header with a valid checksum and in-range but huge
+  // dimensions: n = 2^40 rows is 2^32 panels, and (n + n·k)·8 at
+  // k = 2^20 overflows int64. Open must compute the expected size
+  // without either, and refuse the file at once. Magic and version
+  // come from a real file.
+  const std::string path = WriteStudyFile(MakeStudy(300, 10, 2), "huge.dpk");
+  const std::string real = ReadFileBytes(path);
+  for (const int64_t k : {int64_t{1} << 20, int64_t{0}}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    std::string header = real.substr(0, 72);
+    // n, m, k, panel_rows, tag, fingerprint.
+    const int64_t fields[6] = {int64_t{1} << 40, 1, k, 256, 0, 0};
+    std::memcpy(header.data() + 16, fields, sizeof(fields));
+    RestampHeader(&header);
+    WriteFileBytes(path, header);
+    auto opened = PackedStudyReader::Open(path);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss)
+        << opened.status();
+  }
+}
+
+TEST(PanelStreamTest, PanelChecksumSeesEveryBitFlipAndAdjacentSwap) {
+  std::vector<uint64_t> panel(64);
+  for (size_t i = 0; i < panel.size(); ++i) {
+    panel[i] = 0x0123456789ABCDEFULL * (i + 1);
+  }
+  const uint64_t clean = PanelChecksum(panel.data(), panel.size());
+  // Pinned: any change to the function changes the file format and
+  // must bump the DASHPACK version.
+  EXPECT_EQ(clean, 0xa6f80c465450231eULL);
+  for (size_t bit = 0; bit < panel.size() * 64; ++bit) {
+    std::vector<uint64_t> flipped = panel;
+    flipped[bit / 64] ^= uint64_t{1} << (bit % 64);
+    ASSERT_NE(PanelChecksum(flipped.data(), flipped.size()), clean)
+        << "bit " << bit;
+  }
+  for (size_t i = 0; i + 1 < panel.size(); ++i) {
+    std::vector<uint64_t> swapped = panel;
+    std::swap(swapped[i], swapped[i + 1]);
+    ASSERT_NE(PanelChecksum(swapped.data(), swapped.size()), clean)
+        << "words " << i << " and " << i + 1;
+  }
+}
+
 TEST(PanelStreamTest, CorruptPhenotypeBlockRejectedAtOpen) {
   const Study study = MakeStudy(300, 10, 2);
   const std::string path = WriteStudyFile(study, "ycblock.dpk");
@@ -314,7 +386,9 @@ TEST(PanelStreamTest, NonzeroPaddingCodeRejectedByWriterAndReader) {
   std::memcpy(&word, bytes.data() + panel_offset + 8, 8);  // column 0, word 1
   word |= padding_code;
   std::memcpy(bytes.data() + panel_offset + 8, &word, 8);
-  const uint64_t sum = Fnv1aBytes(bytes.data() + panel_offset, payload);
+  std::vector<uint64_t> words(payload / 8);
+  std::memcpy(words.data(), bytes.data() + panel_offset, payload);
+  const uint64_t sum = PanelChecksum(words.data(), words.size());
   std::memcpy(bytes.data() + panel_offset + payload, &sum, 8);
   WriteFileBytes(path, bytes);
 
