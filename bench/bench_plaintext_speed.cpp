@@ -48,7 +48,6 @@
 
 #include "bench_json.h"
 #include "core/association_scan.h"
-#include "core/kernels/stats_kernels.h"
 #include "core/secure_scan.h"
 #include "core/streaming_stats.h"
 #include "core/suff_stats.h"
@@ -56,6 +55,7 @@
 #include "data/panel_stream.h"
 #include "data/workloads.h"
 #include "linalg/packed_matrix.h"
+#include "util/isa.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -194,16 +194,6 @@ void AddEntry(std::vector<dash_bench::BenchEntry>* entries,
               name.c_str(), seconds, e.gb_per_s, checksum);
 }
 
-// Pins the kernel dispatch table to one ISA for the enclosing scope.
-struct ScopedIsa {
-  explicit ScopedIsa(kernels::StatsIsa isa) {
-    kernels::ForceStatsIsaForTesting(isa);
-  }
-  ~ScopedIsa() { kernels::ResetStatsIsaForTesting(); }
-  ScopedIsa(const ScopedIsa&) = delete;
-  ScopedIsa& operator=(const ScopedIsa&) = delete;
-};
-
 // Times scalar vs portable-blocked vs auto-flat vs each SIMD dense path
 // this CPU can run, and asserts all produce the identical wire image.
 // Returns the scalar reference checksum.
@@ -225,7 +215,7 @@ uint64_t BenchDense(const KernelArgs& a, const std::string& dataset,
   // packed kernels' >=5x claim is measured against.
   double blocked_s = 0.0;
   {
-    ScopedIsa pin(kernels::StatsIsa::kPortable);
+    ScopedIsaForTesting pin(Isa::kPortable);
     blocked_s = TimeBest(a.reps, &blocked_sum, [&] {
       return WireChecksum(ComputeLocalStatsDense(x, y, q));
     });
@@ -239,18 +229,18 @@ uint64_t BenchDense(const KernelArgs& a, const std::string& dataset,
       << "blocked kernel diverged from scalar on " << dataset;
   DASH_CHECK(scalar_sum == flat_sum)
       << "flat kernel diverged from scalar on " << dataset;
-  for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
-    if (isa == kernels::StatsIsa::kPortable) continue;
-    ScopedIsa pin(isa);
+  for (const Isa isa : AvailableIsas()) {
+    if (isa == Isa::kPortable) continue;
+    ScopedIsaForTesting pin(isa);
     uint64_t isa_sum = 0;
     const double isa_s = TimeBest(a.reps, &isa_sum, [&] {
       return WireChecksum(ComputeLocalStatsDense(x, y, q));
     });
     AddEntry(entries, a,
-             std::string(kernels::StatsIsaName(isa)) + "/" + dataset, isa_s,
+             std::string(IsaName(isa)) + "/" + dataset, isa_s,
              isa_sum);
     DASH_CHECK(scalar_sum == isa_sum)
-        << kernels::StatsIsaName(isa) << " dense kernel diverged from "
+        << IsaName(isa) << " dense kernel diverged from "
         << "scalar on " << dataset;
   }
   std::printf("  speedup blocked/scalar: %.2fx, flat/scalar: %.2fx\n\n",
@@ -276,18 +266,18 @@ void BenchPacked(const KernelArgs& a, const std::string& dataset,
   AddEntry(entries, a, "packed/" + dataset, packed_s, packed_sum);
   DASH_CHECK(scalar_sum == packed_sum)
       << "packed kernel diverged from scalar on " << dataset;
-  for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
-    ScopedIsa pin(isa);
+  for (const Isa isa : AvailableIsas()) {
+    ScopedIsaForTesting pin(isa);
     uint64_t isa_sum = 0;
     const double isa_s = TimeBest(a.reps, &isa_sum, [&] {
       return WireChecksum(ComputeLocalStatsPackedFlat(packed, y, q));
     });
     AddEntry(entries, a,
-             std::string("packed_") + kernels::StatsIsaName(isa) + "/" +
+             std::string("packed_") + IsaName(isa) + "/" +
                  dataset,
              isa_s, isa_sum);
     DASH_CHECK(scalar_sum == isa_sum)
-        << "packed " << kernels::StatsIsaName(isa)
+        << "packed " << IsaName(isa)
         << " kernel diverged from scalar on " << dataset;
   }
   std::printf("\n");
@@ -403,8 +393,8 @@ int RunKernelBench(const KernelArgs& a) {
 
   if (!a.json_path.empty()) {
     std::vector<std::string> isa_names;
-    for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
-      isa_names.emplace_back(kernels::StatsIsaName(isa));
+    for (const Isa isa : AvailableIsas()) {
+      isa_names.emplace_back(IsaName(isa));
     }
     if (!dash_bench::WriteBenchJson(a.json_path, "scan_kernels", entries,
                                     isa_names)) {

@@ -1,141 +1,40 @@
-// Runtime ISA probe and the function-pointer dispatch table.
+// The function-pointer dispatch table, chosen by the process ISA
+// (util/isa.h).
 //
 // DASH_HAVE_X86_KERNELS is defined by the build exactly when the AVX2 /
 // AVX-512 translation units are compiled in (x86-64 targets); on other
-// architectures only the portable table exists and the probe reports it
-// as the sole available ISA.
+// architectures only the portable table exists, and the probe never
+// reports another ISA.
 
 #include "core/kernels/stats_kernels.h"
-
-#include <cstdlib>
-
-#include "util/check.h"
 
 namespace dash {
 namespace kernels {
 namespace {
 
-const StatsKernelTable kPortableTable{StatsIsa::kPortable, DensePanelPortable,
+const StatsKernelTable kPortableTable{Isa::kPortable, DensePanelPortable,
                                       PackedColumnsPortable};
 #ifdef DASH_HAVE_X86_KERNELS
-const StatsKernelTable kAvx2Table{StatsIsa::kAvx2, DensePanelAvx2,
+const StatsKernelTable kAvx2Table{Isa::kAvx2, DensePanelAvx2,
                                   PackedColumnsAvx2};
-const StatsKernelTable kAvx512Table{StatsIsa::kAvx512, DensePanelAvx512,
+const StatsKernelTable kAvx512Table{Isa::kAvx512, DensePanelAvx512,
                                     PackedColumnsAvx512};
 #endif
 
-// The testing override; read by ActiveStatsKernels on every call so a
-// test can flip ISAs between scans. Plain pointer, tests only.
-const StatsKernelTable* g_forced_table = nullptr;
-
-bool CpuSupports(StatsIsa isa) {
-  switch (isa) {
-    case StatsIsa::kPortable:
-      return true;
-    case StatsIsa::kAvx2:
-#ifdef DASH_HAVE_X86_KERNELS
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
-    case StatsIsa::kAvx512:
-#ifdef DASH_HAVE_X86_KERNELS
-      // The AVX-512 unit is compiled with f+bw+dq+vl; require them all.
-      return __builtin_cpu_supports("avx512f") != 0 &&
-             __builtin_cpu_supports("avx512bw") != 0 &&
-             __builtin_cpu_supports("avx512dq") != 0 &&
-             __builtin_cpu_supports("avx512vl") != 0;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-const StatsKernelTable* TableFor(StatsIsa isa) {
-  switch (isa) {
-    case StatsIsa::kPortable:
-      return &kPortableTable;
-#ifdef DASH_HAVE_X86_KERNELS
-    case StatsIsa::kAvx2:
-      return &kAvx2Table;
-    case StatsIsa::kAvx512:
-      return &kAvx512Table;
-#else
-    case StatsIsa::kAvx2:
-    case StatsIsa::kAvx512:
-      break;
-#endif
-  }
-  return nullptr;
-}
-
-// Resolves DASH_FORCE_ISA / the cpuid probe exactly once.
-const StatsKernelTable* ResolveDefaultTable() {
-  const char* forced = std::getenv("DASH_FORCE_ISA");
-  if (forced != nullptr && forced[0] != '\0') {
-    StatsIsa isa;
-    DASH_CHECK(ParseStatsIsa(forced, &isa))
-        << "DASH_FORCE_ISA must be portable, avx2 or avx512; got '" << forced
-        << "'";
-    DASH_CHECK(CpuSupports(isa))
-        << "DASH_FORCE_ISA=" << forced
-        << " requests an ISA this build/CPU does not support";
-    return TableFor(isa);
-  }
-  if (CpuSupports(StatsIsa::kAvx512)) return TableFor(StatsIsa::kAvx512);
-  if (CpuSupports(StatsIsa::kAvx2)) return TableFor(StatsIsa::kAvx2);
-  return &kPortableTable;
-}
-
 }  // namespace
 
-const char* StatsIsaName(StatsIsa isa) {
-  switch (isa) {
-    case StatsIsa::kPortable:
-      return "portable";
-    case StatsIsa::kAvx2:
-      return "avx2";
-    case StatsIsa::kAvx512:
-      return "avx512";
-  }
-  return "unknown";
-}
-
-bool ParseStatsIsa(const std::string& name, StatsIsa* isa) {
-  if (name == "portable") {
-    *isa = StatsIsa::kPortable;
-  } else if (name == "avx2") {
-    *isa = StatsIsa::kAvx2;
-  } else if (name == "avx512") {
-    *isa = StatsIsa::kAvx512;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 const StatsKernelTable& ActiveStatsKernels() {
-  if (g_forced_table != nullptr) return *g_forced_table;
-  static const StatsKernelTable* table = ResolveDefaultTable();
-  return *table;
+  switch (ActiveIsa()) {
+#ifdef DASH_HAVE_X86_KERNELS
+    case Isa::kAvx2:
+      return kAvx2Table;
+    case Isa::kAvx512:
+      return kAvx512Table;
+#endif
+    default:
+      return kPortableTable;
+  }
 }
-
-std::vector<StatsIsa> AvailableStatsIsas() {
-  std::vector<StatsIsa> isas{StatsIsa::kPortable};
-  if (CpuSupports(StatsIsa::kAvx2)) isas.push_back(StatsIsa::kAvx2);
-  if (CpuSupports(StatsIsa::kAvx512)) isas.push_back(StatsIsa::kAvx512);
-  return isas;
-}
-
-void ForceStatsIsaForTesting(StatsIsa isa) {
-  DASH_CHECK(CpuSupports(isa))
-      << "cannot force " << StatsIsaName(isa)
-      << ": not available in this build/CPU";
-  g_forced_table = TableFor(isa);
-}
-
-void ResetStatsIsaForTesting() { g_forced_table = nullptr; }
 
 }  // namespace kernels
 }  // namespace dash

@@ -13,14 +13,11 @@
 // -mavx512f flags, so the binary itself stays runnable on any x86-64
 // (and on non-x86, where only the portable unit is built).
 //
-// Dispatch is a function-pointer table chosen once per process:
-//   1. DASH_FORCE_ISA=portable|avx2|avx512 pins the table (and aborts
-//      if the requested ISA is not available — a forced ISA that
-//      silently fell back would invalidate what a test claims to cover);
-//   2. otherwise the best ISA the CPU supports (cpuid via
-//      __builtin_cpu_supports, probed once).
-// Tests iterate AvailableStatsIsas() and pin each in-process via
-// ForceStatsIsaForTesting, so one machine exercises every path it can.
+// Dispatch is a function-pointer table chosen by the process ISA
+// (util/isa.h: DASH_FORCE_ISA, else the cpuid probe, probed once), the
+// same choice that selects the ChaCha20 mask batch. Tests iterate
+// AvailableIsas() and pin each in-process via ScopedIsaForTesting, so
+// one machine exercises every path it can.
 //
 // Every implementation is BIT-IDENTICAL to the scalar reference kernel
 // (ComputeLocalStatsScalar): SIMD lanes map to distinct output columns
@@ -36,8 +33,8 @@
 #define DASH_CORE_KERNELS_STATS_KERNELS_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
+
+#include "util/isa.h"
 
 namespace dash {
 class Matrix;
@@ -48,12 +45,8 @@ struct StatsBlockView;
 namespace dash {
 namespace kernels {
 
-enum class StatsIsa { kPortable = 0, kAvx2 = 1, kAvx512 = 2 };
-
-const char* StatsIsaName(StatsIsa isa);
-
-// Parses "portable" / "avx2" / "avx512"; false on anything else.
-bool ParseStatsIsa(const std::string& name, StatsIsa* isa);
+// The name of a table's ISA, as perfbench prints it; IsaName(isa).
+inline const char* StatsIsaName(Isa isa) { return IsaName(isa); }
 
 // Adds rows [0, rows) of one row panel into a column block's resident
 // accumulators: xy[jj] += x(i,jj)·y[i], xx[jj] += x(i,jj)², and the
@@ -78,25 +71,13 @@ using PackedColumnsFn = void (*)(const PackedGenotypeMatrix& x,
                                  const StatsBlockView& out);
 
 struct StatsKernelTable {
-  StatsIsa isa = StatsIsa::kPortable;
+  Isa isa = Isa::kPortable;
   DensePanelFn dense_panel = nullptr;
   PackedColumnsFn packed_columns = nullptr;
 };
 
-// The table the scan kernels dispatch through: the testing override if
-// one is pinned, else the DASH_FORCE_ISA choice, else the best ISA the
-// CPU supports. Stable after first call (aside from the test override).
+// The table the scan kernels dispatch through: the one for ActiveIsa().
 const StatsKernelTable& ActiveStatsKernels();
-
-// ISAs usable in this process (portable first, then ascending), i.e.
-// compiled in AND supported by the CPU. Ignores DASH_FORCE_ISA.
-std::vector<StatsIsa> AvailableStatsIsas();
-
-// Pins / unpins the dispatch table in-process. CHECK-fails when `isa`
-// is not in AvailableStatsIsas(). Not thread-safe; tests and benches
-// only — call with no concurrent scans running.
-void ForceStatsIsaForTesting(StatsIsa isa);
-void ResetStatsIsaForTesting();
 
 // Cache-block geometry of the packed kernels: column blocks whose
 // xy / class-count / QᵀX-slab accumulators stay register- or

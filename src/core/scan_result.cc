@@ -1,5 +1,6 @@
 #include "core/scan_result.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -28,14 +29,17 @@ Status ScanResult::WriteCsv(const std::string& path) const {
   std::string text = "variant,beta,se,tstat,pval\n";
   // About 100 bytes a row: an index and four 17-digit doubles.
   text.reserve(text.size() + 100 * beta.size());
+  // One row: a 20-character int64 index, four ",%.17g" fields and '\n'.
+  char row[20 + 4 * (1 + kDouble17MaxChars) + 1];
   for (int64_t m = 0; m < num_variants(); ++m) {
     const size_t i = static_cast<size_t>(m);
-    text += std::to_string(m);
+    char* p = std::to_chars(row, row + 20, m).ptr;
     for (const Vector* column : {&beta, &se, &tstat, &pval}) {
-      text += ',';
-      AppendDouble(&text, (*column)[i]);
+      *p++ = ',';
+      p = FormatDouble17(p, (*column)[i]);
     }
-    text += '\n';
+    *p++ = '\n';
+    text.append(row, p);
   }
   return WriteTextFile(path, text);
 }
@@ -64,6 +68,7 @@ Result<ScanResult> FinalizeScanProjected(const ProjectedSufficientStats& s) {
   out.pval.assign(static_cast<size_t>(m), 0.0);
 
   const double nan = std::nan("");
+  const StudentTTwoSided t_test(static_cast<double>(dof));
   for (int64_t j = 0; j < m; ++j) {
     const size_t i = static_cast<size_t>(j);
     const double xxq = s.xx[i] - s.qtx_qtx[i];
@@ -87,7 +92,7 @@ Result<ScanResult> FinalizeScanProjected(const ProjectedSufficientStats& s) {
     if (se > 0.0) {
       const double t = beta / se;
       out.tstat[i] = t;
-      out.pval[i] = StudentTTwoSidedPValue(t, static_cast<double>(dof));
+      out.pval[i] = t_test.PValue(t);
     } else {
       out.tstat[i] = (beta == 0.0) ? 0.0 : std::copysign(
           std::numeric_limits<double>::infinity(), beta);

@@ -7,6 +7,12 @@
 #include "util/strings.h"
 
 namespace dash {
+namespace {
+
+// The int64 range is [-2^63, 2^63).
+constexpr double kTwoTo63 = 9.223372036854775808e18;
+
+}  // namespace
 
 FixedPointCodec::FixedPointCodec(int frac_bits) : frac_bits_(frac_bits) {
   DASH_CHECK(1 <= frac_bits && frac_bits <= 62) << "frac_bits=" << frac_bits;
@@ -26,8 +32,7 @@ Result<uint64_t> FixedPointCodec::TryEncode(double value) const {
     return InvalidArgumentError("cannot fixed-point encode non-finite value");
   }
   const double scaled = value * scale_;
-  // Strict bound: int64 range is [-2^63, 2^63).
-  if (!(scaled >= -9.223372036854775808e18 && scaled < 9.223372036854775808e18)) {
+  if (!(scaled >= -kTwoTo63 && scaled < kTwoTo63)) {
     return OutOfRangeError("value " + DoubleToString(value) +
                            " exceeds fixed-point range (frac_bits=" +
                            std::to_string(frac_bits_) + ")");
@@ -42,9 +47,29 @@ double FixedPointCodec::Decode(uint64_t ring_value) const {
 
 Result<std::vector<uint64_t>> FixedPointCodec::EncodeVector(
     const Vector& values) const {
-  std::vector<uint64_t> out(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    DASH_ASSIGN_OR_RETURN(out[i], TryEncode(values[i]));
+  const size_t n = values.size();
+  std::vector<uint64_t> out(n);
+  // One branch-free pass checks every scaled value; NaN and ±inf fail.
+  bool in_range = true;
+  for (size_t i = 0; i < n; ++i) {
+    const double scaled = values[i] * scale_;
+    in_range &= (scaled >= -kTwoTo63) & (scaled < kTwoTo63);
+  }
+  if (!in_range) {
+    // The per-element path names the first offender, as it always has.
+    for (size_t i = 0; i < n; ++i) {
+      DASH_ASSIGN_OR_RETURN(out[i], TryEncode(values[i]));
+    }
+    return out;
+  }
+  // llround without the call: d = scaled − trunc(scaled) is exact, and
+  // rounding half away from zero moves t by one when |d| >= 0.5.
+  for (size_t i = 0; i < n; ++i) {
+    const double scaled = values[i] * scale_;
+    int64_t t = static_cast<int64_t>(scaled);
+    const double d = scaled - static_cast<double>(t);
+    t += static_cast<int64_t>(d >= 0.5) - static_cast<int64_t>(d <= -0.5);
+    out[i] = static_cast<uint64_t>(t);
   }
   return out;
 }

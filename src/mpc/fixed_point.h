@@ -45,7 +45,11 @@ class FixedPointCodec {
   // Inverse of Encode (interprets the ring element as two's complement).
   double Decode(uint64_t ring_value) const;
 
-  // Element-wise vector forms.
+  // Element-wise vector forms. EncodeVector returns what TryEncode
+  // returns on every element, and on failure the Status of the first
+  // element that fails; it runs as one branch-free range check over the
+  // vector and one conversion pass (llround from the truncation and its
+  // exact remainder), so the call and the Result per element are gone.
   Result<std::vector<uint64_t>> EncodeVector(const Vector& values) const;
   Vector DecodeVector(const std::vector<uint64_t>& ring_values) const;
 

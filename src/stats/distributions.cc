@@ -17,13 +17,20 @@ double StudentTCdf(double t, double dof) {
 
 double StudentTSf(double t, double dof) { return StudentTCdf(-t, dof); }
 
-double StudentTTwoSidedPValue(double t, double dof) {
-  DASH_CHECK_GT(dof, 0.0);
+// IncompleteBeta CHECK-fails unless a = dof / 2 > 0.
+StudentTTwoSided::StudentTTwoSided(double dof)
+    : dof_(dof), tail_(0.5 * dof, 0.5) {}
+
+double StudentTTwoSided::PValue(double t) const {
   if (std::isnan(t)) return std::nan("");
   const double at = std::fabs(t);
   if (std::isinf(at)) return 0.0;
-  const double x = dof / (dof + at * at);
-  return RegularizedIncompleteBeta(0.5 * dof, 0.5, x);
+  const double x = dof_ / (dof_ + at * at);
+  return tail_.Regularized(x);
+}
+
+double StudentTTwoSidedPValue(double t, double dof) {
+  return StudentTTwoSided(dof).PValue(t);
 }
 
 double NormalCdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }

@@ -9,6 +9,8 @@
 #ifndef DASH_STATS_DISTRIBUTIONS_H_
 #define DASH_STATS_DISTRIBUTIONS_H_
 
+#include "stats/special_functions.h"
+
 namespace dash {
 
 // --- Student t with `dof` degrees of freedom (dof > 0) ---
@@ -18,6 +20,21 @@ double StudentTCdf(double t, double dof);
 
 // P(T > t).
 double StudentTSf(double t, double dof);
+
+// Two-sided p-values 2 * P(T > |t|) at one dof, for many t: the
+// log-gamma terms of the incomplete beta behind them are computed once,
+// so a scan's finalization pays for them once, not once per variant.
+class StudentTTwoSided {
+ public:
+  explicit StudentTTwoSided(double dof);
+
+  // NaN for NaN t, 0 for ±inf.
+  double PValue(double t) const;
+
+ private:
+  double dof_;
+  IncompleteBeta tail_;
+};
 
 // Two-sided p-value 2 * P(T > |t|).
 double StudentTTwoSidedPValue(double t, double dof);

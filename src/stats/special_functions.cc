@@ -95,20 +95,28 @@ double LogGamma(double x) {
 #endif
 }
 
-double RegularizedIncompleteBeta(double a, double b, double x) {
+IncompleteBeta::IncompleteBeta(double a, double b) : a_(a), b_(b) {
   DASH_CHECK_GT(a, 0.0);
   DASH_CHECK_GT(b, 0.0);
+  log_gamma_terms_ = LogGamma(a + b) - LogGamma(a) - LogGamma(b);
+}
+
+double IncompleteBeta::Regularized(double x) const {
   DASH_CHECK(x >= 0.0 && x <= 1.0) << "x=" << x;
   if (x == 0.0) return 0.0;
   if (x == 1.0) return 1.0;
-  const double ln_front = LogGamma(a + b) - LogGamma(a) - LogGamma(b) +
-                          a * std::log(x) + b * std::log1p(-x);
+  const double ln_front =
+      log_gamma_terms_ + a_ * std::log(x) + b_ * std::log1p(-x);
   const double front = std::exp(ln_front);
   // Use the symmetry that keeps the continued fraction rapidly convergent.
-  if (x < (a + 1.0) / (a + b + 2.0)) {
-    return front * BetaContinuedFraction(a, b, x) / a;
+  if (x < (a_ + 1.0) / (a_ + b_ + 2.0)) {
+    return front * BetaContinuedFraction(a_, b_, x) / a_;
   }
-  return 1.0 - front * BetaContinuedFraction(b, a, 1.0 - x) / b;
+  return 1.0 - front * BetaContinuedFraction(b_, a_, 1.0 - x) / b_;
+}
+
+double RegularizedIncompleteBeta(double a, double b, double x) {
+  return IncompleteBeta(a, b).Regularized(x);
 }
 
 double RegularizedLowerGamma(double a, double x) {

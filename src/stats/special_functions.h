@@ -12,6 +12,23 @@ namespace dash {
 // ln Γ(x) for x > 0.
 double LogGamma(double x);
 
+// I_x(a, b) at fixed a, b > 0 for many x: the log-gamma terms
+// LogGamma(a + b) − LogGamma(a) − LogGamma(b) are computed once, in the
+// constructor, and each call adds a·log x + b·log1p(−x) in the same
+// order RegularizedIncompleteBeta always did, so the bits are the same.
+class IncompleteBeta {
+ public:
+  IncompleteBeta(double a, double b);
+
+  // I_x(a, b), x in [0, 1].
+  double Regularized(double x) const;
+
+ private:
+  double a_;
+  double b_;
+  double log_gamma_terms_;
+};
+
 // I_x(a, b): the regularized incomplete beta function, a,b > 0,
 // x in [0, 1].
 double RegularizedIncompleteBeta(double a, double b, double x);

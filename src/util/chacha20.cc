@@ -1,25 +1,17 @@
 #include "util/chacha20.h"
 
+#include "util/chacha20_batch.h"
 #include "util/check.h"
+#include "util/isa.h"
 #include "util/random.h"
 
 namespace dash {
-namespace {
 
-inline uint32_t Rotl32(uint32_t x, int k) { return (x << k) | (x >> (32 - k)); }
-
-inline void QuarterRound(uint32_t& a, uint32_t& b, uint32_t& c, uint32_t& d) {
-  a += b; d ^= a; d = Rotl32(d, 16);
-  c += d; b ^= c; b = Rotl32(b, 12);
-  a += b; d ^= a; d = Rotl32(d, 8);
-  c += d; b ^= c; b = Rotl32(b, 7);
+// The portable build of the batch body, and the reference the ISA
+// builds must match word for word.
+void ChaCha20BatchPortable(const uint32_t* state, uint64_t* words) {
+  LaneMajorBatch(state, words);
 }
-
-// Eight blocks side by side: x[w][l] is state word w of block l.
-constexpr int kLanes = 8;
-using LaneState = std::array<std::array<uint32_t, kLanes>, 16>;
-
-}  // namespace
 
 ChaCha20Rng::ChaCha20Rng(const Key& key, uint64_t stream_id) {
   // "expand 32-byte k" constants per RFC 8439.
@@ -77,42 +69,30 @@ uint64_t ChaCha20Rng::NextU64() {
   return lo | (hi << 32);
 }
 
-void ChaCha20Rng::NextBatch(uint64_t* words) {
+// DASH_HAVE_X86_KERNELS is defined by the build exactly when the AVX2 /
+// AVX-512 units are compiled in; elsewhere ActiveIsa() is portable.
+ChaCha20Rng::BatchFn ChaCha20Rng::ActiveBatch() {
+  switch (ActiveIsa()) {
+#ifdef DASH_HAVE_X86_KERNELS
+    case Isa::kAvx2:
+      return ChaCha20BatchAvx2;
+    case Isa::kAvx512:
+      return ChaCha20BatchAvx512;
+#endif
+    default:
+      return ChaCha20BatchPortable;
+  }
+}
+
+void ChaCha20Rng::NextBatch(BatchFn batch, uint64_t* words) {
   static_assert(kBatchWords == 8 * kLanes, "a block is 8 words");
-  LaneState init{};
-  for (int w = 0; w < 16; ++w) init[w].fill(state_[w]);
-  for (int l = 0; l < kLanes; ++l) init[12][l] += static_cast<uint32_t>(l);
+  batch(state_.data(), words);
   // The sequential path aborts before handing out a block generated at
   // counter 2^32 - 1; the batch uses counters c .. c + 7, so it aborts
   // exactly when that path would within the same 8 blocks.
   const uint32_t counter = state_[12];
   state_[12] = counter + kLanes;
   DASH_CHECK(state_[12] > counter) << "ChaCha20 block counter wrapped";
-
-  LaneState x = init;
-  for (int round = 0; round < 10; ++round) {  // 20 rounds = 10 double rounds
-    // The lane loop is innermost and independent across lanes, so the
-    // compiler vectorizes it at whatever width the target has. It wraps a
-    // whole double round: a lane loop per quarter round is small enough
-    // for -O3 to unroll it completely first, and then it runs scalar.
-    for (int l = 0; l < kLanes; ++l) {
-      QuarterRound(x[0][l], x[4][l], x[8][l], x[12][l]);
-      QuarterRound(x[1][l], x[5][l], x[9][l], x[13][l]);
-      QuarterRound(x[2][l], x[6][l], x[10][l], x[14][l]);
-      QuarterRound(x[3][l], x[7][l], x[11][l], x[15][l]);
-      QuarterRound(x[0][l], x[5][l], x[10][l], x[15][l]);
-      QuarterRound(x[1][l], x[6][l], x[11][l], x[12][l]);
-      QuarterRound(x[2][l], x[7][l], x[8][l], x[13][l]);
-      QuarterRound(x[3][l], x[4][l], x[9][l], x[14][l]);
-    }
-  }
-  for (int w = 0; w < 16; w += 2) {
-    for (int l = 0; l < kLanes; ++l) {
-      const uint64_t lo = x[w][l] + init[w][l];
-      const uint64_t hi = x[w + 1][l] + init[w + 1][l];
-      words[8 * l + w / 2] = lo | (hi << 32);
-    }
-  }
 }
 
 template <typename Op>
@@ -120,9 +100,10 @@ void ChaCha20Rng::Combine(uint64_t* out, size_t n, Op op) {
   size_t i = 0;
   // Finish the buffered block so batches start on a block boundary.
   for (; i < n && next_word_ < 16; ++i) op(out[i], NextU64());
+  const BatchFn batch = ActiveBatch();
   uint64_t words[kBatchWords] = {};
   for (; n - i >= kBatchWords; i += kBatchWords) {
-    NextBatch(words);
+    NextBatch(batch, words);
     for (size_t j = 0; j < kBatchWords; ++j) op(out[i + j], words[j]);
   }
   // The tail goes through the one-block path, which keeps the rest of

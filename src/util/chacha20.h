@@ -31,19 +31,26 @@ class ChaCha20Rng {
 
   // out[i] += NextU64() (resp. -=) for i in [0, n), wrapping mod 2^64:
   // the same words in the same order as n NextU64 calls, but whole runs
-  // of 8 blocks are generated together in portable lane-major code the
-  // compiler can vectorize. Afterwards the generator stands where n
-  // NextU64 calls would have left it.
+  // of 8 blocks are generated together by the lane-major batch body
+  // (util/chacha20_batch.h) built for the process ISA (util/isa.h), so
+  // the eight blocks share the vector registers. Every ISA's body yields
+  // the same words. Afterwards the generator stands where n NextU64
+  // calls would have left it.
   void AddTo(uint64_t* out, size_t n);
   void SubtractFrom(uint64_t* out, size_t n);
 
  private:
   // Words of one 8-block batch, in NextU64 order.
   static constexpr size_t kBatchWords = 64;
+  // One build of the batch body: 8 blocks from a 16-word state.
+  using BatchFn = void (*)(const uint32_t* state, uint64_t* words);
 
+  // The build ActiveIsa() selects.
+  static BatchFn ActiveBatch();
   void Refill();
-  // Fills `words` with the next 8 blocks and advances the counter by 8.
-  void NextBatch(uint64_t* words);
+  // Fills `words` with the next 8 blocks through `batch` and advances
+  // the counter by 8.
+  void NextBatch(BatchFn batch, uint64_t* words);
   template <typename Op>
   void Combine(uint64_t* out, size_t n, Op op);
 

@@ -4,6 +4,7 @@
 #ifndef DASH_UTIL_STRINGS_H_
 #define DASH_UTIL_STRINGS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -27,13 +28,23 @@ std::string_view StripWhitespace(std::string_view text);
 Result<double> ParseDouble(std::string_view text);
 Result<int64_t> ParseInt64(std::string_view text);
 
-// Formats a double with enough digits to round-trip: the bytes of
-// printf("%.17g"), untrimmed (0.1 -> "0.10000000000000001"), through
-// std::to_chars, so no locale or stdio is involved.
-std::string DoubleToString(double value);
+// The longest FormatDouble17 output: "-1.2345678901234567e-308".
+inline constexpr size_t kDouble17MaxChars = 24;
 
-// Appends DoubleToString(value) to *out without a temporary string.
-void AppendDouble(std::string* out, double value);
+// Writes the bytes of printf("%.17g", value) at `out`, which must have
+// room for kDouble17MaxChars, and returns one past the last byte written.
+// Enough digits to round-trip, untrimmed (0.1 -> "0.10000000000000001"),
+// and no locale or stdio is involved. A normal |value| in [1e-11, 1e17)
+// is formatted by exact integer arithmetic (DESIGN.md §6): the 17
+// digits are ⌊|value|·10^k⌋ in 128 bits, rounded half-even from the
+// exact remainder. Zero, subnormals, NaN, ±inf and every other
+// magnitude go through std::to_chars(general, 17). Either way the bytes
+// are printf's; tests/util_misc_test.cc checks them against
+// std::to_chars and snprintf.
+char* FormatDouble17(char* out, double value);
+
+// FormatDouble17 as a string.
+std::string DoubleToString(double value);
 
 }  // namespace dash
 

@@ -6,10 +6,10 @@
 //
 // The ISA sweep below repeats the contract for every dispatchable
 // kernel table this CPU can run (portable, and AVX2 / AVX-512 where
-// supported), pinned in-process via ForceStatsIsaForTesting, across
+// supported), pinned in-process via ScopedIsaForTesting, across
 // dense, packed and sparse storage and shapes that straddle every
 // block/vector boundary. Running under DASH_FORCE_ISA=<isa> narrows
-// AvailableStatsIsas-independent paths too (CI pins portable on the
+// AvailableIsas-independent paths too (CI pins portable on the
 // sanitizer jobs and avx2 on runners that have it).
 
 #include <gtest/gtest.h>
@@ -20,25 +20,15 @@
 #include <string>
 #include <vector>
 
-#include "core/kernels/stats_kernels.h"
 #include "core/suff_stats.h"
 #include "data/genotype_generator.h"
 #include "linalg/packed_matrix.h"
 #include "linalg/qr.h"
+#include "util/isa.h"
 #include "util/random.h"
 
 namespace dash {
 namespace {
-
-// Pins the kernel dispatch table to one ISA for the enclosing scope.
-struct ScopedIsa {
-  explicit ScopedIsa(kernels::StatsIsa isa) {
-    kernels::ForceStatsIsaForTesting(isa);
-  }
-  ~ScopedIsa() { kernels::ResetStatsIsaForTesting(); }
-  ScopedIsa(const ScopedIsa&) = delete;
-  ScopedIsa& operator=(const ScopedIsa&) = delete;
-};
 
 void ExpectBitIdentical(const Vector& a, const Vector& b, const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
@@ -143,9 +133,9 @@ TEST(KernelIdentityTest, SparseBlockedMatchesSparseScalar) {
 // ---- ISA sweep: every dispatchable kernel table, every storage ----
 
 TEST(KernelIdentityTest, IsaSweepDenseGaussian) {
-  for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
-    ScopedIsa pin(isa);
-    SCOPED_TRACE(kernels::StatsIsaName(isa));
+  for (const Isa isa : AvailableIsas()) {
+    ScopedIsaForTesting pin(isa);
+    SCOPED_TRACE(IsaName(isa));
     for (const int64_t m : kVariantSizes) {
       for (const int64_t n : kSampleSizes) {
         Rng rng(static_cast<uint64_t>(n * 1000 + m));
@@ -173,9 +163,9 @@ TEST(KernelIdentityTest, IsaSweepGenotypeAllStorages) {
     const Vector want = ComputeLocalStatsScalar(x, y, q);
     const PackedGenotypeMatrix packed = PackedGenotypeMatrix::FromDense(x);
     const SparseColumnMatrix sparse = SparseColumnMatrix::FromDense(x);
-    for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
-      ScopedIsa pin(isa);
-      SCOPED_TRACE(kernels::StatsIsaName(isa));
+    for (const Isa isa : AvailableIsas()) {
+      ScopedIsaForTesting pin(isa);
+      SCOPED_TRACE(IsaName(isa));
       ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q), want);
       ExpectArenaBitIdentical(ComputeLocalStatsPackedFlat(packed, y, q),
                               want);
@@ -244,9 +234,9 @@ TEST(KernelIdentityTest, IsaSweepCovariateWidths) {
     const Matrix q = MakeQ(300, k, &rng);
     const Vector want = ComputeLocalStatsScalar(x, y, q);
     const PackedGenotypeMatrix packed = PackedGenotypeMatrix::FromDense(x);
-    for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
-      ScopedIsa pin(isa);
-      SCOPED_TRACE(std::string(kernels::StatsIsaName(isa)) +
+    for (const Isa isa : AvailableIsas()) {
+      ScopedIsaForTesting pin(isa);
+      SCOPED_TRACE(std::string(IsaName(isa)) +
                    " k=" + std::to_string(k));
       ExpectArenaBitIdentical(ComputeLocalStatsPackedFlat(packed, y, q), want);
       ExpectArenaBitIdentical(ComputeLocalStatsDense(x, y, q), want);
@@ -279,9 +269,9 @@ TEST(KernelIdentityTest, IsaSweepAllZeroAndAllMissingColumns) {
   const Vector y = GaussianVector(n, &rng);
   const Matrix q = MakeQ(n, 4, &rng);
   const Vector want = ComputeLocalStatsScalar(x, y, q);
-  for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
-    ScopedIsa pin(isa);
-    SCOPED_TRACE(kernels::StatsIsaName(isa));
+  for (const Isa isa : AvailableIsas()) {
+    ScopedIsaForTesting pin(isa);
+    SCOPED_TRACE(IsaName(isa));
     ExpectArenaBitIdentical(ComputeLocalStatsPackedFlat(packed, y, q), want);
     ExpectArenaBitIdentical(ComputeLocalStatsDense(x, y, q), want);
     ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q), want);
@@ -309,9 +299,9 @@ TEST(KernelIdentityTest, IsaSweepPackedGuardKeepsOverflowingProducts) {
   const Vector want = ComputeLocalStatsScalar(packed.ToDense(), y, q);
   ASSERT_TRUE(std::isinf(want[static_cast<size_t>(
       StatsWireLayout{m, k}.xy_offset())]));
-  for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
-    ScopedIsa pin(isa);
-    SCOPED_TRACE(kernels::StatsIsaName(isa));
+  for (const Isa isa : AvailableIsas()) {
+    ScopedIsaForTesting pin(isa);
+    SCOPED_TRACE(IsaName(isa));
     ExpectArenaBitIdentical(ComputeLocalStatsPackedFlat(packed, y, q), want);
   }
 }
@@ -332,9 +322,9 @@ TEST(KernelIdentityTest, IsaSweepSparseNonDosageFallsBack) {
   const Vector y = GaussianVector(400, &rng);
   const Matrix q = MakeQ(400, 4, &rng);
   const Vector want = ComputeLocalStatsSparseScalar(x, y, q);
-  for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
-    ScopedIsa pin(isa);
-    SCOPED_TRACE(kernels::StatsIsaName(isa));
+  for (const Isa isa : AvailableIsas()) {
+    ScopedIsaForTesting pin(isa);
+    SCOPED_TRACE(IsaName(isa));
     ExpectArenaBitIdentical(ComputeLocalStatsSparseFlat(x, y, q), want);
   }
 }
@@ -354,9 +344,9 @@ TEST(KernelIdentityTest, IsaSweepThreadPoolAndPackedRoundTrip) {
   const PackedGenotypeMatrix packed = PackedGenotypeMatrix::FromDense(x);
   EXPECT_TRUE(packed.ToDense() == x);
   ThreadPool pool(4);
-  for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
-    ScopedIsa pin(isa);
-    SCOPED_TRACE(kernels::StatsIsaName(isa));
+  for (const Isa isa : AvailableIsas()) {
+    ScopedIsaForTesting pin(isa);
+    SCOPED_TRACE(IsaName(isa));
     ExpectArenaBitIdentical(ComputeLocalStatsPackedFlat(packed, y, q, &pool),
                             want);
     ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q, &pool), want);

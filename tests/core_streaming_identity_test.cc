@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "core/kernels/stats_kernels.h"
 #include "core/scan_checkpoint.h"
 #include "core/secure_scan.h"
 #include "core/streaming_stats.h"
@@ -43,20 +42,12 @@
 #include "linalg/qr.h"
 #include "net/network.h"
 #include "transport/party_runner.h"
+#include "util/isa.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace dash {
 namespace {
-
-struct ScopedIsa {
-  explicit ScopedIsa(kernels::StatsIsa isa) {
-    kernels::ForceStatsIsaForTesting(isa);
-  }
-  ~ScopedIsa() { kernels::ResetStatsIsaForTesting(); }
-  ScopedIsa(const ScopedIsa&) = delete;
-  ScopedIsa& operator=(const ScopedIsa&) = delete;
-};
 
 void ExpectBitIdentical(const Vector& a, const Vector& b, const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
@@ -157,9 +148,9 @@ TEST(StreamingIdentityTest, StreamedMatchesInMemoryAcrossBoundaries) {
 TEST(StreamingIdentityTest, StreamedMatchesInMemoryEveryIsa) {
   const Study study = MakeStudy(600, 130, 4, 77);
   InMemoryPanelSource source(study.x, study.y, study.q, study.tag);
-  for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
-    ScopedIsa pin(isa);
-    SCOPED_TRACE(kernels::StatsIsaName(isa));
+  for (const Isa isa : AvailableIsas()) {
+    ScopedIsaForTesting pin(isa);
+    SCOPED_TRACE(IsaName(isa));
     // Reference and streamed run under the SAME pinned ISA; identity
     // must hold per-ISA (the add chains differ between ISAs).
     const Vector want = InMemoryReference(study);
@@ -262,9 +253,9 @@ TEST(StreamingIdentityTest, ResumeSweepOnFileSourceEveryIsa) {
   const std::string path = TempPath("resume_file.dpk");
   ASSERT_TRUE(
       WritePackedStudy(path, study.x, study.y, study.q, study.tag).ok());
-  for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
-    ScopedIsa pin(isa);
-    SCOPED_TRACE(kernels::StatsIsaName(isa));
+  for (const Isa isa : AvailableIsas()) {
+    ScopedIsaForTesting pin(isa);
+    SCOPED_TRACE(IsaName(isa));
     const Vector want = InMemoryReference(study);
     for (int64_t j = 1; j < 3; ++j) {
       const std::string ckpt = TempPath("resume_file.dck");

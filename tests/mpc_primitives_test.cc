@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "mpc/additive_sharing.h"
 #include "mpc/fixed_point.h"
@@ -10,6 +13,7 @@
 #include "mpc/masked_aggregation.h"
 #include "mpc/prime_field.h"
 #include "mpc/shamir.h"
+#include "util/isa.h"
 #include "util/random.h"
 
 namespace dash {
@@ -61,6 +65,72 @@ TEST(FixedPointTest, VectorRoundTrip) {
     EXPECT_NEAR(back[i], v[i], codec.Resolution());
   }
   EXPECT_FALSE(codec.EncodeVector({1e30}).ok());
+}
+
+// EncodeVector's range pass and truncate-and-adjust rounding give what
+// TryEncode's llround gives, at every boundary of both.
+TEST(FixedPointTest, EncodeVectorMatchesTryEncode) {
+  for (const int frac_bits : {1, 16, 40, 62}) {
+    SCOPED_TRACE("frac_bits " + std::to_string(frac_bits));
+    const FixedPointCodec codec(frac_bits);
+    const double step = codec.Resolution();  // 2^-frac_bits
+    const double max = codec.MaxMagnitude();  // 2^63 · step
+    Vector values;
+    const auto both_signs = [&](double v) {
+      values.push_back(v);
+      values.push_back(-v);
+    };
+    // Exact halves, which llround rounds away from zero.
+    for (const double k : {0.0, 1.0, 2.0, 3.0, 1000.0, 0x1p51}) {
+      both_signs((k + 0.5) * step);
+    }
+    both_signs(0.49999999999999994 * step);  // the double below 1/2
+    // Around 2^52, where the last halves are representable.
+    for (const double m : {0x1p52 - 1.5, 0x1p52 - 0.5, 0x1p52 - 1.0, 0x1p52,
+                           0x1p52 + 1.0}) {
+      both_signs(m * step);
+    }
+    // Next to ±2^63 · step, the ends of the int64 range.
+    both_signs(std::nextafter(max, 0.0));
+    values.push_back(-max);
+    both_signs(max * (1.0 - 1e-12));
+    Rng rng(static_cast<uint64_t>(frac_bits));
+    for (int i = 0; i < 2000; ++i) {
+      values.push_back(rng.Uniform(-1.0, 1.0) * std::ldexp(max, -(i % 64)));
+    }
+    const Result<RingVector> encoded = codec.EncodeVector(values);
+    ASSERT_TRUE(encoded.ok()) << encoded.status();
+    ASSERT_EQ(encoded.value().size(), values.size());
+    for (size_t i = 0; i < values.size(); ++i) {
+      EXPECT_EQ(encoded.value()[i], codec.TryEncode(values[i]).value())
+          << "value " << values[i];
+    }
+  }
+}
+
+// A NaN, ±inf or out-of-range value first, in the middle or last fails
+// EncodeVector with the code and message TryEncode gives that value; with
+// two offenders, the first one's.
+TEST(FixedPointTest, EncodeVectorReportsTheFirstOffenderLikeTryEncode) {
+  const FixedPointCodec codec(40);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), inf, -inf, codec.MaxMagnitude(),
+                           -2.0 * codec.MaxMagnitude(), 1e300}) {
+    const Status want = codec.TryEncode(bad).status();
+    ASSERT_FALSE(want.ok());
+    for (const size_t at : {size_t{0}, size_t{4}, size_t{8}}) {
+      Vector values(9, 1.25);
+      values[at] = bad;
+      const Status got = codec.EncodeVector(values).status();
+      EXPECT_EQ(got.code(), want.code()) << bad << " at " << at;
+      EXPECT_EQ(got.message(), want.message()) << bad << " at " << at;
+    }
+  }
+  Vector values(9, 1.25);
+  values[3] = 1e30;
+  values[6] = std::nan("");
+  EXPECT_EQ(codec.EncodeVector(values).status().message(),
+            codec.TryEncode(1e30).status().message());
 }
 
 TEST(PrimeFieldTest, BasicIdentities) {
@@ -258,13 +328,11 @@ TEST(DiffieHellmanTest, SharedSecretsAgree) {
             shared_ab);
 }
 
-TEST(MaskedAggregationTest, MasksCancelInTheSum) {
-  const int p = 4;
-  const size_t len = 16;
-  // Symmetric pairwise keys.
+// keys[i][j] == keys[j][i]: one key per pair of parties.
+std::vector<std::vector<Secret<ChaCha20Rng::Key>>> SymmetricPairwiseKeys(
+    int p, uint64_t seed) {
   std::vector<std::vector<Secret<ChaCha20Rng::Key>>> keys(
       p, std::vector<Secret<ChaCha20Rng::Key>>(p));
-  uint64_t seed = 77;
   for (int i = 0; i < p; ++i) {
     for (int j = i + 1; j < p; ++j) {
       const auto key = ChaCha20Rng::KeyFromSeed(SplitMix64(&seed));
@@ -274,6 +342,13 @@ TEST(MaskedAggregationTest, MasksCancelInTheSum) {
           Secret<ChaCha20Rng::Key>(key);
     }
   }
+  return keys;
+}
+
+TEST(MaskedAggregationTest, MasksCancelInTheSum) {
+  const int p = 4;
+  const size_t len = 16;
+  const auto keys = SymmetricPairwiseKeys(p, 77);
   Rng rng(14);
   std::vector<std::vector<uint64_t>> inputs(p, std::vector<uint64_t>(len));
   std::vector<uint64_t> expected(len, 0);
@@ -294,6 +369,38 @@ TEST(MaskedAggregationTest, MasksCancelInTheSum) {
     for (size_t e = 0; e < len; ++e) total[e] += masked.wire()[e];
   }
   EXPECT_EQ(total, expected);
+}
+
+// Every ISA's ChaCha20 batch body masks to the same words: 10,007 words
+// are 156 full batches and a partial block, and at P = 3 every party
+// both adds and subtracts (or subtracts twice).
+TEST(MaskedAggregationTest, MaskedWordsIdenticalUnderEveryIsa) {
+  const int p = 3;
+  const size_t len = 10007;
+  const auto keys = SymmetricPairwiseKeys(p, 91);
+  Rng rng(15);
+  std::vector<RingVector> inputs(p, RingVector(len));
+  for (RingVector& input : inputs) {
+    for (uint64_t& word : input) word = rng.NextU64();
+  }
+  std::vector<std::vector<RingVector>> masked_by_isa;
+  for (const Isa isa : AvailableIsas()) {
+    ScopedIsaForTesting pin(isa);
+    std::vector<RingVector>& masked = masked_by_isa.emplace_back();
+    for (int i = 0; i < p; ++i) {
+      masked.push_back(ApplyPairwiseMasks(
+                           i, Secret<RingVector>(inputs[static_cast<size_t>(i)]),
+                           keys[static_cast<size_t>(i)], 5)
+                           .wire());
+    }
+  }
+  const std::vector<Isa> isas = AvailableIsas();
+  for (size_t k = 1; k < isas.size(); ++k) {
+    for (size_t i = 0; i < static_cast<size_t>(p); ++i) {
+      EXPECT_EQ(masked_by_isa[k][i], masked_by_isa[0][i])
+          << IsaName(isas[k]) << " vs portable, party " << i;
+    }
+  }
 }
 
 TEST(MaskedAggregationTest, DifferentNoncesProduceDifferentMasks) {

@@ -2,14 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cfloat>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/csv.h"
 #include "util/logging.h"
+#include "util/random.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
@@ -62,6 +71,97 @@ TEST(StringsTest, ParseInt64) {
 TEST(StringsTest, DoubleToStringRoundTrips) {
   for (const double v : {0.0, -1.5, 3.141592653589793, 1e-300, 123456.789}) {
     EXPECT_DOUBLE_EQ(ParseDouble(DoubleToString(v)).value(), v);
+  }
+}
+
+std::string Format17(double v) {
+  char buf[kDouble17MaxChars];
+  return std::string(buf, FormatDouble17(buf, v));
+}
+
+// FormatDouble17 against both references, std::to_chars(general, 17)
+// and snprintf("%.17g"); the failure names the value's bits.
+::testing::AssertionResult MatchesBothReferences(double v) {
+  char chars[64];
+  const std::to_chars_result r =
+      std::to_chars(chars, chars + sizeof(chars), v,
+                    std::chars_format::general, 17);
+  char printed[64];
+  const int n = std::snprintf(printed, sizeof(printed), "%.17g", v);
+  char got[kDouble17MaxChars];
+  const std::string_view formatted(got, static_cast<size_t>(
+                                            FormatDouble17(got, v) - got));
+  if (formatted == std::string_view(chars, static_cast<size_t>(r.ptr - chars)) &&
+      formatted == std::string_view(printed, static_cast<size_t>(n))) {
+    return ::testing::AssertionSuccess();
+  }
+  char bits[20];
+  std::snprintf(bits, sizeof(bits), "%016llx",
+                static_cast<unsigned long long>(std::bit_cast<uint64_t>(v)));
+  return ::testing::AssertionFailure()
+         << "bits " << bits << ": got " << formatted << ", to_chars "
+         << std::string_view(chars, static_cast<size_t>(r.ptr - chars))
+         << ", snprintf " << printed;
+}
+
+TEST(StringsTest, FormatDouble17EdgeCases) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v :
+       {0.0, -0.0, std::numeric_limits<double>::denorm_min(), DBL_MIN,
+        DBL_MAX, -DBL_MAX, std::nan(""), inf, -inf,
+        // Each side of the integer path's range, [1e-11, 1e17).
+        1e-11, std::nextafter(1e-11, 0.0), std::nextafter(1e-11, 1.0),
+        -1e-11, 1e17, std::nextafter(1e17, 0.0), std::nextafter(1e17, inf),
+        // Either side of the %f / %e switch at 1e-4, and of 1e16.
+        1e-4, std::nextafter(1e-4, 0.0), 1e-5, 1e16, 9999999999999998.0,
+        1.0, 0.1, 0.5, 2.0 / 3.0, 123456.789, 3.141592653589793,
+        // Round-up carries through trailing nines (…59999|9 → …6).
+        2758.400668756, 92599850.67588, 538.5855781967, 0.3, 0.7}) {
+    EXPECT_TRUE(MatchesBothReferences(v));
+  }
+  EXPECT_EQ(Format17(std::nextafter(1e17, 0.0)), "99999999999999984");
+  EXPECT_EQ(Format17(0.1), "0.10000000000000001");
+  EXPECT_EQ(Format17(-1e-5), "-1.0000000000000001e-05");
+  EXPECT_EQ(Format17(2758.400668756), "2758.400668756");
+}
+
+// n / 2^j with n odd and 18 significant digits sits exactly halfway
+// between two 17-digit outputs, so only round-half-even gets it right.
+TEST(StringsTest, FormatDouble17RoundsExactTiesHalfEven) {
+  EXPECT_EQ(Format17(1000000000000000.25), "1000000000000000.2");
+  EXPECT_EQ(Format17(1000000000000000.75), "1000000000000000.8");
+  uint64_t seed = 20;
+  for (int j = 2; j <= 25; ++j) {
+    // n · 5^j must have 18 digits, and n must fit a double's mantissa.
+    const double pow5 = std::pow(5.0, j);
+    const uint64_t lo = static_cast<uint64_t>(std::ceil(1e17 / pow5));
+    const uint64_t hi = std::min<uint64_t>(
+        static_cast<uint64_t>(std::floor((1e18 - 1.0) / pow5)),
+        (uint64_t{1} << 53) - 1);
+    for (int i = 0; i < 2000; ++i) {
+      const uint64_t n = (lo + SplitMix64(&seed) % (hi - lo + 1)) | 1;
+      if (n > hi) continue;
+      const double v = std::ldexp(static_cast<double>(n), -j);
+      ASSERT_TRUE(MatchesBothReferences(v)) << "n " << n << ", j " << j;
+    }
+  }
+}
+
+TEST(StringsTest, FormatDouble17MatchesReferencesOnSeededCorpus) {
+  uint64_t seed = 17;
+  // Random bit patterns: every class of double, mostly off the integer
+  // path.
+  for (int i = 0; i < 500000; ++i) {
+    ASSERT_TRUE(MatchesBothReferences(std::bit_cast<double>(SplitMix64(&seed))));
+  }
+  // Log-uniform magnitudes over [1e-12, 1e18], each with its negation
+  // and its neighbour toward zero.
+  for (int i = 0; i < 500000; ++i) {
+    const double u = static_cast<double>(SplitMix64(&seed) >> 11) * 0x1p-53;
+    const double v = std::pow(10.0, -12.0 + 30.0 * u);
+    ASSERT_TRUE(MatchesBothReferences(v));
+    ASSERT_TRUE(MatchesBothReferences(-v));
+    ASSERT_TRUE(MatchesBothReferences(std::nextafter(v, 0.0)));
   }
 }
 

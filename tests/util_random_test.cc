@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/chacha20.h"
+#include "util/isa.h"
 
 namespace dash {
 namespace {
@@ -197,36 +198,44 @@ TEST(ChaCha20Test, MatchesRfc8439KnownAnswers) {
   }
 }
 
+// The one-block NextU64 path is the reference for every ISA's batch
+// body, each pinned in-process; n runs past four 64-word batches, so
+// several batches, partial blocks and the tail all run.
 TEST(ChaCha20Test, AddToAndSubtractFromFollowNextU64) {
   const auto key = ChaCha20Rng::KeyFromSeed(7);
-  for (size_t skip = 0; skip < 16; ++skip) {
-    for (size_t n = 0; n <= 150; ++n) {
-      SCOPED_TRACE("skip " + std::to_string(skip) + ", n " +
-                   std::to_string(n));
-      ChaCha20Rng ref(key, 3);
-      ChaCha20Rng add(key, 3);
-      ChaCha20Rng sub(key, 3);
-      for (size_t i = 0; i < skip; ++i) {
-        ref.NextU64();
-        add.NextU64();
-        sub.NextU64();
-      }
-      std::vector<uint64_t> base(n);
-      for (size_t i = 0; i < n; ++i) base[i] = 0x9E3779B97F4A7C15ull * (i + 1);
-      std::vector<uint64_t> sum = base;
-      std::vector<uint64_t> diff = base;
-      add.AddTo(sum.data(), n);
-      sub.SubtractFrom(diff.data(), n);
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t w = ref.NextU64();
-        ASSERT_EQ(sum[i], base[i] + w) << i;
-        ASSERT_EQ(diff[i], base[i] - w) << i;
-      }
-      // Both stand where n NextU64 calls would have left them.
-      for (int i = 0; i < 20; ++i) {
-        const uint64_t w = ref.NextU64();
-        ASSERT_EQ(add.NextU64(), w);
-        ASSERT_EQ(sub.NextU64(), w);
+  for (const Isa isa : AvailableIsas()) {
+    ScopedIsaForTesting pin(isa);
+    for (size_t skip = 0; skip < 16; ++skip) {
+      for (size_t n = 0; n <= 300; ++n) {
+        SCOPED_TRACE(std::string(IsaName(isa)) + ", skip " +
+                     std::to_string(skip) + ", n " + std::to_string(n));
+        ChaCha20Rng ref(key, 3);
+        ChaCha20Rng add(key, 3);
+        ChaCha20Rng sub(key, 3);
+        for (size_t i = 0; i < skip; ++i) {
+          ref.NextU64();
+          add.NextU64();
+          sub.NextU64();
+        }
+        std::vector<uint64_t> base(n);
+        for (size_t i = 0; i < n; ++i) {
+          base[i] = 0x9E3779B97F4A7C15ull * (i + 1);
+        }
+        std::vector<uint64_t> sum = base;
+        std::vector<uint64_t> diff = base;
+        add.AddTo(sum.data(), n);
+        sub.SubtractFrom(diff.data(), n);
+        for (size_t i = 0; i < n; ++i) {
+          const uint64_t w = ref.NextU64();
+          ASSERT_EQ(sum[i], base[i] + w) << i;
+          ASSERT_EQ(diff[i], base[i] - w) << i;
+        }
+        // Both stand where n NextU64 calls would have left them.
+        for (int i = 0; i < 20; ++i) {
+          const uint64_t w = ref.NextU64();
+          ASSERT_EQ(add.NextU64(), w);
+          ASSERT_EQ(sub.NextU64(), w);
+        }
       }
     }
   }
