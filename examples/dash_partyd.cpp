@@ -171,13 +171,9 @@ class JobTransport : public Transport {
 
   Status Send(int from, int to, MessageTag tag,
               std::vector<uint8_t> payload) override {
-    Message accounting;
-    accounting.from = from;
-    accounting.to = to;
-    accounting.tag = tag;
-    accounting.payload.resize(payload.size());
+    const size_t payload_bytes = payload.size();
     DASH_RETURN_IF_ERROR(channel_->Send(from, to, tag, std::move(payload)));
-    RecordSend(accounting);
+    RecordSend(from, to, tag, payload_bytes);
     return Status::Ok();
   }
 

@@ -7,13 +7,14 @@
 
 namespace dash {
 
-void ProtocolTrace::Record(int round, const Message& msg) {
+void ProtocolTrace::Record(int round, int from, int to, MessageTag tag,
+                           int64_t wire_bytes) {
   TraceEvent e;
   e.round = round;
-  e.from = msg.from;
-  e.to = msg.to;
-  e.tag = msg.tag;
-  e.wire_bytes = static_cast<int64_t>(msg.WireSize());
+  e.from = from;
+  e.to = to;
+  e.tag = tag;
+  e.wire_bytes = wire_bytes;
   MutexLock lock(&mu_);
   e.sequence = static_cast<int64_t>(events_.size());
   events_.push_back(e);

@@ -35,7 +35,9 @@ struct TraceEvent {
 
 class ProtocolTrace {
  public:
-  void Record(int round, const Message& msg) DASH_EXCLUDES(mu_);
+  // One message of `wire_bytes` (Message::WireSize()).
+  void Record(int round, int from, int to, MessageTag tag,
+              int64_t wire_bytes) DASH_EXCLUDES(mu_);
   void Clear() DASH_EXCLUDES(mu_);
 
   const std::vector<TraceEvent>& events() const

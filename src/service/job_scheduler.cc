@@ -39,7 +39,7 @@ Status JobScheduler::Submit(const JobSpec& spec) {
     ++stats_.rejected;
     return UnavailableError("scheduler is shutting down");
   }
-  if (jobs_.count(spec.job_id) != 0) {
+  if (admitted_ids_.test(spec.job_id)) {
     ++stats_.rejected;
     return AlreadyExistsError("job " + std::to_string(spec.job_id) +
                               " already submitted");
@@ -54,6 +54,7 @@ Status JobScheduler::Submit(const JobSpec& spec) {
   record.spec = spec;
   record.state = JobState::kQueued;
   jobs_.emplace(spec.job_id, std::move(record));
+  admitted_ids_.set(spec.job_id);
   submit_times_.emplace(spec.job_id, Stopwatch());
   queue_.push_back(spec.job_id);
   ++stats_.submitted;
@@ -267,6 +268,11 @@ void JobScheduler::FinishLocked(uint32_t job_id, JobState state,
       break;
     default:
       break;
+  }
+  terminal_order_.push_back(job_id);
+  if (terminal_order_.size() > kMaxTerminalRecords) {
+    jobs_.erase(terminal_order_.front());
+    terminal_order_.pop_front();
   }
 }
 

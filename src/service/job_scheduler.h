@@ -27,6 +27,7 @@
 #ifndef DASH_SERVICE_JOB_SCHEDULER_H_
 #define DASH_SERVICE_JOB_SCHEDULER_H_
 
+#include <bitset>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -37,6 +38,7 @@
 
 #include "service/job.h"
 #include "service/phase1_cache.h"
+#include "transport/frame.h"
 #include "transport/transport.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -92,6 +94,11 @@ struct JobSchedulerStats {
 
 class JobScheduler {
  public:
+  // Terminal (done, failed, cancelled) records kept for Query; beyond
+  // this the oldest terminal record is dropped, so a resident daemon's
+  // job table stays bounded however many jobs it completes.
+  static constexpr size_t kMaxTerminalRecords = 1024;
+
   // `cache` may be null (Phase-1 caching disabled); when non-null it
   // must outlive the scheduler.
   JobScheduler(SessionFactory factory, ScanFn scan, Phase1Cache* cache,
@@ -104,11 +111,13 @@ class JobScheduler {
   JobScheduler& operator=(const JobScheduler&) = delete;
 
   // Admits `spec` (client-chosen job_id in 1..kFrameMaxSessionId).
-  // InvalidArgument on a bad id, AlreadyExists on a reused one,
-  // Unavailable when the queue is full or the scheduler is stopping.
+  // InvalidArgument on a bad id, AlreadyExists on an id this scheduler
+  // ever admitted (its record may since have been dropped), Unavailable
+  // when the queue is full or the scheduler is stopping.
   Status Submit(const JobSpec& spec);
 
-  // Snapshot of the job's record; NotFound for unknown ids.
+  // Snapshot of the job's record; NotFound for unknown ids and for
+  // terminal records dropped beyond kMaxTerminalRecords.
   Result<JobRecord> Query(uint32_t job_id) const;
 
   // Queued jobs leave the queue immediately; running jobs have their
@@ -151,6 +160,12 @@ class JobScheduler {
   CondVar watchdog_cv_;  // watchdog only (see WatchdogLoop)
   bool stopping_ DASH_GUARDED_BY(mu_) = false;
   std::map<uint32_t, JobRecord> jobs_ DASH_GUARDED_BY(mu_);
+  // Terminal job ids in the order they settled; the front is dropped
+  // from jobs_ first.
+  std::deque<uint32_t> terminal_order_ DASH_GUARDED_BY(mu_);
+  // Every id ever admitted (ids are u16 session ids), so that duplicate
+  // rejection stays exact after a record is dropped.
+  std::bitset<kFrameMaxSessionId + 1> admitted_ids_ DASH_GUARDED_BY(mu_);
   std::map<uint32_t, Stopwatch> submit_times_ DASH_GUARDED_BY(mu_);
   std::deque<uint32_t> queue_ DASH_GUARDED_BY(mu_);
   std::map<uint32_t, RunningJob> running_ DASH_GUARDED_BY(mu_);

@@ -11,9 +11,10 @@
 namespace dash {
 namespace {
 
-// How long the pump blocks in the inner transport's PumpWait per
-// iteration; bounds the latency of a queued send.
-constexpr int kPumpIntervalMs = 1;
+// Longest single PumpWait. A safety net only: every event the pump
+// must act on (a queued send, shutdown, inbound bytes, a frame already
+// parsed) ends the wait early, so no path waits this out.
+constexpr int kPumpSafetyTimeoutMs = 100;
 
 }  // namespace
 
@@ -32,6 +33,7 @@ SessionMux::~SessionMux() {
   {
     MutexLock lock(&mu_);
     stopping_ = true;
+    inner_->WakePumpWait();
   }
   pump_.join();
 }
@@ -94,11 +96,16 @@ SessionMuxStats SessionMux::stats() const {
 }
 
 void SessionMux::PumpLoop() {
+  // Peers whose link failure has already failed the open sessions; the
+  // pump thread's own mirror of the non-Ok entries of link_fail_.
+  std::vector<bool> link_failure_applied(static_cast<size_t>(num_parties_));
   while (true) {
     // Phase 1: execute queued sends. The inner transport is touched
     // WITHOUT the lock held (a send can block on a full kernel buffer
     // up to its deadline); op pointers stay valid because the enqueuing
-    // thread blocks until `done`.
+    // thread blocks until `done`. The one exception is WakePumpWait,
+    // which never blocks and which ChannelSend and the destructor call
+    // under mu_.
     std::vector<SendOp*> ops;
     bool stop = false;
     {
@@ -128,19 +135,34 @@ void SessionMux::PumpLoop() {
         MutexLock lock(&mu_);
         RouteLocked(std::move(msg).value());
       }
+      if (link_failure_applied[static_cast<size_t>(peer)]) continue;
       Status link = inner_->LinkStatus(peer);
       if (!link.ok()) {
+        link_failure_applied[static_cast<size_t>(peer)] = true;
         MutexLock lock(&mu_);
-        if (link_fail_[static_cast<size_t>(peer)].ok()) {
-          link_fail_[static_cast<size_t>(peer)] = link;
-          FailAllSessionsLocked(link);
-        }
+        link_fail_[static_cast<size_t>(peer)] = link;
+        FailAllSessionsLocked(link);
       }
     }
 
-    // Phase 3: block briefly for inbound bytes (and bound the latency
-    // of the next queued send).
-    const Status pumped = inner_->PumpWait(kPumpIntervalMs);
+    // Phase 3: wait for the next event (inbound bytes, a parsed frame,
+    // the doorbell). Never block with work in hand: a send queued since
+    // Phase 1, shutdown, or a link that an intake pump above found dead
+    // after its own peer's turn (the next pass routes the frames ahead
+    // of its EOF first, then fails the sessions).
+    bool idle = true;
+    for (int peer = 0; peer < num_parties_ && idle; ++peer) {
+      if (peer == local_party_ ||
+          link_failure_applied[static_cast<size_t>(peer)]) {
+        continue;
+      }
+      idle = inner_->LinkStatus(peer).ok();
+    }
+    {
+      MutexLock lock(&mu_);
+      idle = idle && pending_sends_.empty() && !stopping_;
+    }
+    const Status pumped = inner_->PumpWait(idle ? kPumpSafetyTimeoutMs : 0);
     (void)pumped;
   }
 
@@ -171,13 +193,14 @@ void SessionMux::RouteLocked(Message msg) {
   }
   // Unknown session: buffer until OpenSession claims the id (submit
   // races across daemons are normal), bounded so a hostile or leaky
-  // peer cannot grow memory without limit.
+  // peer cannot grow memory without limit. Beyond the cap the oldest
+  // frame of the lowest orphaned session id goes first.
   while (orphan_count_ >= options_.max_orphan_messages && !orphans_.empty()) {
-    auto oldest = orphans_.begin();
-    oldest->second.pop_front();
+    auto lowest = orphans_.begin();
+    lowest->second.pop_front();
     orphan_count_ -= 1;
     stats_.dropped_orphans += 1;
-    if (oldest->second.empty()) orphans_.erase(oldest);
+    if (lowest->second.empty()) orphans_.erase(lowest);
   }
   orphans_[msg.session].push_back(std::move(msg));
   orphan_count_ += 1;
@@ -225,8 +248,10 @@ Status SessionMux::ChannelSend(uint32_t session_id, Message msg) {
     return it->second->fail;
   }
   pending_sends_.push_back(&op);
-  // The pump always completes every queued op (its own deadline bounds
-  // a stuck send; shutdown fails the queue), so this wait terminates.
+  inner_->WakePumpWait();
+  // The pump always completes every queued op (the inner send's own
+  // deadline bounds a stuck send; shutdown fails the queue), so this
+  // wait terminates.
   while (!op.done) send_cv_.Wait(&mu_);
   return op.result;
 }
@@ -307,22 +332,17 @@ Status SessionChannel::Send(int from, int to, MessageTag tag,
     return InvalidArgumentError("party " + std::to_string(from) +
                                 " attempted to send a message to itself");
   }
+  // ChannelSend consumes the payload, so take its size for the
+  // accounting first.
+  const size_t payload_bytes = payload.size();
   Message msg;
   msg.from = from;
   msg.to = to;
   msg.session = session_id_;
   msg.tag = tag;
   msg.payload = std::move(payload);
-  // The accounting copy: ChannelSend consumes the payload, so size the
-  // metrics message first (header-only; Record uses WireSize()).
-  Message accounting;
-  accounting.from = msg.from;
-  accounting.to = msg.to;
-  accounting.session = msg.session;
-  accounting.tag = msg.tag;
-  accounting.payload.resize(msg.payload.size());
   DASH_RETURN_IF_ERROR(mux_->ChannelSend(session_id_, std::move(msg)));
-  RecordSend(accounting);
+  RecordSend(from, to, tag, payload_bytes);
   return Status::Ok();
 }
 

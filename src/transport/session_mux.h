@@ -3,25 +3,43 @@
 //
 // A SessionMux decorates a session-capable Transport (today
 // TcpTransport; anything implementing SendOnSession / TryReceiveAny /
-// PumpWait / LinkStatus) and hands out SessionChannel objects, each a
-// full Transport bound to one session id. Protocol code written against
-// Transport — RunPartySecureScan in particular — runs unchanged on a
-// channel, and any number of channels run CONCURRENTLY from different
-// threads over the same mesh: the resident daemon's substrate
-// (service/job_scheduler.h).
+// PumpWait / WakePumpWait / LinkStatus) and hands out SessionChannel
+// objects, each a full Transport bound to one session id. Protocol code
+// written against Transport — RunPartySecureScan in particular — runs
+// unchanged on a channel, and any number of channels run CONCURRENTLY
+// from different threads over the same mesh: the resident daemon's
+// substrate (service/job_scheduler.h).
 //
 // Threading model. The inner transport keeps its single-threaded
-// contract: exactly one pump thread owned by the mux ever touches it.
-// Job threads talk to the pump through queues:
-//   * Send — the channel enqueues the message and blocks until the pump
-//     has written it to the inner transport (so backpressure is real);
+// contract: exactly one pump thread owned by the mux ever touches it,
+// save for WakePumpWait, the one call any thread may make. Job threads
+// talk to the pump through queues:
+//   * Send — the channel enqueues the message, rings the inner
+//     transport's doorbell (WakePumpWait) and blocks until the pump has
+//     written it to the inner transport (so backpressure is real);
 //   * Receive — the channel blocks on its per-(session, peer) inbox,
 //     which the pump fills by draining the inner transport's intake
 //     (TryReceiveAny) and routing frames by their session id.
-// This is the "blocking reader feeding per-session queues" shape; the
-// wire format (transport/frame.h: session id in the header) and this
-// API are what a later event-loop transport must preserve — swapping
-// the pump for an epoll loop is invisible to channel users.
+// The pump loops: run the queued sends, drain and route the intake,
+// then block in PumpWait until inbound bytes, the doorbell or a frame
+// already parsed gives it work, so a queued send reaches the wire at
+// once. Three rules keep a wake-up from being lost:
+//   1. only PumpWait consumes the doorbell: the inner transport's other
+//      pumps (the intake's, and a send's while its socket is full)
+//      leave it rung, so a send queued meanwhile still ends the wait;
+//   2. PumpWait returns at once while a frame sits parsed in a peer
+//      inbox: an intake pump for one peer may read another peer's
+//      bytes after that peer was drained, and its socket is then empty;
+//   3. the pump never blocks with work in hand: it checks the send
+//      queue (and shutdown) under the lock just before PumpWait, and
+//      waits with timeout 0 when it is non-empty — or when a link died
+//      after its peer's turn in the routing pass.
+// PumpWait's timeout is a safety net that no path relies on. With no
+// link open it blocks on the doorbell alone instead of spinning. This
+// is the "blocking reader feeding per-session queues" shape; the wire
+// format (transport/frame.h: session id in the header) and this API
+// are what a later event-loop transport must preserve — swapping the
+// pump for an epoll loop is invisible to channel users.
 //
 // Failure scoping:
 //   * a kAbort frame inside session S latches session S alone — every
@@ -42,8 +60,9 @@
 // Frames for a session that is not open here yet (a peer's scheduler
 // started the job first) wait in a bounded orphan buffer and are
 // replayed when OpenSession claims the id; beyond the cap the oldest
-// orphan is dropped (counted in stats). Sessionless frames reaching a
-// muxed endpoint are hostile by definition and are dropped + counted.
+// frame of the LOWEST orphaned session id is dropped (counted in
+// stats). Sessionless frames reaching a muxed endpoint are hostile by
+// definition and are dropped + counted.
 
 #ifndef DASH_TRANSPORT_SESSION_MUX_H_
 #define DASH_TRANSPORT_SESSION_MUX_H_
@@ -63,12 +82,13 @@ namespace dash {
 class SessionChannel;
 
 struct SessionMuxOptions {
-  // Deadline for one SessionChannel::Receive (and for one queued Send
-  // to reach the wire).
+  // Deadline for one SessionChannel::Receive. A Send waits for the pump
+  // with no deadline of its own; the inner transport's send deadline
+  // (TcpTransportOptions::receive_timeout_ms) bounds it.
   int receive_timeout_ms = 30000;
 
   // Total frames buffered for sessions nobody opened yet; beyond this
-  // the oldest orphan is dropped.
+  // the oldest frame of the lowest orphaned session id is dropped.
   size_t max_orphan_messages = 1024;
 };
 

@@ -8,6 +8,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <string.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -156,10 +157,15 @@ TcpTransport::~TcpTransport() { CloseAll(); }
 
 void TcpTransport::CloseAll() {
   CloseFd(&listen_fd_);
+  CloseFd(&doorbell_fd_);
   for (auto& peer : peers_) CloseFd(&peer.fd);
 }
 
 Status TcpTransport::EstablishMesh() {
+  doorbell_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (doorbell_fd_ < 0) {
+    return IoError(std::string("eventfd: ") + strerror(errno));
+  }
   if (num_parties() == 1) return Status::Ok();
   const int64_t deadline = NowMs() + options_.connect_timeout_ms;
 
@@ -537,7 +543,21 @@ Result<Message> TcpTransport::TryReceiveAny(int to, int from) {
   return msg;
 }
 
-Status TcpTransport::PumpWait(int timeout_ms) { return Pump(timeout_ms); }
+Status TcpTransport::PumpWait(int timeout_ms) {
+  // A frame an earlier Pump(0) parsed is deliverable now, and its bytes
+  // have already left the socket, so poll would sleep on it.
+  for (const Peer& peer : peers_) {
+    if (!peer.inbox.empty()) return Status::Ok();
+  }
+  return Pump(timeout_ms, /*doorbell=*/true);
+}
+
+void TcpTransport::WakePumpWait() {
+  const uint64_t one = 1;
+  // EAGAIN means the counter is saturated: the doorbell is rung anyway.
+  const ssize_t n = ::write(doorbell_fd_, &one, sizeof(one));
+  (void)n;
+}
 
 Status TcpTransport::LinkStatus(int peer_id) {
   DASH_RETURN_IF_ERROR(ValidateParty(peer_id, "peer"));
@@ -561,7 +581,7 @@ bool TcpTransport::HasPending(int to, int from) {
   return !peers_[static_cast<size_t>(from)].inbox.empty();
 }
 
-Status TcpTransport::Pump(int timeout_ms) {
+Status TcpTransport::Pump(int timeout_ms, bool doorbell) {
   std::vector<struct pollfd> pfds;
   std::vector<int> parties;
   for (int p = 0; p < num_parties(); ++p) {
@@ -571,13 +591,20 @@ Status TcpTransport::Pump(int timeout_ms) {
       parties.push_back(p);
     }
   }
+  // With no link open, the doorbell alone is waited on: no spin.
+  if (doorbell) pfds.push_back({doorbell_fd_, POLLIN, 0});
   if (pfds.empty()) return Status::Ok();
   const int ready = ::poll(pfds.data(), pfds.size(), timeout_ms);
   if (ready <= 0) return Status::Ok();
-  for (size_t i = 0; i < pfds.size(); ++i) {
+  for (size_t i = 0; i < parties.size(); ++i) {
     if (pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) {
       ReadAvailable(parties[i]);
     }
+  }
+  if (doorbell && (pfds.back().revents & POLLIN)) {
+    uint64_t rings = 0;
+    const ssize_t n = ::read(doorbell_fd_, &rings, sizeof(rings));
+    (void)n;
   }
   return Status::Ok();
 }

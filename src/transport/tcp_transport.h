@@ -40,7 +40,10 @@
 // runs inside Send/Receive on that same thread, TrafficMetrics updates
 // are already serialized; they are additionally guarded by a mutex so a
 // separate monitoring thread may call metrics()/wire_stats() while the
-// protocol runs — this is the one concurrency the backend supports.
+// protocol runs. The other cross-thread call is WakePumpWait: it rings
+// a doorbell (a non-blocking, close-on-exec eventfd) that PumpWait polls
+// beside the peer sockets, so a SessionMux job thread can end the pump
+// thread's wait without touching any other state of the transport.
 //
 // Accounting: TrafficMetrics counts logical Message::WireSize() bytes at
 // the sender, identically to the in-process backend, so the O(M) claim
@@ -116,7 +119,11 @@ class TcpTransport : public Transport {
   Status SendOnSession(uint32_t session, int from, int to, MessageTag tag,
                        std::vector<uint8_t> payload) override;
   Result<Message> TryReceiveAny(int to, int from) override;
+  // Returns at once while a parsed frame waits in any inbox; otherwise
+  // polls the open peer sockets and the doorbell (the doorbell alone
+  // when no link is open) and consumes a ring.
   Status PumpWait(int timeout_ms) override;
+  void WakePumpWait() override;
   Status LinkStatus(int peer) override;
 
   TcpWireStats wire_stats() const;
@@ -147,8 +154,10 @@ class TcpTransport : public Transport {
   // inboxes, waiting at most `timeout_ms` for the first byte. Socket
   // and framing failures are recorded per peer (Peer::fail), never
   // propagated here, so one broken link cannot fail another link's
-  // Receive.
-  Status Pump(int timeout_ms);
+  // Receive. With `doorbell` (PumpWait only) a ring also ends the wait
+  // and is consumed; every other pump leaves the doorbell rung, so a
+  // send queued meanwhile still wakes the next PumpWait.
+  Status Pump(int timeout_ms, bool doorbell = false);
   void ReadAvailable(int peer) DASH_EXCLUDES(stats_mutex_);
   Status ParseFrames(int peer) DASH_EXCLUDES(stats_mutex_);
 
@@ -174,6 +183,9 @@ class TcpTransport : public Transport {
   int local_party_;
   TcpTransportOptions options_;
   int listen_fd_ = -1;
+  // Written by WakePumpWait from any thread, read by PumpWait; set once
+  // before the transport is shared.
+  int doorbell_fd_ = -1;
   std::vector<Peer> peers_;  // index == party id; slot local_party_ unused
   Status abort_status_ = Status::Ok();  // first peer abort, transport-wide
 

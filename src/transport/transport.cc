@@ -12,13 +12,12 @@ TrafficMetrics::TrafficMetrics(int num_parties)
     : num_parties_(num_parties),
       link_bytes_(static_cast<size_t>(num_parties) * num_parties) {}
 
-void TrafficMetrics::Record(const Message& msg) {
-  const auto bytes = static_cast<int64_t>(msg.WireSize());
-  total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+void TrafficMetrics::Record(int from, int to, int64_t wire_bytes) {
+  total_bytes_.fetch_add(wire_bytes, std::memory_order_relaxed);
   total_messages_.fetch_add(1, std::memory_order_relaxed);
-  link_bytes_[static_cast<size_t>(msg.from) * static_cast<size_t>(num_parties_)
-              + static_cast<size_t>(msg.to)]
-      .fetch_add(bytes, std::memory_order_relaxed);
+  link_bytes_[static_cast<size_t>(from) * static_cast<size_t>(num_parties_) +
+              static_cast<size_t>(to)]
+      .fetch_add(wire_bytes, std::memory_order_relaxed);
 }
 
 void TrafficMetrics::Reset() {
@@ -104,8 +103,17 @@ Status Transport::LinkStatus(int peer) {
 }
 
 void Transport::RecordSend(const Message& msg) {
-  metrics_.Record(msg);
-  if (trace_ != nullptr) trace_->Record(metrics_.rounds(), msg);
+  RecordSend(msg.from, msg.to, msg.tag, msg.payload.size());
+}
+
+void Transport::RecordSend(int from, int to, MessageTag tag,
+                           size_t payload_bytes) {
+  const auto wire_bytes =
+      static_cast<int64_t>(payload_bytes + Message::kHeaderBytes);
+  metrics_.Record(from, to, wire_bytes);
+  if (trace_ != nullptr) {
+    trace_->Record(metrics_.rounds(), from, to, tag, wire_bytes);
+  }
 }
 
 Status Transport::ValidateParty(int id, const char* what) const {

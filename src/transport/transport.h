@@ -19,15 +19,17 @@
 // communication claim verifiable on real wire bytes.
 //
 // Threading: a Transport instance is single-threaded — all calls must
-// come from one thread. Distinct instances (the P endpoints of one mesh,
-// or several TcpTransport endpoints in one test process) are
-// independent. See net/network.h and transport/tcp_transport.h for
-// backend-specific notes.
+// come from one thread. The one exception is WakePumpWait, which any
+// thread may call. Distinct instances (the P endpoints of one mesh, or
+// several TcpTransport endpoints in one test process) are independent.
+// See net/network.h and transport/tcp_transport.h for backend-specific
+// notes.
 
 #ifndef DASH_TRANSPORT_TRANSPORT_H_
 #define DASH_TRANSPORT_TRANSPORT_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -55,7 +57,8 @@ class TrafficMetrics {
  public:
   explicit TrafficMetrics(int num_parties);
 
-  void Record(const Message& msg);
+  // One message of `wire_bytes` (Message::WireSize()) from -> to.
+  void Record(int from, int to, int64_t wire_bytes);
   void BumpRound() { rounds_.fetch_add(1, std::memory_order_relaxed); }
   void Reset();
 
@@ -122,11 +125,11 @@ class Transport {
   // --- Session extension points (transport/session_mux.h) -----------
   //
   // A backend that supports multiplexed logical sessions over its links
-  // overrides these four; the defaults keep every existing backend
-  // valid for the sessionless stream (session 0). The session id is
-  // carried in the frame header (transport/frame.h), so the wire format
-  // is fixed here and a later event-loop backend only swaps the
-  // implementation behind these hooks.
+  // overrides the five below session_id(); the defaults keep every
+  // existing backend valid for the sessionless stream (session 0). The
+  // session id is carried in the frame header (transport/frame.h), so
+  // the wire format is fixed here and a later event-loop backend only
+  // swaps the implementation behind these hooks.
 
   // The logical session every plain Send/Receive on this transport
   // belongs to. 0 everywhere except on a session-bound channel handed
@@ -143,10 +146,17 @@ class Transport {
   // Non-blocking: NotFound when nothing is deliverable right now.
   virtual Result<Message> TryReceiveAny(int to, int from);
 
-  // Blocks up to timeout_ms for inbound bytes to become deliverable (a
-  // poll on the backend's sockets). The default is a no-op so callers
+  // Blocks up to timeout_ms until there is something to do: inbound
+  // bytes on a socket, a frame an earlier pump already parsed and left
+  // deliverable, or a WakePumpWait since the last PumpWait returned.
+  // Only PumpWait consumes a wake-up. The default is a no-op so callers
   // over queue-backed backends simply spin on TryReceiveAny.
   virtual Status PumpWait(int timeout_ms);
+
+  // Ends the PumpWait that is blocked now, or else the next one. Never
+  // blocks; the one call any thread may make on a Transport. The
+  // default is a no-op (PumpWait does not block there).
+  virtual void WakePumpWait() {}
 
   // Health of the link to `peer`: Ok while usable, else the sticky
   // failure (Unavailable/DataLoss/...). Backends without per-link state
@@ -170,6 +180,9 @@ class Transport {
   // the metrics and appends it to the attached trace, tagged with the
   // current round.
   void RecordSend(const Message& msg);
+  // The same, from the header fields and the payload size, for a sender
+  // that has already handed its payload on.
+  void RecordSend(int from, int to, MessageTag tag, size_t payload_bytes);
 
   Status ValidateParty(int id, const char* what) const;
 

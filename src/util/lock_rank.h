@@ -20,7 +20,9 @@
 //    20   JobScheduler::mu_                     SessionMux::mu_ (abort of
 //                                               a running job's session)
 //    30   Phase1Cache::mu_                      (leaf)
-//    40   SessionMux::mu_                       (leaf)
+//    40   SessionMux::mu_                       (leaf; rings the inner
+//                                               transport's doorbell,
+//                                               which takes no lock)
 //    50   ThreadPool::mu_                       (leaf)
 //    60   TcpTransport::stats_mutex_            (leaf)
 //    65   InProcessMesh::mu_                    (leaf; the simulator's

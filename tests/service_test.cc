@@ -310,6 +310,50 @@ TEST(JobSchedulerTest, CacheStateFlowsThroughRepeatJobs) {
   EXPECT_TRUE(seen_valid[1]);   // repeat job: previous state checked in
 }
 
+TEST(JobSchedulerTest, FinishedJobTableIsBoundedAndIdsStayUnique) {
+  // One worker runs the jobs in submission order, so they settle in id
+  // order and the oldest terminal records are the lowest ids.
+  JobSchedulerOptions options;
+  options.max_concurrent = 1;
+  options.max_queued = 2000;
+  const ScanFn instant = [](Transport*, const JobSpec&,
+                            Phase1State*) -> Result<SecureScanOutput> {
+    return SecureScanOutput();
+  };
+  auto gate = std::make_shared<JobGate>();
+  JobScheduler scheduler(GateFactory(gate), instant, nullptr, options);
+
+  constexpr uint32_t kJobs = 1100;
+  for (uint32_t id = 1; id <= kJobs; ++id) {
+    ASSERT_TRUE(scheduler.Submit(Spec(id)).ok()) << "job " << id;
+  }
+  for (int i = 0; i < 5000 && scheduler.stats().completed < kJobs; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(scheduler.stats().completed, kJobs);
+
+  // The newest 1,024 terminal records stay; the first 76 are dropped.
+  const uint32_t dropped =
+      kJobs - static_cast<uint32_t>(JobScheduler::kMaxTerminalRecords);
+  ASSERT_EQ(dropped, 76u);
+  for (uint32_t id = 1; id <= kJobs; ++id) {
+    const Result<JobRecord> record = scheduler.Query(id);
+    if (id <= dropped) {
+      EXPECT_EQ(record.status().code(), StatusCode::kNotFound) << "job " << id;
+    } else {
+      ASSERT_TRUE(record.ok()) << "job " << id << ": " << record.status();
+      EXPECT_EQ(record.value().state, JobState::kDone) << "job " << id;
+    }
+  }
+
+  // A dropped record still reserves its id: reuse is rejected exactly.
+  EXPECT_EQ(scheduler.Submit(Spec(1)).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(scheduler.Submit(Spec(kJobs)).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(scheduler.Cancel(1).code(), StatusCode::kNotFound);
+  EXPECT_EQ(scheduler.stats().completed, kJobs);
+}
+
 // ---------------------------------------------------------------------
 // Control protocol (HandleLine directly; no sockets).
 

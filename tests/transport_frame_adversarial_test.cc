@@ -512,6 +512,7 @@ TEST(SessionAdversarialTest, UnknownSessionFloodIsBoundedByTheOrphanCap) {
   ASSERT_NE(victim, nullptr);
   SessionMuxOptions options;
   options.max_orphan_messages = 16;
+  options.receive_timeout_ms = 500;
   SessionMux mux(victim.get(), options);
 
   // A hostile peer sprays frames across 48 sessions nobody opened. The
@@ -530,17 +531,24 @@ TEST(SessionAdversarialTest, UnknownSessionFloodIsBoundedByTheOrphanCap) {
   EXPECT_TRUE(capped) << "orphaned=" << stats.orphaned_messages
                       << " dropped=" << stats.dropped_orphans;
 
-  // A session opened afterwards still works on the same link.
-  auto late = mux.OpenSession(120);
-  ASSERT_TRUE(late.ok());
-  const auto adopted = late.value()->Receive(0, 1, MessageTag::kPlainStats);
-  // Session 120's orphan may have been evicted by the flood or may have
-  // survived; either a clean delivery or a clean timeout is acceptable,
-  // never a crash or a foreign session's frame.
-  if (adopted.ok()) {
-    EXPECT_EQ(adopted.value().session, 120u);
-    EXPECT_EQ(adopted.value().payload[0], 0x77);
-  }
+  // Beyond the cap the lowest orphaned session id loses its oldest
+  // frame first, and the flood arrives in ascending order: sessions
+  // 100..131 are evicted and 132..147 survive.
+  // An evicted session opened afterwards times out cleanly...
+  auto evicted = mux.OpenSession(120);
+  ASSERT_TRUE(evicted.ok());
+  const auto lost = evicted.value()->Receive(0, 1, MessageTag::kPlainStats);
+  ASSERT_FALSE(lost.ok());
+  EXPECT_EQ(lost.status().code(), StatusCode::kDeadlineExceeded)
+      << lost.status();
+  // ...and a surviving one adopts its own frame on the same link.
+  auto survivor = mux.OpenSession(147);
+  ASSERT_TRUE(survivor.ok());
+  const auto adopted =
+      survivor.value()->Receive(0, 1, MessageTag::kPlainStats);
+  ASSERT_TRUE(adopted.ok()) << adopted.status();
+  EXPECT_EQ(adopted.value().session, 147u);
+  EXPECT_EQ(adopted.value().payload[0], 0x77);
 }
 
 TEST(SessionAdversarialTest, DuplicateFramesInsideASessionAreDelivered) {

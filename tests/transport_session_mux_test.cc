@@ -14,7 +14,9 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/scan_result.h"
@@ -25,6 +27,7 @@
 #include "transport/frame.h"
 #include "transport/party_runner.h"
 #include "transport/tcp_transport.h"
+#include "util/mutex.h"
 
 namespace dash {
 namespace {
@@ -417,6 +420,161 @@ TEST(SessionMuxFaultTest, DropInOneSessionFailsOnlyThatSession) {
   }
   EXPECT_EQ(failed, 3) << "the dropped message must fail the session at "
                           "every party via the abort broadcast";
+}
+
+// ---------------------------------------------------------------------
+// Wake-ups. The inner transport below has no sockets, and its PumpWait
+// ignores any positive timeout: it returns only once WakePumpWait has
+// rung, or after a 10 s cap that counts as a lost wake-up. A mux that
+// relied on PumpWait's timeout to run a queued send, to notice
+// shutdown or to apply a link failure would therefore wait out the cap.
+
+class DoorbellOnlyTransport : public Transport {
+ public:
+  explicit DoorbellOnlyTransport(int parties) : Transport(parties) {}
+
+  int local_party() const override { return 0; }
+  Status Send(int from, int to, MessageTag tag,
+              std::vector<uint8_t> payload) override {
+    return SendOnSession(0, from, to, tag, std::move(payload));
+  }
+  Status SendOnSession(uint32_t, int from, int to, MessageTag tag,
+                       std::vector<uint8_t> payload) override {
+    RecordSend(from, to, tag, payload.size());
+    return Status::Ok();
+  }
+  Result<Message> Receive(int, int, MessageTag) override {
+    return UnimplementedError("the mux reads through TryReceiveAny");
+  }
+  bool HasPending(int, int) override { return false; }
+  Result<Message> TryReceiveAny(int, int from) override {
+    MutexLock lock(&mu_);
+    if (from == lose_during_intake_from_) {
+      lost_peer_ = lose_peer_;
+      lose_during_intake_from_ = -1;
+    }
+    return NotFoundError("no peer ever sends");
+  }
+  Status LinkStatus(int peer) override {
+    MutexLock lock(&mu_);
+    if (peer == lost_peer_) {
+      return UnavailableError("peer " + std::to_string(peer) +
+                              " disconnected");
+    }
+    return Status::Ok();
+  }
+
+  Status PumpWait(int timeout_ms) override {
+    MutexLock lock(&mu_);
+    const auto cap =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    blocked_ = timeout_ms > 0;
+    cv_.NotifyAll();
+    while (timeout_ms > 0 && !rung_) {
+      if (cv_.WaitUntil(&mu_, cap) == std::cv_status::timeout && !rung_) {
+        ++expiries_;
+        break;
+      }
+    }
+    blocked_ = false;
+    rung_ = false;
+    return Status::Ok();
+  }
+  void WakePumpWait() override {
+    MutexLock lock(&mu_);
+    rung_ = true;
+    cv_.NotifyAll();
+  }
+
+  int expiries() const {
+    MutexLock lock(&mu_);
+    return expiries_;
+  }
+
+  // Returns once the pump thread is blocked in PumpWait.
+  void AwaitPumpBlocked() {
+    MutexLock lock(&mu_);
+    while (!blocked_) cv_.Wait(&mu_);
+  }
+
+  // The next intake from `intake_peer` finds `lost_peer`'s link dead,
+  // as a real intake Pump(0) can read another peer's EOF.
+  void LoseLinkDuringIntakeFrom(int intake_peer, int lost_peer) {
+    MutexLock lock(&mu_);
+    lose_during_intake_from_ = intake_peer;
+    lose_peer_ = lost_peer;
+  }
+
+ private:
+  mutable Mutex mu_{LockRank::kLeaf};
+  CondVar cv_;
+  bool rung_ DASH_GUARDED_BY(mu_) = false;
+  bool blocked_ DASH_GUARDED_BY(mu_) = false;
+  int expiries_ DASH_GUARDED_BY(mu_) = 0;
+  int lose_during_intake_from_ DASH_GUARDED_BY(mu_) = -1;
+  int lose_peer_ DASH_GUARDED_BY(mu_) = -1;
+  int lost_peer_ DASH_GUARDED_BY(mu_) = -1;
+};
+
+TEST(SessionMuxWakeTest, QueuedSendsNeverWaitOutThePumpTimeout) {
+  constexpr int kMessages = 500;
+  DoorbellOnlyTransport inner(3);
+  {
+    SessionMux mux(&inner);
+    auto sends = mux.OpenSession(1);
+    auto broadcasts = mux.OpenSession(2);
+    ASSERT_TRUE(sends.ok() && broadcasts.ok());
+    // Two job threads at once. Each loop stops at the first expiry, so
+    // a lost wake-up fails in one cap rather than one cap per message.
+    std::thread sender([&] {
+      for (int i = 0; i < kMessages && inner.expiries() == 0; ++i) {
+        ASSERT_TRUE(sends.value()
+                        ->Send(0, 1 + i % 2, MessageTag::kPlainStats,
+                               {static_cast<uint8_t>(i)})
+                        .ok());
+      }
+    });
+    std::thread broadcaster([&] {
+      for (int i = 0; i < kMessages && inner.expiries() == 0; ++i) {
+        ASSERT_TRUE(broadcasts.value()
+                        ->Broadcast(0, MessageTag::kMaskedValue, {1, 2})
+                        .ok());
+      }
+    });
+    sender.join();
+    broadcaster.join();
+    EXPECT_EQ(inner.expiries(), 0);
+    EXPECT_EQ(sends.value()->metrics().total_messages(), kMessages);
+    EXPECT_EQ(broadcasts.value()->metrics().total_messages(),
+              2 * kMessages);
+  }
+  // ~SessionMux rings too: joining its pump must not wait out the cap.
+  EXPECT_EQ(inner.expiries(), 0);
+  EXPECT_EQ(inner.metrics().total_messages(), 3 * kMessages);
+}
+
+TEST(SessionMuxWakeTest, LinkLostAfterItsPeersTurnFailsSessionsAtOnce) {
+  DoorbellOnlyTransport inner(3);
+  SessionMux mux(&inner);
+  auto channel = mux.OpenSession(1);
+  ASSERT_TRUE(channel.ok()) << channel.status();
+  // One ring wakes the idle pump for a pass in which party 1's link
+  // dies while the pump drains party 2, after party 1's own turn. No
+  // ring and no socket event follows, yet the blocked Receive must fail
+  // with the link's status at once.
+  inner.AwaitPumpBlocked();
+  inner.LoseLinkDuringIntakeFrom(/*intake_peer=*/2, /*lost_peer=*/1);
+  inner.WakePumpWait();
+  const auto start = std::chrono::steady_clock::now();
+  const auto got = channel.value()->Receive(0, 1, MessageTag::kPlainStats);
+  const double waited = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kUnavailable) << got.status();
+  EXPECT_LT(waited, 1.0);
+  EXPECT_EQ(inner.expiries(), 0);
+  EXPECT_EQ(mux.LinkHealth().code(), StatusCode::kUnavailable);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/serialization.h"
@@ -54,6 +55,31 @@ ClusterConfig MakeCluster(const std::vector<uint16_t>& ports) {
 }
 
 using TransportOrError = Result<std::unique_ptr<TcpTransport>>;
+
+// Parties 0 and 1 of a two-party loopback mesh.
+std::pair<std::unique_ptr<TcpTransport>, std::unique_ptr<TcpTransport>>
+ConnectPair() {
+  const ClusterConfig cluster = MakeCluster(FreePorts(2));
+  TcpTransportOptions options;
+  options.connect_timeout_ms = 5000;
+  std::unique_ptr<TcpTransport> t1;
+  std::thread peer([&] {
+    auto r = TcpTransport::Connect(cluster, 1, options);
+    EXPECT_TRUE(r.ok()) << r.status();
+    if (r.ok()) t1 = std::move(r).value();
+  });
+  auto r0 = TcpTransport::Connect(cluster, 0, options);
+  peer.join();
+  EXPECT_TRUE(r0.ok()) << r0.status();
+  if (!r0.ok()) return {nullptr, std::move(t1)};
+  return {std::move(r0).value(), std::move(t1)};
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
 
 TEST(TcpTransportTest, TwoPartyRoundTrip) {
   const ClusterConfig cluster = MakeCluster(FreePorts(2));
@@ -363,6 +389,76 @@ TEST(TcpTransportTest, SinglePartyClusterNeedsNoNetwork) {
   auto r = TcpTransport::Connect(cluster, 0);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r.value()->num_parties(), 1);
+}
+
+// ---------------------------------------------------------------------
+// The pump's doorbell (the SessionMux wake-up rules; "at once" is under
+// 1 s against a 10 s PumpWait, so none of these is timing-sensitive).
+
+TEST(TcpTransportWakeTest, OnlyPumpWaitConsumesTheDoorbell) {
+  auto [t0, t1] = ConnectPair();
+  ASSERT_NE(t0, nullptr);
+  ASSERT_NE(t1, nullptr);
+  t0->WakePumpWait();
+  // The intake's pumps (timeout 0) must leave the ring for PumpWait.
+  EXPECT_FALSE(t0->HasPending(0, 1));
+  EXPECT_EQ(t0->TryReceiveAny(0, 1).status().code(), StatusCode::kNotFound);
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(t0->PumpWait(10000).ok());
+  EXPECT_LT(SecondsSince(start), 1.0) << "a pump other than PumpWait "
+                                         "consumed the doorbell";
+}
+
+TEST(TcpTransportWakeTest, PumpWaitReturnsAtOnceForAParsedFrame) {
+  auto [t0, t1] = ConnectPair();
+  ASSERT_NE(t0, nullptr);
+  ASSERT_NE(t1, nullptr);
+  ASSERT_TRUE(t1->SendOnSession(3, 1, 0, MessageTag::kPlainStats, {7}).ok());
+  // HasPending parses the frame into party 0's inbox; the socket it
+  // came from is empty afterwards.
+  bool pending = false;
+  for (int i = 0; i < 2000 && !pending; ++i) {
+    pending = t0->HasPending(0, 1);
+    if (!pending) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(pending);
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(t0->PumpWait(10000).ok());
+  EXPECT_LT(SecondsSince(start), 1.0)
+      << "PumpWait slept with a deliverable frame in an inbox";
+  const auto msg = t0->TryReceiveAny(0, 1);
+  ASSERT_TRUE(msg.ok()) << msg.status();
+  EXPECT_EQ(msg.value().session, 3u);
+  EXPECT_EQ(msg.value().payload, (std::vector<uint8_t>{7}));
+}
+
+TEST(TcpTransportWakeTest, PumpWaitWithNoOpenLinkBlocksOnTheDoorbell) {
+  auto [t0, t1] = ConnectPair();
+  ASSERT_NE(t0, nullptr);
+  ASSERT_NE(t1, nullptr);
+  t1.reset();  // the only peer goes away
+  for (int i = 0; i < 2000 && t0->LinkStatus(1).ok(); ++i) {
+    t0->HasPending(0, 1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_FALSE(t0->LinkStatus(1).ok());
+
+  // No spin: with no link open, PumpWait still blocks for its timeout.
+  auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(t0->PumpWait(300).ok());
+  EXPECT_GE(SecondsSince(start), 0.2) << "PumpWait returned at once";
+
+  // A ring from another thread ends the wait early.
+  std::thread waker([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    t0->WakePumpWait();
+  });
+  start = std::chrono::steady_clock::now();
+  const Status woken = t0->PumpWait(10000);
+  const double waited = SecondsSince(start);
+  waker.join();
+  EXPECT_TRUE(woken.ok()) << woken;
+  EXPECT_LT(waited, 1.0);
 }
 
 }  // namespace
