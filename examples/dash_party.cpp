@@ -303,7 +303,7 @@ int RealMain(int argc, char** argv) {
                 result.pval[static_cast<size_t>(top)]);
   }
   std::printf("result checksum  %016" PRIx64 "  (identical at every party)\n",
-              ScanResultChecksum(result));
+              output.value().result_checksum);
   if (metrics.streamed) {
     // STREAM line is machine-read by the kill smokes: resumed_from > 0
     // proves this run continued a prior run's checkpoint.

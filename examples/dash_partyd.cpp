@@ -428,7 +428,7 @@ int SimulateJob(const std::string& args, int parties) {
     return 1;
   }
   std::printf("job %u checksum %" PRIu64 "\n", spec.job_id,
-              ScanResultChecksum(out.value().result));
+              out.value().result_checksum);
   return 0;
 }
 

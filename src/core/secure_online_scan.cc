@@ -52,6 +52,7 @@ Result<SecureScanOutput> SecureOnlineScan::Finalize() const {
   SecureScanOutput out;
   DASH_ASSIGN_OR_RETURN(out.result, study.ScanAllCovariates(0));
   out.metrics = aggregated.metrics;
+  out.result_checksum = ScanResultChecksum(out.result);
   return out;
 }
 

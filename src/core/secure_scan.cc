@@ -66,7 +66,8 @@ Result<SecureScanOutput> SecureAssociationScan::Run(
     metrics.protocol_seconds =
         std::max(metrics.protocol_seconds, party.metrics.protocol_seconds);
   }
-  return SecureScanOutput{std::move(outs[0].result), metrics};
+  return SecureScanOutput{std::move(outs[0].result), metrics,
+                          outs[0].result_checksum};
 }
 
 }  // namespace dash

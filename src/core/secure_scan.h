@@ -105,6 +105,10 @@ struct SecureScanMetrics {
 struct SecureScanOutput {
   ScanResult result;
   SecureScanMetrics metrics;
+  // ScanResultChecksum(result), computed once by whoever produced the
+  // result (the commit round's value when P > 1), so consumers need
+  // not hash the result again.
+  uint64_t result_checksum = 0;
 };
 
 class SecureAssociationScan {

@@ -178,22 +178,25 @@ uint64_t Fnv1aBytes(const void* data, size_t len, uint64_t h) {
   return h;
 }
 
-uint64_t PanelChecksum(const uint64_t* words, size_t n) {
+uint64_t PanelChecksum(const void* words, size_t n) {
   constexpr uint64_t kP1 = 0x9E3779B185EBCA87ULL;
   constexpr uint64_t kP2 = 0xC2B2AE3D27D4EB4FULL;
-  const auto step = [](uint64_t acc, uint64_t w) {
+  const unsigned char* bytes = static_cast<const unsigned char*>(words);
+  const auto step = [bytes](uint64_t acc, size_t i) {
+    uint64_t w = 0;
+    std::memcpy(&w, bytes + 8 * i, sizeof(w));
     return std::rotl(acc + w * kP2, 31) * kP1;
   };
   // xxHash64's lane seeds at seed 0, then n, folded last.
   uint64_t lanes[5] = {kP1 + kP2, kP2, 0, 0 - kP1, n};
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    lanes[0] = step(lanes[0], words[i]);
-    lanes[1] = step(lanes[1], words[i + 1]);
-    lanes[2] = step(lanes[2], words[i + 2]);
-    lanes[3] = step(lanes[3], words[i + 3]);
+    lanes[0] = step(lanes[0], i);
+    lanes[1] = step(lanes[1], i + 1);
+    lanes[2] = step(lanes[2], i + 2);
+    lanes[3] = step(lanes[3], i + 3);
   }
-  for (; i < n; ++i) lanes[i % 4] = step(lanes[i % 4], words[i]);
+  for (; i < n; ++i) lanes[i % 4] = step(lanes[i % 4], i);
   return Fnv1aBytes(lanes, sizeof(lanes));
 }
 

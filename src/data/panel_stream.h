@@ -70,7 +70,10 @@ uint64_t Fnv1aBytes(const void* data, size_t len,
 // n are then folded with Fnv1aBytes. The lanes run in parallel, so it
 // keeps up with the disk where byte-serial FNV-1a ran at ~0.7 GB/s.
 // Changing it changes the file format: bump the DASHPACK version.
-uint64_t PanelChecksum(const uint64_t* words, size_t n);
+// `words` are n little-endian 64-bit words of any type and alignment:
+// the Phase-1 fingerprint (transport/party_runner.h) hashes the raw
+// bits of a matrix of doubles with it.
+uint64_t PanelChecksum(const void* words, size_t n);
 
 // Atomic durable small-file write: the bytes land under `path` via
 // tmp-file write + fsync + rename + directory fsync, so a crash at any

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "core/scan_result.h"
 #include "transport/frame.h"
 #include "util/logging.h"
 
@@ -236,7 +235,7 @@ void JobScheduler::RunJob(uint32_t job_id) {
     }
     if (out.ok()) {
       JobRecord& record = jobs_.at(job_id);
-      record.checksum = ScanResultChecksum(out.value().result);
+      record.checksum = out.value().result_checksum;
       record.metrics = out.value().metrics;
       if (record.metrics.phase1_cache_hit) ++stats_.phase1_cache_hits;
       FinishLocked(job_id, JobState::kDone, Status::Ok());

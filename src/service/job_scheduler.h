@@ -66,7 +66,10 @@ using SessionFactory = std::function<Result<ScanSession>(const JobSpec&)>;
 
 // Runs one party's scan for `spec` over the session transport, with
 // the checked-out Phase-1 state (never null). The daemon binds this to
-// RunPartySecureScan over the spec's synthetic cohort.
+// RunPartySecureScan over the spec's synthetic cohort. The output's
+// result_checksum must be ScanResultChecksum(result), as the runner
+// fills it: the scheduler reports it as the job's checksum without
+// hashing the result again.
 using ScanFn = std::function<Result<SecureScanOutput>(
     Transport*, const JobSpec&, Phase1State*)>;
 
@@ -153,7 +156,7 @@ class JobScheduler {
   const JobSchedulerOptions options_;
 
   // Rank kJobScheduler nests OUTSIDE kSessionMux: Cancel/Shutdown/the
-  // watchdog call a running job's abort hook (SessionMux::ChannelAbort
+  // watchdog call a running job's abort hook (SessionChannel::Abort
   // takes the mux lock) while holding mu_.
   mutable Mutex mu_{LockRank::kJobScheduler};
   CondVar work_cv_;      // workers: queue / stopping

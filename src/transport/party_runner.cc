@@ -22,39 +22,19 @@
 #include "util/thread_pool.h"
 
 namespace dash {
-namespace {
 
-// Local-only digest of everything Phase 1 depends on: the party's
-// (preprocessed) covariate slab, its sample count, and the Phase-1
-// options that change the pooled R. FNV-1a over the raw little-endian
-// double bits — bit-exact equality is the right notion, because the
-// cached Q_p must reproduce the original transcript bit for bit. The
-// digest never leaves the process; the kPhase1Probe round only carries
-// a have/have-not bit.
 uint64_t Phase1Fingerprint(const Matrix& c, int64_t absorbed_params,
                            const SecureScanOptions& options) {
-  uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  const auto mix64 = [&h](uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xFFu;
-      h *= 1099511628211ull;  // FNV prime
-    }
-  };
-  mix64(static_cast<uint64_t>(c.rows()));
-  mix64(static_cast<uint64_t>(c.cols()));
-  mix64(static_cast<uint64_t>(absorbed_params));
-  mix64(static_cast<uint64_t>(options.r_combine));
-  for (int64_t i = 0; i < c.rows(); ++i) {
-    for (int64_t j = 0; j < c.cols(); ++j) {
-      uint64_t bits = 0;
-      const double v = c(i, j);
-      static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-      __builtin_memcpy(&bits, &v, sizeof(bits));
-      mix64(bits);
-    }
-  }
-  return h;
+  static_assert(sizeof(double) == sizeof(uint64_t), "double must be 64-bit");
+  const uint64_t fields[5] = {
+      static_cast<uint64_t>(c.rows()), static_cast<uint64_t>(c.cols()),
+      static_cast<uint64_t>(absorbed_params),
+      static_cast<uint64_t>(options.r_combine),
+      PanelChecksum(c.data(), static_cast<size_t>(c.size()))};
+  return Fnv1aBytes(fields, sizeof(fields));
 }
+
+namespace {
 
 // What Phases 0–1 leave a party with.
 struct Phase01Output {
@@ -364,10 +344,12 @@ Result<SecureScanOutput> RunPartyScanProtocol(
   // defense against faults no other layer can see (e.g. a same-tag
   // same-length reorder): instead of parties walking away with
   // different numbers, the scan fails with DataLoss at every party.
+  // The checksum is computed once, also for P = 1, and handed out with
+  // the result.
+  const uint64_t checksum = ScanResultChecksum(result);
   if (num_parties > 1) {
     timer.Reset();
     transport->BeginRound();
-    const uint64_t checksum = ScanResultChecksum(result);
     ByteWriter w;
     w.PutU64(checksum);
     DASH_ROUND(phase4_commit, kCommit);
@@ -399,6 +381,7 @@ Result<SecureScanOutput> RunPartyScanProtocol(
   }
 
   out.result = std::move(result);
+  out.result_checksum = checksum;
   metrics.total_bytes = transport->metrics().total_bytes();
   metrics.total_messages = transport->metrics().total_messages();
   metrics.max_link_bytes = transport->metrics().MaxLinkBytes();

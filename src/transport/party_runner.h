@@ -63,14 +63,23 @@ namespace dash {
 // bit per party.
 struct Phase1State {
   bool valid = false;
-  // FNV-1a over this party's (preprocessed) covariate slab, sample
-  // count, and the Phase-1 options; see Phase1Fingerprint in
-  // party_runner.cc.
+  // Phase1Fingerprint of this party's (preprocessed) covariate slab.
   uint64_t local_fingerprint = 0;
   int64_t total_samples = 0;   // pooled N (public, phase0 reveal)
   Matrix r_inverse;            // pooled R⁻¹ (public, phase1 reveal)
   Secret<Matrix> q_p;          // this party's Q_p rows (private)
 };
+
+// Local-only digest of everything Phase 1 depends on: the party's
+// (preprocessed) covariate slab C, its shape, `absorbed_params` and
+// options.r_combine. C's raw double bits are hashed as 64-bit words by
+// PanelChecksum's four lanes (bit-exact equality is the right notion:
+// a cached Q_p must reproduce the original transcript bit for bit),
+// and the shape and options are folded in with Fnv1aBytes. The digest
+// never leaves the process — no file, wire byte or golden value
+// depends on it; the kPhase1Probe round carries one have/have-not bit.
+uint64_t Phase1Fingerprint(const Matrix& c, int64_t absorbed_params,
+                           const SecureScanOptions& options);
 
 // Runs the scan as party transport->local_party() holding rows `party`.
 // Blocks until the protocol completes; every party returns the identical

@@ -19,6 +19,32 @@ constexpr int kPumpSafetyTimeoutMs = 100;
 }  // namespace
 
 SessionMux::SessionMux(Transport* inner, SessionMuxOptions options)
+    : core_(std::make_shared<Core>(inner, options)) {
+  pump_ = std::thread([core = core_.get()] { core->PumpLoop(); });
+}
+
+SessionMux::~SessionMux() {
+  core_->Stop();
+  pump_.join();
+}
+
+int SessionMux::num_parties() const { return core_->num_parties(); }
+int SessionMux::local_party() const { return core_->local_party(); }
+
+Result<std::unique_ptr<SessionChannel>> SessionMux::OpenSession(
+    uint32_t session_id) {
+  DASH_RETURN_IF_ERROR(core_->OpenSession(session_id));
+  return std::unique_ptr<SessionChannel>(
+      new SessionChannel(core_, session_id));
+}
+
+Status SessionMux::LinkHealth() const { return core_->LinkHealth(); }
+
+SessionMuxStats SessionMux::stats() const { return core_->stats(); }
+
+// --- SessionMux::Core ------------------------------------------------
+
+SessionMux::Core::Core(Transport* inner, SessionMuxOptions options)
     : inner_(inner),
       options_(options),
       num_parties_(inner->num_parties()),
@@ -26,38 +52,27 @@ SessionMux::SessionMux(Transport* inner, SessionMuxOptions options)
       link_fail_(static_cast<size_t>(inner->num_parties())) {
   DASH_CHECK(inner != nullptr);
   DASH_CHECK(local_party_ >= 0) << "SessionMux needs a party-bound transport";
-  pump_ = std::thread([this] { PumpLoop(); });
 }
 
-SessionMux::~SessionMux() {
-  {
-    MutexLock lock(&mu_);
-    stopping_ = true;
-    inner_->WakePumpWait();
-  }
-  pump_.join();
+void SessionMux::Core::Stop() {
+  MutexLock lock(&mu_);
+  stopping_ = true;
+  inner_->WakePumpWait();
 }
 
-int SessionMux::num_parties() const { return num_parties_; }
-int SessionMux::local_party() const { return local_party_; }
-
-Result<std::unique_ptr<SessionChannel>> SessionMux::OpenSession(
-    uint32_t session_id) {
+Status SessionMux::Core::OpenSession(uint32_t session_id) {
   if (session_id == 0 || session_id > kFrameMaxSessionId) {
     return InvalidArgumentError(
         "session id must be in [1, " + std::to_string(kFrameMaxSessionId) +
         "]; 0 is the sessionless stream");
   }
   MutexLock lock(&mu_);
-  if (stopping_) {
-    return UnavailableError("session mux shut down");
-  }
+  if (stopping_) return UnavailableError("session mux shut down");
   if (sessions_.count(session_id) != 0) {
     return AlreadyExistsError("session " + std::to_string(session_id) +
                               " is already open on this mux");
   }
   auto state = std::make_unique<SessionState>();
-  state->id = session_id;
   state->inboxes.resize(static_cast<size_t>(num_parties_));
   SessionState* raw = state.get();
   sessions_[session_id] = std::move(state);
@@ -78,11 +93,10 @@ Result<std::unique_ptr<SessionChannel>> SessionMux::OpenSession(
   for (const Status& link : link_fail_) {
     if (!link.ok() && raw->fail.ok()) raw->fail = link;
   }
-  return std::unique_ptr<SessionChannel>(
-      new SessionChannel(this, session_id));
+  return Status::Ok();
 }
 
-Status SessionMux::LinkHealth() const {
+Status SessionMux::Core::LinkHealth() const {
   MutexLock lock(&mu_);
   for (const Status& link : link_fail_) {
     if (!link.ok()) return link;
@@ -90,37 +104,38 @@ Status SessionMux::LinkHealth() const {
   return Status::Ok();
 }
 
-SessionMuxStats SessionMux::stats() const {
+SessionMuxStats SessionMux::Core::stats() const {
   MutexLock lock(&mu_);
   return stats_;
 }
 
-void SessionMux::PumpLoop() {
+void SessionMux::Core::PumpLoop() {
   // Peers whose link failure has already failed the open sessions; the
   // pump thread's own mirror of the non-Ok entries of link_fail_.
   std::vector<bool> link_failure_applied(static_cast<size_t>(num_parties_));
+  std::vector<Message> frames;
   while (true) {
-    // Phase 1: execute queued sends. The inner transport is touched
+    // Phase 1: write the queued frames in FIFO order, whether or not
+    // their session is still open. The inner transport is touched
     // WITHOUT the lock held (a send can block on a full kernel buffer
-    // up to its deadline); op pointers stay valid because the enqueuing
-    // thread blocks until `done`. The one exception is WakePumpWait,
-    // which never blocks and which ChannelSend and the destructor call
-    // under mu_.
-    std::vector<SendOp*> ops;
+    // up to its deadline). The one exception is WakePumpWait, which
+    // never blocks and which ChannelSend and Stop call under mu_. A
+    // stop seen here ends the loop after this pass, and ChannelSend
+    // queues nothing once stopping_ is set, so no frame is left behind.
+    frames.clear();
     bool stop = false;
     {
       MutexLock lock(&mu_);
-      ops.swap(pending_sends_);
+      frames.swap(send_queue_);
       stop = stopping_;
     }
-    for (SendOp* op : ops) {
-      Status result = inner_->SendOnSession(
-          op->msg.session, op->msg.from, op->msg.to, op->msg.tag,
-          std::move(op->msg.payload));
+    for (Message& msg : frames) {
+      Status sent = inner_->SendOnSession(msg.session, msg.from, msg.to,
+                                          msg.tag, std::move(msg.payload));
+      if (sent.ok()) continue;
       MutexLock lock(&mu_);
-      op->result = std::move(result);
-      op->done = true;
-      send_cv_.NotifyAll();
+      auto it = sessions_.find(msg.session);
+      if (it != sessions_.end()) FailLocked(it->second.get(), std::move(sent));
     }
     if (stop) break;
 
@@ -160,25 +175,17 @@ void SessionMux::PumpLoop() {
     }
     {
       MutexLock lock(&mu_);
-      idle = idle && pending_sends_.empty() && !stopping_;
+      idle = idle && send_queue_.empty() && !stopping_;
     }
-    const Status pumped = inner_->PumpWait(idle ? kPumpSafetyTimeoutMs : 0);
-    (void)pumped;
+    (void)inner_->PumpWait(idle ? kPumpSafetyTimeoutMs : 0);
   }
 
-  // Shutdown: nothing may stay blocked on a thread that no longer runs.
+  // Shutdown: no Receive may stay blocked on a pump that no longer runs.
   MutexLock lock(&mu_);
-  const Status gone = UnavailableError("session mux shut down");
-  for (SendOp* op : pending_sends_) {
-    op->result = gone;
-    op->done = true;
-  }
-  pending_sends_.clear();
-  send_cv_.NotifyAll();
-  FailAllSessionsLocked(gone);
+  FailAllSessionsLocked(UnavailableError("session mux shut down"));
 }
 
-void SessionMux::RouteLocked(Message msg) {
+void SessionMux::Core::RouteLocked(Message msg) {
   if (msg.session == 0) {
     // A sessionless frame on a multiplexed endpoint: a peer that is not
     // muxing (deployment mismatch) or a hostile stream. Dropping it
@@ -207,15 +214,12 @@ void SessionMux::RouteLocked(Message msg) {
   stats_.orphaned_messages += 1;
 }
 
-void SessionMux::DeliverLocked(SessionState* session, Message msg) {
+void SessionMux::Core::DeliverLocked(SessionState* session, Message msg) {
   if (msg.tag == MessageTag::kAbort) {
     // Scoped abort: latch THIS session only; the message itself is
     // consumed (mirrors the transport-wide latch of the sessionless
     // stream, but per session).
-    if (session->fail.ok()) {
-      session->fail = MakeAbortStatus(DecodeAbortPayload(msg.payload));
-    }
-    session->cv.NotifyAll();
+    FailLocked(session, MakeAbortStatus(DecodeAbortPayload(msg.payload)));
     return;
   }
   session->inboxes[static_cast<size_t>(msg.from)].push_back(std::move(msg));
@@ -223,40 +227,35 @@ void SessionMux::DeliverLocked(SessionState* session, Message msg) {
   session->cv.NotifyAll();
 }
 
-void SessionMux::FailAllSessionsLocked(const Status& status) {
-  for (auto& entry : sessions_) {
-    SessionState* session = entry.second.get();
-    if (session->fail.ok()) session->fail = status;
-    session->cv.NotifyAll();
-  }
+void SessionMux::Core::FailLocked(SessionState* session, Status status) {
+  if (session->fail.ok()) session->fail = std::move(status);
+  session->cv.NotifyAll();
 }
 
-Status SessionMux::ChannelSend(uint32_t session_id, Message msg) {
-  SendOp op;
-  op.msg = std::move(msg);
+void SessionMux::Core::FailAllSessionsLocked(const Status& status) {
+  for (auto& entry : sessions_) FailLocked(entry.second.get(), status);
+}
+
+Status SessionMux::Core::ChannelSend(Message msg) {
   MutexLock lock(&mu_);
   if (stopping_) return UnavailableError("session mux shut down");
-  auto it = sessions_.find(session_id);
+  auto it = sessions_.find(msg.session);
   if (it == sessions_.end()) {
-    return FailedPreconditionError("session " + std::to_string(session_id) +
+    return FailedPreconditionError("session " + std::to_string(msg.session) +
                                    " is not open");
   }
   // A poisoned session fails fast — except for the abort notification
   // itself, which must still reach the peers so they fail this session
   // with the originator's status instead of their own timeouts.
-  if (!it->second->fail.ok() && op.msg.tag != MessageTag::kAbort) {
+  if (!it->second->fail.ok() && msg.tag != MessageTag::kAbort) {
     return it->second->fail;
   }
-  pending_sends_.push_back(&op);
+  send_queue_.push_back(std::move(msg));
   inner_->WakePumpWait();
-  // The pump always completes every queued op (the inner send's own
-  // deadline bounds a stuck send; shutdown fails the queue), so this
-  // wait terminates.
-  while (!op.done) send_cv_.Wait(&mu_);
-  return op.result;
+  return Status::Ok();
 }
 
-Result<Message> SessionMux::ChannelReceive(uint32_t session_id, int from,
+Result<Message> SessionMux::Core::ChannelReceive(uint32_t session_id, int from,
                                            MessageTag expected_tag) {
   MutexLock lock(&mu_);
   auto it = sessions_.find(session_id);
@@ -294,23 +293,21 @@ Result<Message> SessionMux::ChannelReceive(uint32_t session_id, int from,
   return msg;
 }
 
-bool SessionMux::ChannelHasPending(uint32_t session_id, int from) {
+bool SessionMux::Core::ChannelHasPending(uint32_t session_id, int from) {
   MutexLock lock(&mu_);
   auto it = sessions_.find(session_id);
   if (it == sessions_.end()) return false;
   return !it->second->inboxes[static_cast<size_t>(from)].empty();
 }
 
-void SessionMux::ChannelAbort(uint32_t session_id, Status status) {
+void SessionMux::Core::ChannelAbort(uint32_t session_id, Status status) {
   DASH_CHECK(!status.ok());
   MutexLock lock(&mu_);
   auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) return;
-  if (it->second->fail.ok()) it->second->fail = std::move(status);
-  it->second->cv.NotifyAll();
+  if (it != sessions_.end()) FailLocked(it->second.get(), std::move(status));
 }
 
-void SessionMux::CloseSession(uint32_t session_id) {
+void SessionMux::Core::CloseSession(uint32_t session_id) {
   MutexLock lock(&mu_);
   sessions_.erase(session_id);
   stats_.open_sessions = static_cast<int>(sessions_.size());
@@ -318,7 +315,7 @@ void SessionMux::CloseSession(uint32_t session_id) {
 
 // --- SessionChannel --------------------------------------------------
 
-SessionChannel::~SessionChannel() { mux_->CloseSession(session_id_); }
+SessionChannel::~SessionChannel() { core_->CloseSession(session_id_); }
 
 Status SessionChannel::Send(int from, int to, MessageTag tag,
                             std::vector<uint8_t> payload) {
@@ -335,13 +332,8 @@ Status SessionChannel::Send(int from, int to, MessageTag tag,
   // ChannelSend consumes the payload, so take its size for the
   // accounting first.
   const size_t payload_bytes = payload.size();
-  Message msg;
-  msg.from = from;
-  msg.to = to;
-  msg.session = session_id_;
-  msg.tag = tag;
-  msg.payload = std::move(payload);
-  DASH_RETURN_IF_ERROR(mux_->ChannelSend(session_id_, std::move(msg)));
+  DASH_RETURN_IF_ERROR(core_->ChannelSend(
+      Message{from, to, session_id_, tag, std::move(payload)}));
   RecordSend(from, to, tag, payload_bytes);
   return Status::Ok();
 }
@@ -357,7 +349,7 @@ Result<Message> SessionChannel::Receive(int to, int from,
   if (from == local_party()) {
     return InvalidArgumentError("party cannot receive from itself");
   }
-  return mux_->ChannelReceive(session_id_, from, expected_tag);
+  return core_->ChannelReceive(session_id_, from, expected_tag);
 }
 
 bool SessionChannel::HasPending(int to, int from) {
@@ -365,11 +357,11 @@ bool SessionChannel::HasPending(int to, int from) {
       from == local_party()) {
     return false;
   }
-  return mux_->ChannelHasPending(session_id_, from);
+  return core_->ChannelHasPending(session_id_, from);
 }
 
 void SessionChannel::Abort(Status status) {
-  mux_->ChannelAbort(session_id_, std::move(status));
+  core_->ChannelAbort(session_id_, std::move(status));
 }
 
 }  // namespace dash

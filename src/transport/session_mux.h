@@ -14,19 +14,19 @@
 // contract: exactly one pump thread owned by the mux ever touches it,
 // save for WakePumpWait, the one call any thread may make. Job threads
 // talk to the pump through queues:
-//   * Send — the channel enqueues the message, rings the inner
-//     transport's doorbell (WakePumpWait) and blocks until the pump has
-//     written it to the inner transport (so backpressure is real);
+//   * Send — the channel moves the message into the pump's send queue,
+//     rings the inner transport's doorbell (WakePumpWait) and returns.
+//     It never waits for the write; the rules below keep that safe;
 //   * Receive — the channel blocks on its per-(session, peer) inbox,
 //     which the pump fills by draining the inner transport's intake
 //     (TryReceiveAny) and routing frames by their session id.
-// The pump loops: run the queued sends, drain and route the intake,
+// The pump loops: write the queued frames, drain and route the intake,
 // then block in PumpWait until inbound bytes, the doorbell or a frame
-// already parsed gives it work, so a queued send reaches the wire at
+// already parsed gives it work, so a queued frame reaches the wire at
 // once. Three rules keep a wake-up from being lost:
 //   1. only PumpWait consumes the doorbell: the inner transport's other
 //      pumps (the intake's, and a send's while its socket is full)
-//      leave it rung, so a send queued meanwhile still ends the wait;
+//      leave it rung, so a frame queued meanwhile still ends the wait;
 //   2. PumpWait returns at once while a frame sits parsed in a peer
 //      inbox: an intake pump for one peer may read another peer's
 //      bytes after that peer was drained, and its socket is then empty;
@@ -79,12 +79,37 @@
 
 namespace dash {
 
+// Queued sends. A Send that returned has handed its frame to the pump,
+// not to the wire. Four rules make that indistinguishable from a
+// written frame to every protocol on a channel:
+//   1. frames outlive their session: the pump writes every queued frame
+//      in FIFO order, also after its channel was destroyed, so each
+//      (session, peer) link keeps its order and its bytes — a job's
+//      last commit broadcast or abort notifications are often still
+//      queued when the scheduler drops the channel;
+//   2. frames outlive the mux: ~SessionMux stops intake of new frames,
+//      and the pump's last pass writes everything queued before it
+//      exits and fails the open sessions;
+//   3. failures surface: a failed write latches its status on the
+//      frame's session, if still open, so the session's next Send, or
+//      its next Receive that finds no frame waiting, returns it. A dead
+//      link still fails every open session through LinkStatus, and
+//      kAbort frames still pass a poisoned session;
+//   4. memory stays bounded by the protocol, not by a cap: a job thread
+//      queues only the frames it sends between two of its own Receives,
+//      which the protocol bounds at a round or two of payloads — the
+//      tree R-combine's root broadcast is followed by the next round's
+//      broadcast and a Receive, and the abort path sends at most P−1
+//      frames and returns. Each payload was built by the caller and is
+//      moved into the queue, never copied.
+// Accounting: SessionChannel::Send counts a frame's bytes once it is
+// queued.
+
 class SessionChannel;
 
 struct SessionMuxOptions {
-  // Deadline for one SessionChannel::Receive. A Send waits for the pump
-  // with no deadline of its own; the inner transport's send deadline
-  // (TcpTransportOptions::receive_timeout_ms) bounds it.
+  // Deadline for one SessionChannel::Receive. A Send never waits: it
+  // queues its frame for the pump (see "Queued sends" above).
   int receive_timeout_ms = 30000;
 
   // Total frames buffered for sessions nobody opened yet; beyond this
@@ -109,9 +134,10 @@ class SessionMux {
   // the pump thread; from here on the mux owns all access to `inner`.
   explicit SessionMux(Transport* inner, SessionMuxOptions options = {});
 
-  // Joins the pump thread. Every still-open channel is poisoned with
-  // Unavailable("session mux shut down"); channels may outlive the mux
-  // only to be destroyed.
+  // Refuses new frames, lets the pump write every frame already queued,
+  // and joins it. Every still-open channel is then poisoned with
+  // Unavailable("session mux shut down"). A channel may outlive the
+  // mux: its calls fail with that status, and destroying it is safe.
   ~SessionMux();
 
   SessionMux(const SessionMux&) = delete;
@@ -133,47 +159,69 @@ class SessionMux {
 
  private:
   friend class SessionChannel;
+  class Core;
 
-  // Every field of SessionState (and of SendOp once queued) is guarded
-  // by the owning mux's mu_; the annotation cannot be written on the
-  // nested struct (mu_ is not in its scope), so the discipline is
-  // carried by DASH_REQUIRES(mu_) on every method that touches one.
-  struct SessionState {
-    uint32_t id = 0;
-    // inboxes[peer] = frames from that peer awaiting Receive.
-    std::vector<std::deque<Message>> inboxes;
-    // First failure this session saw: a peer's kAbort, a dead link, a
-    // local Abort() poison. Sticky.
-    Status fail = Status::Ok();
-    CondVar cv;
-  };
+  // Shared with every channel, so a channel that outlives the mux still
+  // closes its session on live memory.
+  std::shared_ptr<Core> core_;
+  std::thread pump_;
+};
 
-  struct SendOp {
-    Message msg;
-    Status result = Status::Ok();
-    bool done = false;
-  };
+// Everything the pump thread and the channels share. ~SessionMux stops
+// it; after that it never touches the inner transport again.
+class SessionMux::Core {
+ public:
+  Core(Transport* inner, SessionMuxOptions options);
 
+  int num_parties() const { return num_parties_; }
+  int local_party() const { return local_party_; }
+
+  // The pump thread's body; returns once Stop() was called and every
+  // frame queued before it is written.
   void PumpLoop();
-  // Routes one intake frame to its session / orphans / drops.
-  void RouteLocked(Message msg) DASH_REQUIRES(mu_);
-  // Applies one frame to an open session (latches aborts).
-  void DeliverLocked(SessionState* session, Message msg) DASH_REQUIRES(mu_);
-  // Poisons every open session with the link failure.
-  void FailAllSessionsLocked(const Status& status) DASH_REQUIRES(mu_);
+  void Stop();
+
+  Status OpenSession(uint32_t session_id);
+  Status LinkHealth() const;
+  SessionMuxStats stats() const;
 
   // Channel-side entry points (any job thread).
-  Status ChannelSend(uint32_t session_id, Message msg);
+  // Queues `msg` for its session (msg.session) and rings the pump.
+  Status ChannelSend(Message msg);
   Result<Message> ChannelReceive(uint32_t session_id, int from,
                                  MessageTag expected_tag);
   bool ChannelHasPending(uint32_t session_id, int from);
   void ChannelAbort(uint32_t session_id, Status status);
   void CloseSession(uint32_t session_id);
 
-  Transport* inner_;
-  SessionMuxOptions options_;
-  int num_parties_;
-  int local_party_;
+ private:
+  // Every field of SessionState is guarded by mu_; the annotation
+  // cannot be written on the nested struct (mu_ is not in its scope),
+  // so the discipline is carried by DASH_REQUIRES(mu_) on every method
+  // that touches one.
+  struct SessionState {
+    // inboxes[peer] = frames from that peer awaiting Receive.
+    std::vector<std::deque<Message>> inboxes;
+    // First failure this session saw: a peer's kAbort, a dead link, a
+    // failed write, a local Abort() poison. Sticky.
+    Status fail = Status::Ok();
+    CondVar cv;
+  };
+
+  // Routes one intake frame to its session / orphans / drops.
+  void RouteLocked(Message msg) DASH_REQUIRES(mu_);
+  // Applies one frame to an open session (latches aborts).
+  void DeliverLocked(SessionState* session, Message msg) DASH_REQUIRES(mu_);
+  // Latches `status` on `session` unless it already failed, and wakes
+  // its Receive.
+  void FailLocked(SessionState* session, Status status) DASH_REQUIRES(mu_);
+  // Poisons every open session with the link failure.
+  void FailAllSessionsLocked(const Status& status) DASH_REQUIRES(mu_);
+
+  Transport* const inner_;
+  const SessionMuxOptions options_;
+  const int num_parties_;
+  const int local_party_;
 
   mutable Mutex mu_{LockRank::kSessionMux};
   bool stopping_ DASH_GUARDED_BY(mu_) = false;
@@ -181,13 +229,11 @@ class SessionMux {
       DASH_GUARDED_BY(mu_);
   std::map<uint32_t, std::deque<Message>> orphans_ DASH_GUARDED_BY(mu_);
   size_t orphan_count_ DASH_GUARDED_BY(mu_) = 0;
-  std::vector<SendOp*> pending_sends_ DASH_GUARDED_BY(mu_);
-  CondVar send_cv_;
+  // Frames queued by ChannelSend, oldest first, for the pump to write.
+  std::vector<Message> send_queue_ DASH_GUARDED_BY(mu_);
   // Per peer; Ok while healthy.
   std::vector<Status> link_fail_ DASH_GUARDED_BY(mu_);
   SessionMuxStats stats_ DASH_GUARDED_BY(mu_);
-
-  std::thread pump_;
 };
 
 // One logical session as a Transport. Single-threaded like every
@@ -199,9 +245,12 @@ class SessionChannel : public Transport {
  public:
   ~SessionChannel() override;
 
-  int local_party() const override { return mux_->local_party(); }
+  int local_party() const override { return core_->local_party(); }
   uint32_t session_id() const override { return session_id_; }
 
+  // Queues the frame for the mux's pump and returns (see "Queued
+  // sends"): Ok means queued, and a later write failure surfaces from
+  // this session's next call.
   Status Send(int from, int to, MessageTag tag,
               std::vector<uint8_t> payload) override;
   Result<Message> Receive(int to, int from, MessageTag expected_tag) override;
@@ -214,10 +263,12 @@ class SessionChannel : public Transport {
 
  private:
   friend class SessionMux;
-  SessionChannel(SessionMux* mux, uint32_t session_id)
-      : Transport(mux->num_parties()), mux_(mux), session_id_(session_id) {}
+  SessionChannel(std::shared_ptr<SessionMux::Core> core, uint32_t session_id)
+      : Transport(core->num_parties()),
+        core_(std::move(core)),
+        session_id_(session_id) {}
 
-  SessionMux* mux_;
+  std::shared_ptr<SessionMux::Core> core_;
   uint32_t session_id_;
 };
 

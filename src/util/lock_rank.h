@@ -15,12 +15,14 @@
 //   rank  mutex                                 nests into (higher ranks)
 //   ----  ------------------------------------  -------------------------
 //    10   ControlServer::conn_mu_               (leaf in practice)
-//    15   partyd MeshManager::mu_               SessionMux::mu_ (health
-//                                               probe under the mesh lock)
-//    20   JobScheduler::mu_                     SessionMux::mu_ (abort of
-//                                               a running job's session)
+//    15   partyd MeshManager::mu_               SessionMux::Core::mu_
+//                                               (health probe under the
+//                                               mesh lock)
+//    20   JobScheduler::mu_                     SessionMux::Core::mu_
+//                                               (abort of a running job's
+//                                               session)
 //    30   Phase1Cache::mu_                      (leaf)
-//    40   SessionMux::mu_                       (leaf; rings the inner
+//    40   SessionMux::Core::mu_                 (leaf; rings the inner
 //                                               transport's doorbell,
 //                                               which takes no lock)
 //    50   ThreadPool::mu_                       (leaf)

@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/scan_result.h"
 #include "core/secure_scan.h"
 #include "mpc/secrecy.h"
 #include "net/network.h"
@@ -444,6 +445,7 @@ TEST(ConcurrencyRegressionTest, StressSchedulerAndControlPlaneUnderLoad) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     SecureScanOutput out;
     out.metrics.rounds = 1;
+    out.result_checksum = ScanResultChecksum(out.result);
     return out;
   };
   Phase1Cache cache(8);

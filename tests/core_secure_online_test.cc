@@ -51,6 +51,7 @@ TEST(SecureOnlineScanTest, StreamedEqualsFromScratch) {
   EXPECT_EQ(online.batches_seen(), 7);
 
   const auto out = online.Finalize().value();
+  EXPECT_EQ(out.result_checksum, ScanResultChecksum(out.result));
   const ScanResult direct =
       AssociationScan(VStack(all_x), all_y, VStack(all_c)).value();
   EXPECT_EQ(out.result.dof, direct.dof);

@@ -6,12 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "core/association_scan.h"
 #include "data/genotype_generator.h"
 #include "data/workloads.h"
+#include "net/network.h"
 #include "stats/ols.h"
+#include "transport/party_runner.h"
 #include "util/random.h"
 
 namespace dash {
@@ -272,6 +278,109 @@ TEST(SecureScanTest, RoundsCountedPerMode) {
   // 1 sample-count round + 1 R round + 2 additive rounds + 1 gather
   // round + 1 commit round.
   EXPECT_EQ(a.rounds, 6);
+}
+
+TEST(SecureScanTest, OutputCarriesItsResultChecksum) {
+  // Every producer fills result_checksum once, P = 1 runs (which skip
+  // the commit round) included.
+  const ScanWorkload w = SmallDemo(21);
+  const std::vector<PartyData> single = {w.parties[0]};
+  for (const AggregationMode mode :
+       {AggregationMode::kPublicShare, AggregationMode::kAdditive,
+        AggregationMode::kMasked, AggregationMode::kShamir}) {
+    SecureScanOptions options;
+    options.aggregation = mode;
+    for (const std::vector<PartyData>* parties : {&single, &w.parties}) {
+      const auto out = SecureAssociationScan(options).Run(*parties);
+      ASSERT_TRUE(out.ok()) << out.status();
+      EXPECT_EQ(out->result_checksum, ScanResultChecksum(out->result))
+          << AggregationModeName(mode) << " P=" << parties->size();
+    }
+  }
+}
+
+// One party of N = 64 whose three covariate columns are independent
+// ±(j+1) patterns with an exact zero mean, so per-party centering
+// leaves C bit for bit as it is and changes only absorbed_params.
+PartyData ZeroMeanCovariateParty() {
+  constexpr int64_t kRows = 64;
+  GwasWorkloadOptions options;
+  options.party_sizes = {kRows};
+  options.num_variants = 8;
+  options.num_covariates = 3;
+  options.num_causal = 1;
+  options.seed = 5;
+  PartyData party = MakeGwasWorkload(options).value().parties[0];
+  for (int64_t i = 0; i < kRows; ++i) {
+    for (int64_t j = 0; j < 3; ++j) {
+      const bool negative = ((i >> j) & 1) != 0;
+      party.c(i, j) = static_cast<double>(j + 1) * (negative ? -1.0 : 1.0);
+    }
+  }
+  return party;
+}
+
+Matrix FlipLowestBit(const Matrix& c, int64_t i, int64_t j) {
+  Matrix flipped = c;
+  uint64_t bits = 0;
+  std::memcpy(&bits, &flipped(i, j), sizeof(bits));
+  bits ^= 1;
+  std::memcpy(&flipped(i, j), &bits, sizeof(bits));
+  return flipped;
+}
+
+TEST(Phase1FingerprintTest, SeesEveryPhase1Input) {
+  const PartyData party = ZeroMeanCovariateParty();
+  SecureScanOptions stack;
+  stack.r_combine = RCombineMode::kBroadcastStack;
+  SecureScanOptions tree = stack;
+  tree.r_combine = RCombineMode::kBinaryTree;
+  const uint64_t base = Phase1Fingerprint(party.c, 0, stack);
+  EXPECT_EQ(Phase1Fingerprint(party.c, 0, stack), base);
+  EXPECT_NE(Phase1Fingerprint(FlipLowestBit(party.c, 37, 1), 0, stack), base);
+  EXPECT_NE(Phase1Fingerprint(party.c, 0, tree), base);
+  EXPECT_NE(Phase1Fingerprint(party.c, 1, stack), base);
+  // The same words read as cols x rows.
+  Matrix swapped(party.c.cols(), party.c.rows());
+  std::copy(party.c.data(), party.c.data() + party.c.size(), swapped.data());
+  EXPECT_NE(Phase1Fingerprint(swapped, 0, stack), base);
+}
+
+TEST(Phase1FingerprintTest, EveryChangedInputTurnsACacheHitIntoAMiss) {
+  const PartyData party = ZeroMeanCovariateParty();
+  PartyData flipped = party;
+  flipped.c = FlipLowestBit(party.c, 37, 1);
+  SecureScanOptions plain;
+  plain.r_combine = RCombineMode::kBroadcastStack;
+  SecureScanOptions tree = plain;
+  tree.r_combine = RCombineMode::kBinaryTree;
+  SecureScanOptions centered = plain;  // absorbed_params 0 -> 1, same C
+  centered.center_per_party = true;
+
+  Phase1State state;
+  const auto hit = [&state](const PartyData& data,
+                            const SecureScanOptions& options) {
+    InProcessMesh mesh(1);
+    const auto out =
+        RunPartySecureScan(mesh.endpoint(0), data, options, &state);
+    EXPECT_TRUE(out.ok()) << out.status();
+    return out.ok() && out->metrics.phase1_cache_hit;
+  };
+  EXPECT_FALSE(hit(party, plain));  // cold
+  EXPECT_EQ(state.local_fingerprint, Phase1Fingerprint(party.c, 0, plain));
+  struct Change {
+    const char* name;
+    const PartyData* data;
+    const SecureScanOptions* options;
+  };
+  for (const Change& change : {Change{"one bit of C", &flipped, &plain},
+                               Change{"r_combine", &party, &tree},
+                               Change{"absorbed_params", &party, &centered}}) {
+    // Warm the state on the unchanged inputs, then change one of them.
+    (void)hit(party, plain);
+    ASSERT_TRUE(hit(party, plain)) << change.name;
+    EXPECT_FALSE(hit(*change.data, *change.options)) << change.name;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Service layer in isolation: Phase1Cache check-out/check-in + LRU,
 // JobScheduler admission/cancel/deadline/shutdown against fake sessions
-// and scans, and the control protocol's line handling (no sockets —
+// and scans (plus one real scan on a single-party mesh, which needs no
+// network), and the control protocol's line handling (no sockets —
 // ControlServer::HandleLine is called directly).
 
 #include <gtest/gtest.h>
@@ -13,11 +14,17 @@
 #include <utility>
 #include <vector>
 
+#include "core/scan_result.h"
+#include "data/workloads.h"
 #include "service/control_server.h"
 #include "service/job.h"
 #include "service/job_scheduler.h"
 #include "service/phase1_cache.h"
+#include "transport/cluster_config.h"
 #include "transport/frame.h"
+#include "transport/party_runner.h"
+#include "transport/session_mux.h"
+#include "transport/tcp_transport.h"
 #include "transport/transport.h"
 #include "util/mutex.h"
 
@@ -143,6 +150,7 @@ ScanFn GateScan(std::shared_ptr<JobGate> gate) {
     if (!aborted.ok()) return aborted;
     SecureScanOutput out;
     out.metrics.rounds = 5;
+    out.result_checksum = ScanResultChecksum(out.result);
     return out;
   };
 }
@@ -289,6 +297,7 @@ TEST(JobSchedulerTest, CacheStateFlowsThroughRepeatJobs) {
     phase1->local_fingerprint = 42;
     SecureScanOutput out;
     out.metrics.phase1_cache_hit = phase1->local_fingerprint == 42;
+    out.result_checksum = ScanResultChecksum(out.result);
     return out;
   };
   auto gate = std::make_shared<JobGate>();
@@ -318,7 +327,9 @@ TEST(JobSchedulerTest, FinishedJobTableIsBoundedAndIdsStayUnique) {
   options.max_queued = 2000;
   const ScanFn instant = [](Transport*, const JobSpec&,
                             Phase1State*) -> Result<SecureScanOutput> {
-    return SecureScanOutput();
+    SecureScanOutput out;
+    out.result_checksum = ScanResultChecksum(out.result);
+    return out;
   };
   auto gate = std::make_shared<JobGate>();
   JobScheduler scheduler(GateFactory(gate), instant, nullptr, options);
@@ -352,6 +363,46 @@ TEST(JobSchedulerTest, FinishedJobTableIsBoundedAndIdsStayUnique) {
             StatusCode::kAlreadyExists);
   EXPECT_EQ(scheduler.Cancel(1).code(), StatusCode::kNotFound);
   EXPECT_EQ(scheduler.stats().completed, kJobs);
+}
+
+TEST(JobSchedulerTest, DoneRecordCarriesTheRunnersResultChecksum) {
+  // The daemon's stack at P = 1: RunPartySecureScan on a SessionMux
+  // channel of a single-party TcpTransport, which dials no peer.
+  ClusterConfig single;
+  single.endpoints.push_back({"127.0.0.1", 1});  // never dialed
+  auto tcp = TcpTransport::Connect(single, 0);
+  ASSERT_TRUE(tcp.ok()) << tcp.status();
+  SessionMux mux(tcp.value().get());
+
+  GwasWorkloadOptions workload_options;
+  workload_options.party_sizes = {80};
+  workload_options.num_variants = 16;
+  workload_options.num_covariates = 3;
+  workload_options.num_causal = 1;
+  workload_options.seed = 17;
+  const ScanWorkload workload = MakeGwasWorkload(workload_options).value();
+  const SecureScanOptions options;
+  const auto reference = SecureAssociationScan(options).Run(workload.parties);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+
+  const SessionFactory factory =
+      [&mux](const JobSpec& spec) -> Result<ScanSession> {
+    DASH_ASSIGN_OR_RETURN(std::unique_ptr<SessionChannel> channel,
+                          mux.OpenSession(spec.job_id));
+    ScanSession session;
+    session.transport = std::move(channel);
+    return session;
+  };
+  const ScanFn scan = [&](Transport* transport, const JobSpec&,
+                          Phase1State* phase1) {
+    return RunPartySecureScan(transport, workload.parties[0], options,
+                              phase1);
+  };
+  JobScheduler scheduler(factory, scan, nullptr, {});
+  ASSERT_TRUE(scheduler.Submit(Spec(1)).ok());
+  const JobRecord record = WaitSettled(&scheduler, 1);
+  EXPECT_EQ(record.state, JobState::kDone) << record.error;
+  EXPECT_EQ(record.checksum, ScanResultChecksum(reference->result));
 }
 
 // ---------------------------------------------------------------------

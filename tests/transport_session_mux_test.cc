@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -319,6 +320,95 @@ TEST(SessionMuxTest, Phase1CacheHitSkipsPhase1OverTheMux) {
   }
 }
 
+// Byte i of the frame `from` sends `to` in `round` of `session`.
+uint8_t BulkByte(uint32_t session, int from, int to, int round, size_t i) {
+  return static_cast<uint8_t>(i * 131 + session * 31 +
+                              static_cast<size_t>(from * 7 + to * 3 + round));
+}
+
+TEST(SessionMuxTest, ConcurrentSessionsExchangeMultiMegabyteFramesBothWays) {
+  // Every party of four sessions sends a 2 MiB frame to both peers at
+  // once, twice. No socket buffer holds that, so each pump sits in the
+  // full-socket path, draining its intake while it writes.
+  constexpr int kParties = 3;
+  constexpr int kSessions = 4;
+  constexpr int kRounds = 2;
+  constexpr size_t kFrameBytes = (size_t{2} << 20) + 5;
+  MuxedMesh mesh = ConnectMesh(kParties);
+
+  struct Run {
+    Status status = Status::Ok();
+    int64_t bytes = -1;
+  };
+  Run runs[kSessions][kParties];
+  std::vector<std::thread> threads;
+  for (int s = 0; s < kSessions; ++s) {
+    for (int p = 0; p < kParties; ++p) {
+      threads.emplace_back([&, s, p] {
+        const uint32_t id = static_cast<uint32_t>(40 + s);
+        Run& run = runs[s][p];
+        auto channel = mesh.muxes[static_cast<size_t>(p)]->OpenSession(id);
+        if (!channel.ok()) {
+          run.status = channel.status();
+          return;
+        }
+        for (int round = 0; round < kRounds && run.status.ok(); ++round) {
+          for (int q = 0; q < kParties && run.status.ok(); ++q) {
+            if (q == p) continue;
+            std::vector<uint8_t> payload(kFrameBytes);
+            for (size_t i = 0; i < kFrameBytes; ++i) {
+              payload[i] = BulkByte(id, p, q, round, i);
+            }
+            run.status = channel.value()->Send(p, q, MessageTag::kMaskedValue,
+                                               std::move(payload));
+          }
+          for (int q = 0; q < kParties && run.status.ok(); ++q) {
+            if (q == p) continue;
+            auto msg = channel.value()->Receive(p, q, MessageTag::kMaskedValue);
+            if (!msg.ok()) {
+              run.status = msg.status();
+              break;
+            }
+            const std::vector<uint8_t>& got = msg.value().payload;
+            bool same = got.size() == kFrameBytes;
+            for (size_t i = 0; same && i < kFrameBytes; ++i) {
+              same = got[i] == BulkByte(id, q, p, round, i);
+            }
+            if (!same) {
+              run.status = DataLossError(
+                  "session " + std::to_string(id) + ": party " +
+                  std::to_string(p) + " got a wrong frame from party " +
+                  std::to_string(q) + " in round " + std::to_string(round));
+            }
+          }
+        }
+        run.bytes = channel.value()->metrics().total_bytes();
+      });
+    }
+  }
+  for (auto& t : threads) t.join();
+
+  const int64_t per_party =
+      kRounds * (kParties - 1) *
+      static_cast<int64_t>(kFrameBytes + Message::kHeaderBytes);
+  for (int s = 0; s < kSessions; ++s) {
+    for (int p = 0; p < kParties; ++p) {
+      EXPECT_TRUE(runs[s][p].status.ok())
+          << "session " << 40 + s << " party " << p << ": "
+          << runs[s][p].status;
+      EXPECT_EQ(runs[s][p].bytes, per_party)
+          << "session " << 40 + s << " party " << p;
+    }
+  }
+  for (int p = 0; p < kParties; ++p) {
+    EXPECT_EQ(mesh.transports[static_cast<size_t>(p)]->metrics().total_bytes(),
+              kSessions * per_party)
+        << "party " << p;
+    EXPECT_EQ(mesh.muxes[static_cast<size_t>(p)]->stats().routed_messages,
+              kSessions * kRounds * (kParties - 1));
+  }
+}
+
 // ---------------------------------------------------------------------
 // Fault injection scoped to ONE session of two. Every party of session
 // 31 wraps its channel in a FaultInjectingTransport with the SAME plan
@@ -423,11 +513,15 @@ TEST(SessionMuxFaultTest, DropInOneSessionFailsOnlyThatSession) {
 }
 
 // ---------------------------------------------------------------------
-// Wake-ups. The inner transport below has no sockets, and its PumpWait
-// ignores any positive timeout: it returns only once WakePumpWait has
-// rung, or after a 10 s cap that counts as a lost wake-up. A mux that
-// relied on PumpWait's timeout to run a queued send, to notice
-// shutdown or to apply a link failure would therefore wait out the cap.
+// Wake-ups and queued sends. The inner transport below has no sockets,
+// and its PumpWait ignores any positive timeout: it returns only once
+// WakePumpWait has rung, or after a 10 s cap that counts as a lost
+// wake-up. A mux that relied on PumpWait's timeout to run a queued
+// send, to notice shutdown or to apply a link failure would therefore
+// wait out the cap. It logs every frame the pump writes, can hold
+// those writes (as a full socket would) until released or until 10 s
+// after the hold began, can fail every write to one peer, and delivers
+// the frames a test injects.
 
 class DoorbellOnlyTransport : public Transport {
  public:
@@ -438,9 +532,19 @@ class DoorbellOnlyTransport : public Transport {
               std::vector<uint8_t> payload) override {
     return SendOnSession(0, from, to, tag, std::move(payload));
   }
-  Status SendOnSession(uint32_t, int from, int to, MessageTag tag,
+  Status SendOnSession(uint32_t session, int from, int to, MessageTag tag,
                        std::vector<uint8_t> payload) override {
+    MutexLock lock(&mu_);
+    write_blocked_ = hold_writes_;
+    cv_.NotifyAll();
+    while (hold_writes_ &&
+           cv_.WaitUntil(&mu_, hold_cap_) != std::cv_status::timeout) {
+    }
+    write_blocked_ = false;
+    if (to == failing_peer_) return failing_status_;
     RecordSend(from, to, tag, payload.size());
+    written_.push_back(Message{from, to, session, tag, std::move(payload)});
+    cv_.NotifyAll();
     return Status::Ok();
   }
   Result<Message> Receive(int, int, MessageTag) override {
@@ -453,7 +557,13 @@ class DoorbellOnlyTransport : public Transport {
       lost_peer_ = lose_peer_;
       lose_during_intake_from_ = -1;
     }
-    return NotFoundError("no peer ever sends");
+    for (auto it = inbound_.begin(); it != inbound_.end(); ++it) {
+      if (it->from != from) continue;
+      Message msg = std::move(*it);
+      inbound_.erase(it);
+      return msg;
+    }
+    return NotFoundError("nothing injected from this peer");
   }
   Status LinkStatus(int peer) override {
     MutexLock lock(&mu_);
@@ -483,12 +593,69 @@ class DoorbellOnlyTransport : public Transport {
   void WakePumpWait() override {
     MutexLock lock(&mu_);
     rung_ = true;
+    ++rings_;
     cv_.NotifyAll();
   }
 
   int expiries() const {
     MutexLock lock(&mu_);
     return expiries_;
+  }
+
+  // Writes block from now until ReleaseWrites, or at most 10 s.
+  void HoldWrites() {
+    MutexLock lock(&mu_);
+    hold_writes_ = true;
+    hold_cap_ = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  }
+  void ReleaseWrites() {
+    MutexLock lock(&mu_);
+    hold_writes_ = false;
+    cv_.NotifyAll();
+  }
+  // True once the pump is blocked in a held write (false at the cap).
+  bool AwaitWriteBlocked() {
+    MutexLock lock(&mu_);
+    while (!write_blocked_) {
+      if (cv_.WaitUntil(&mu_, hold_cap_) == std::cv_status::timeout) {
+        return write_blocked_;
+      }
+    }
+    return true;
+  }
+  // Every later write to `peer` fails with `status`.
+  void FailWritesTo(int peer, Status status) {
+    MutexLock lock(&mu_);
+    failing_peer_ = peer;
+    failing_status_ = std::move(status);
+  }
+  // Frames the pump wrote, in write order, once there are `count` of
+  // them or 10 s passed.
+  std::vector<Message> AwaitWritten(size_t count) {
+    MutexLock lock(&mu_);
+    const auto cap =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (written_.size() < count &&
+           cv_.WaitUntil(&mu_, cap) != std::cv_status::timeout) {
+    }
+    return written_;
+  }
+  int rings() const {
+    MutexLock lock(&mu_);
+    return rings_;
+  }
+  // Returns once WakePumpWait has rung more than `rings` times in all.
+  void AwaitRingsAbove(int rings) {
+    MutexLock lock(&mu_);
+    while (rings_ <= rings) cv_.Wait(&mu_);
+  }
+  // Queues `msg` for the pump's intake and rings, as inbound bytes
+  // would end PumpWait.
+  void Inject(Message msg) {
+    MutexLock lock(&mu_);
+    inbound_.push_back(std::move(msg));
+    rung_ = true;
+    cv_.NotifyAll();
   }
 
   // Returns once the pump thread is blocked in PumpWait.
@@ -511,6 +678,14 @@ class DoorbellOnlyTransport : public Transport {
   bool rung_ DASH_GUARDED_BY(mu_) = false;
   bool blocked_ DASH_GUARDED_BY(mu_) = false;
   int expiries_ DASH_GUARDED_BY(mu_) = 0;
+  int rings_ DASH_GUARDED_BY(mu_) = 0;
+  bool hold_writes_ DASH_GUARDED_BY(mu_) = false;
+  bool write_blocked_ DASH_GUARDED_BY(mu_) = false;
+  std::chrono::steady_clock::time_point hold_cap_ DASH_GUARDED_BY(mu_);
+  int failing_peer_ DASH_GUARDED_BY(mu_) = -1;
+  Status failing_status_ DASH_GUARDED_BY(mu_) = Status::Ok();
+  std::vector<Message> written_ DASH_GUARDED_BY(mu_);
+  std::deque<Message> inbound_ DASH_GUARDED_BY(mu_);
   int lose_during_intake_from_ DASH_GUARDED_BY(mu_) = -1;
   int lose_peer_ DASH_GUARDED_BY(mu_) = -1;
   int lost_peer_ DASH_GUARDED_BY(mu_) = -1;
@@ -575,6 +750,189 @@ TEST(SessionMuxWakeTest, LinkLostAfterItsPeersTurnFailsSessionsAtOnce) {
   EXPECT_LT(waited, 1.0);
   EXPECT_EQ(inner.expiries(), 0);
   EXPECT_EQ(mux.LinkHealth().code(), StatusCode::kUnavailable);
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+TEST(SessionMuxQueueTest, SendAndBroadcastReturnWhileTheWriteIsHeld) {
+  DoorbellOnlyTransport inner(3);
+  SessionMux mux(&inner);
+  auto channel = mux.OpenSession(1);
+  ASSERT_TRUE(channel.ok()) << channel.status();
+  // Every write blocks, as on a full socket, until the release below.
+  // A Send that waited for its write would wait out the 10 s hold.
+  inner.HoldWrites();
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(
+      channel.value()->Send(0, 1, MessageTag::kPlainStats, {7}).ok());
+  ASSERT_TRUE(
+      channel.value()->Broadcast(0, MessageTag::kMaskedValue, {8, 9}).ok());
+  EXPECT_LT(SecondsSince(start), 1.0);
+  EXPECT_EQ(channel.value()->metrics().total_messages(), 3);
+
+  inner.ReleaseWrites();
+  const std::vector<Message> written = inner.AwaitWritten(3);
+  ASSERT_EQ(written.size(), 3u);
+  EXPECT_EQ(written[0].to, 1);
+  EXPECT_EQ(written[0].payload, (std::vector<uint8_t>{7}));
+  EXPECT_EQ(written[1].to, 1);
+  EXPECT_EQ(written[2].to, 2);
+  for (size_t i = 1; i < 3; ++i) {
+    EXPECT_EQ(written[i].tag, MessageTag::kMaskedValue);
+    EXPECT_EQ(written[i].payload, (std::vector<uint8_t>{8, 9}));
+  }
+  for (const Message& msg : written) EXPECT_EQ(msg.session, 1u);
+}
+
+TEST(SessionMuxQueueTest, FramesKeepTheirOrderPerSessionAndPeer) {
+  constexpr int kFrames = 300;
+  DoorbellOnlyTransport inner(3);
+  SessionMux mux(&inner);
+  auto a = mux.OpenSession(4);
+  auto b = mux.OpenSession(5);
+  ASSERT_TRUE(a.ok() && b.ok());
+  // Two job threads queue interleaved frames while the first write is
+  // held, so the queue holds both sessions' frames at once.
+  inner.HoldWrites();
+  auto send_all = [](SessionChannel* channel) {
+    for (int i = 0; i < kFrames; ++i) {
+      ASSERT_TRUE(channel
+                      ->Send(0, 1 + i % 2, MessageTag::kPlainStats,
+                             {static_cast<uint8_t>(i & 0xFF),
+                              static_cast<uint8_t>(i >> 8)})
+                      .ok());
+    }
+  };
+  std::thread first(send_all, a.value().get());
+  std::thread second(send_all, b.value().get());
+  first.join();
+  second.join();
+  inner.ReleaseWrites();
+
+  const std::vector<Message> written = inner.AwaitWritten(2 * kFrames);
+  ASSERT_EQ(written.size(), static_cast<size_t>(2 * kFrames));
+  // next[session - 4][peer - 1] = the sequence number due next.
+  int next[2][2] = {{0, 1}, {0, 1}};
+  for (const Message& msg : written) {
+    ASSERT_TRUE(msg.session == 4 || msg.session == 5);
+    ASSERT_TRUE(msg.to == 1 || msg.to == 2);
+    int& due = next[msg.session - 4][msg.to - 1];
+    ASSERT_EQ(msg.payload.size(), 2u);
+    EXPECT_EQ(msg.payload[0] | (msg.payload[1] << 8), due)
+        << "session " << msg.session << " peer " << msg.to;
+    due += 2;
+  }
+  for (const auto& session : next) {
+    EXPECT_EQ(session[0], kFrames);
+    EXPECT_EQ(session[1], kFrames + 1);
+  }
+}
+
+// Queues kFrames frames on a fresh session while the pump is held in
+// the first write, destroys the channel before the mux or after it, and
+// returns every frame the pump wrote. The hold ends only once
+// ~SessionMux has refused further frames, so the frames are still
+// queued when the session closes and when the mux shuts down.
+constexpr int kQueuedAtShutdown = 40;
+
+std::vector<Message> SendThenDestroy(bool channel_first,
+                                     Status* late_send, Status* late_receive) {
+  DoorbellOnlyTransport inner(3);
+  auto mux = std::make_unique<SessionMux>(&inner);
+  auto opened = mux->OpenSession(9);
+  EXPECT_TRUE(opened.ok()) << opened.status();
+  if (!opened.ok()) return {};
+  std::unique_ptr<SessionChannel> channel = std::move(opened).value();
+  inner.HoldWrites();
+  for (int i = 0; i < kQueuedAtShutdown; ++i) {
+    EXPECT_TRUE(channel
+                    ->Send(0, 1 + i % 2, MessageTag::kCommit,
+                           {static_cast<uint8_t>(i)})
+                    .ok());
+    if (i == 0) {
+      EXPECT_TRUE(inner.AwaitWriteBlocked());
+    }
+  }
+  if (channel_first) channel.reset();
+  const int rings = inner.rings();
+  std::thread destroyer([&mux] { mux.reset(); });
+  inner.AwaitRingsAbove(rings);  // ~SessionMux set stopping_ and rang
+  inner.ReleaseWrites();
+  destroyer.join();
+  if (channel != nullptr) {
+    // The channel outlived its mux: its calls fail, and destroying it
+    // touches no freed memory.
+    *late_send = channel->Send(0, 1, MessageTag::kCommit, {1});
+    *late_receive = channel->Receive(0, 1, MessageTag::kCommit).status();
+    channel.reset();
+  }
+  return inner.AwaitWritten(kQueuedAtShutdown);
+}
+
+void ExpectAllQueuedFramesWritten(const std::vector<Message>& written) {
+  ASSERT_EQ(written.size(), static_cast<size_t>(kQueuedAtShutdown));
+  for (int i = 0; i < kQueuedAtShutdown; ++i) {
+    const Message& msg = written[static_cast<size_t>(i)];
+    EXPECT_EQ(msg.session, 9u);
+    EXPECT_EQ(msg.to, 1 + i % 2);
+    EXPECT_EQ(msg.payload, (std::vector<uint8_t>{static_cast<uint8_t>(i)}));
+  }
+}
+
+TEST(SessionMuxQueueTest, FramesQueuedBeforeTheChannelAndMuxDieAreWritten) {
+  Status late_send = Status::Ok();
+  Status late_receive = Status::Ok();
+  ExpectAllQueuedFramesWritten(SendThenDestroy(
+      /*channel_first=*/true, &late_send, &late_receive));
+}
+
+TEST(SessionMuxQueueTest, ChannelOutlivesItsMuxWithFramesQueued) {
+  Status late_send = Status::Ok();
+  Status late_receive = Status::Ok();
+  ExpectAllQueuedFramesWritten(SendThenDestroy(
+      /*channel_first=*/false, &late_send, &late_receive));
+  EXPECT_EQ(late_send.code(), StatusCode::kUnavailable) << late_send;
+  EXPECT_EQ(late_receive.code(), StatusCode::kUnavailable) << late_receive;
+}
+
+TEST(SessionMuxQueueTest, FailedWriteFailsItsSessionAndSparesTheOther) {
+  DoorbellOnlyTransport inner(3);
+  SessionMuxOptions options;
+  options.receive_timeout_ms = 10000;
+  SessionMux mux(&inner, options);
+  auto doomed = mux.OpenSession(1);
+  auto healthy = mux.OpenSession(2);
+  ASSERT_TRUE(doomed.ok() && healthy.ok());
+  inner.FailWritesTo(1, DataLossError("write to party 1 failed"));
+
+  // The Send only queues; the write fails on the pump, which latches
+  // the failure on session 1. Its next Receive (from a peer whose link
+  // is fine) and its next Send return it at once.
+  ASSERT_TRUE(doomed.value()->Send(0, 1, MessageTag::kPlainStats, {1}).ok());
+  const auto start = std::chrono::steady_clock::now();
+  const auto got = doomed.value()->Receive(0, 2, MessageTag::kPlainStats);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kDataLoss) << got.status();
+  EXPECT_LT(SecondsSince(start), 1.0);
+  EXPECT_EQ(doomed.value()->Send(0, 2, MessageTag::kPlainStats, {2}).code(),
+            StatusCode::kDataLoss);
+
+  // Session 2 on the same mux still sends and receives.
+  ASSERT_TRUE(healthy.value()->Send(0, 2, MessageTag::kPlainStats, {3}).ok());
+  inner.Inject(Message{2, 0, 2, MessageTag::kPlainStats, {4}});
+  const auto fine = healthy.value()->Receive(0, 2, MessageTag::kPlainStats);
+  ASSERT_TRUE(fine.ok()) << fine.status();
+  EXPECT_EQ(fine.value().payload, (std::vector<uint8_t>{4}));
+  const std::vector<Message> written = inner.AwaitWritten(1);
+  ASSERT_EQ(written.size(), 1u);
+  EXPECT_EQ(written[0].session, 2u);
+  EXPECT_EQ(written[0].payload, (std::vector<uint8_t>{3}));
+  EXPECT_TRUE(mux.LinkHealth().ok());
+  EXPECT_EQ(inner.expiries(), 0);
 }
 
 }  // namespace

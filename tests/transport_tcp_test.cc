@@ -12,9 +12,12 @@
 #include <utility>
 #include <vector>
 
+#include "core/scan_result.h"
+#include "data/workloads.h"
 #include "net/serialization.h"
 #include "transport/cluster_config.h"
 #include "transport/frame.h"
+#include "transport/party_runner.h"
 
 namespace dash {
 namespace {
@@ -389,6 +392,68 @@ TEST(TcpTransportTest, SinglePartyClusterNeedsNoNetwork) {
   auto r = TcpTransport::Connect(cluster, 0);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r.value()->num_parties(), 1);
+}
+
+TEST(TcpTransportTest, ScanOutputCarriesItsResultChecksum) {
+  GwasWorkloadOptions workload_options;
+  workload_options.party_sizes = {40, 60, 50};
+  workload_options.num_variants = 20;
+  workload_options.num_covariates = 3;
+  workload_options.num_causal = 2;
+  workload_options.seed = 9;
+  const ScanWorkload workload = MakeGwasWorkload(workload_options).value();
+  constexpr AggregationMode kModes[] = {
+      AggregationMode::kPublicShare, AggregationMode::kAdditive,
+      AggregationMode::kMasked, AggregationMode::kShamir};
+  constexpr int kNumModes = 4;
+
+  // P = 1 runs no commit round, yet the runner hashes its result once.
+  ClusterConfig single;
+  single.endpoints.push_back({"127.0.0.1", 1});  // never dialed
+  auto alone = TcpTransport::Connect(single, 0);
+  ASSERT_TRUE(alone.ok()) << alone.status();
+  for (const AggregationMode mode : kModes) {
+    SecureScanOptions options;
+    options.aggregation = mode;
+    const auto out = RunPartySecureScan(alone.value().get(),
+                                        workload.parties[0], options);
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_EQ(out->result_checksum, ScanResultChecksum(out->result))
+        << AggregationModeName(mode);
+  }
+
+  // P = 3 over loopback, the four modes in turn on one mesh.
+  const ClusterConfig cluster = MakeCluster(FreePorts(3));
+  TcpTransportOptions tcp_options;
+  tcp_options.connect_timeout_ms = 5000;
+  uint64_t carried[kNumModes][3] = {};
+  uint64_t computed[kNumModes][3] = {};
+  std::vector<std::thread> parties;
+  for (int p = 0; p < 3; ++p) {
+    parties.emplace_back([&, p] {
+      auto transport = TcpTransport::Connect(cluster, p, tcp_options);
+      ASSERT_TRUE(transport.ok()) << transport.status();
+      for (int m = 0; m < kNumModes; ++m) {
+        SecureScanOptions options;
+        options.aggregation = kModes[m];
+        const auto out =
+            RunPartySecureScan(transport.value().get(),
+                               workload.parties[static_cast<size_t>(p)],
+                               options);
+        ASSERT_TRUE(out.ok()) << "party " << p << ": " << out.status();
+        carried[m][p] = out->result_checksum;
+        computed[m][p] = ScanResultChecksum(out->result);
+      }
+    });
+  }
+  for (auto& t : parties) t.join();
+  for (int m = 0; m < kNumModes; ++m) {
+    for (int p = 0; p < 3; ++p) {
+      EXPECT_EQ(carried[m][p], computed[m][p])
+          << AggregationModeName(kModes[m]) << " party " << p;
+      EXPECT_EQ(carried[m][p], carried[m][0]);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
