@@ -70,13 +70,13 @@ int RealMain() {
   std::printf("=== E3 (Figure 2): communication scaling ===\n");
   std::printf("P = 3 parties, K = 4; total bytes over all links\n\n");
 
-  const AggregationMode modes[4] = {
-      AggregationMode::kPublicShare, AggregationMode::kAdditive,
-      AggregationMode::kMasked, AggregationMode::kShamir};
+  const AggregationMode modes[3] = {AggregationMode::kPublicShare,
+                                    AggregationMode::kAdditive,
+                                    AggregationMode::kMasked};
 
   std::printf("-- series 1: sweep N, M = 1000 (bytes must be flat in N) --\n");
-  std::printf("%-8s | %12s %12s %12s %12s\n", "N", "public", "additive",
-              "masked", "shamir");
+  std::printf("%-8s | %12s %12s %12s\n", "N", "public", "additive",
+              "masked");
   for (const int64_t n : {300, 3000, 30000}) {
     const ScanWorkload w = MakeSized(n, 1000, 3 + static_cast<uint64_t>(n));
     std::printf("%-8lld |", static_cast<long long>(n));
@@ -88,14 +88,13 @@ int RealMain() {
   }
 
   std::printf("\n-- series 2: sweep M, N = 3000 (bytes linear in M) --\n");
-  std::printf("%-8s | %12s %9s | %12s %9s | %12s %9s\n", "M", "additive",
-              "bytes/M", "masked", "bytes/M", "shamir", "bytes/M");
+  std::printf("%-8s | %12s %9s | %12s %9s\n", "M", "additive", "bytes/M",
+              "masked", "bytes/M");
   for (const int64_t m : {250, 1000, 4000, 16000}) {
     const ScanWorkload w = MakeSized(3000, m, 7 + static_cast<uint64_t>(m));
     std::printf("%-8lld |", static_cast<long long>(m));
-    for (const auto mode : {AggregationMode::kAdditive,
-                            AggregationMode::kMasked,
-                            AggregationMode::kShamir}) {
+    for (const auto mode :
+         {AggregationMode::kAdditive, AggregationMode::kMasked}) {
       const int64_t bytes = Metrics(w, mode).total_bytes;
       std::printf(" %12lld %9.1f |", static_cast<long long>(bytes),
                   static_cast<double>(bytes) / static_cast<double>(m));
@@ -106,8 +105,8 @@ int RealMain() {
   std::printf(
       "\n-- series 3: sweep P, N = 3000, M = 1000 (max bytes one party "
       "sends) --\n");
-  std::printf("%-8s | %12s %12s %12s %12s | %9s\n", "P", "public",
-              "additive", "masked", "shamir", "vector");
+  std::printf("%-8s | %12s %12s %12s | %9s\n", "P", "public", "additive",
+              "masked", "vector");
   for (const int parties : {2, 3, 5, 8}) {
     GwasWorkloadOptions data;
     data.party_sizes.assign(static_cast<size_t>(parties), 3000 / parties);
@@ -136,9 +135,8 @@ int RealMain() {
   std::printf(
       "\nexpected shape: series 1 rows identical down the column; series 2\n"
       "bytes/M constant per mode (the O(M) claim), with masked cheapest;\n"
-      "series 3 masked under two vectors at every P, additive and shamir\n"
-      "growing only by their share round's (P-1) vectors, public by\n"
-      "(P-1) vectors.\n");
+      "series 3 masked under two vectors at every P, additive growing\n"
+      "only by its share round's (P-1) vectors, public by (P-1) vectors.\n");
   return 0;
 }
 

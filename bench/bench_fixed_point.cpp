@@ -1,9 +1,9 @@
-// E10 / Figure 6 — fixed-point precision ablation for the ring/field
-// secure sums.
+// E10 / Figure 6 — fixed-point precision ablation for the ring secure
+// sums.
 //
 // Ring aggregation quantizes each statistic to 2^-f; the revealed totals
 // deviate from exact doubles by at most P quantization steps, while the
-// usable magnitude shrinks as 2^(63-f) (ring) / 2^(60-f)/P (field).
+// usable magnitude shrinks as 2^(63-f).
 // This bench sweeps f on an R-demo-shaped workload and reports the
 // observed end-to-end error in beta and p-values, justifying the
 // library default of f = 40.
@@ -53,22 +53,9 @@ int RealMain() {
                 MaxAbsDiff(out->result.pval, exact.pval));
   }
 
-  std::printf("\n-- Shamir field headroom (61-bit) at the same sizes --\n");
-  std::printf("%-6s %14s %16s\n", "bits", "field headroom", "status");
-  for (const int bits : {16, 24, 32, 40}) {
-    SecureScanOptions opts;
-    opts.aggregation = AggregationMode::kShamir;
-    opts.frac_bits = bits;
-    const auto out = SecureAssociationScan(opts).Run(w.parties);
-    std::printf("%-6d %14.1e %16s\n", bits,
-                std::ldexp(1.0, 60 - bits) / 3.0,
-                out.ok() ? "ok" : "overflow");
-  }
-
   std::printf(
       "\nexpected shape: error halves per extra bit until double roundoff;\n"
-      "f = 40 gives ~1e-12 scan error with 8.4e6 headroom (the default).\n"
-      "Shamir needs smaller f at the same magnitudes (61-bit field).\n");
+      "f = 40 gives ~1e-12 scan error with 8.4e6 headroom (the default).\n");
   return 0;
 }
 

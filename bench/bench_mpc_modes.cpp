@@ -85,9 +85,6 @@ void BM_SecureSumAdditive(benchmark::State& state) {
 void BM_SecureSumMasked(benchmark::State& state) {
   RunMode(state, AggregationMode::kMasked);
 }
-void BM_SecureSumShamir(benchmark::State& state) {
-  RunMode(state, AggregationMode::kShamir);
-}
 
 #define DASH_SUM_ARGS                       \
   ->Args({3, 1000})                         \
@@ -99,7 +96,6 @@ void BM_SecureSumShamir(benchmark::State& state) {
 BENCHMARK(BM_SecureSumPublic) DASH_SUM_ARGS;
 BENCHMARK(BM_SecureSumAdditive) DASH_SUM_ARGS;
 BENCHMARK(BM_SecureSumMasked) DASH_SUM_ARGS;
-BENCHMARK(BM_SecureSumShamir) DASH_SUM_ARGS;
 
 // One-time masked-aggregation key agreement (the setup the steady-state
 // rounds amortize away).

@@ -68,7 +68,7 @@ struct Row {
   int64_t n;
   int64_t m;
   double plain_seconds;
-  double ratio[4];
+  double ratio[3];
 };
 
 double TimePlain(const ScanWorkload& w) {
@@ -102,13 +102,12 @@ ScanWorkload MakeSized(int64_t n_total, int64_t m, uint64_t seed) {
 }
 
 void PrintRows(const std::vector<Row>& rows) {
-  std::printf("%-8s %-8s %12s | %9s %9s %9s %9s\n", "N", "M", "plain(s)",
-              "public", "additive", "masked", "shamir");
+  std::printf("%-8s %-8s %12s | %9s %9s %9s\n", "N", "M", "plain(s)",
+              "public", "additive", "masked");
   for (const Row& r : rows) {
-    std::printf("%-8lld %-8lld %12.4f | %9.3f %9.3f %9.3f %9.3f\n",
+    std::printf("%-8lld %-8lld %12.4f | %9.3f %9.3f %9.3f\n",
                 static_cast<long long>(r.n), static_cast<long long>(r.m),
-                r.plain_seconds, r.ratio[0], r.ratio[1], r.ratio[2],
-                r.ratio[3]);
+                r.plain_seconds, r.ratio[0], r.ratio[1], r.ratio[2]);
   }
 }
 
@@ -118,10 +117,10 @@ Row Measure(int64_t n, int64_t m, uint64_t seed) {
   row.n = n;
   row.m = m;
   row.plain_seconds = TimePlain(w);
-  const AggregationMode modes[4] = {
-      AggregationMode::kPublicShare, AggregationMode::kAdditive,
-      AggregationMode::kMasked, AggregationMode::kShamir};
-  for (int i = 0; i < 4; ++i) {
+  const AggregationMode modes[3] = {AggregationMode::kPublicShare,
+                                    AggregationMode::kAdditive,
+                                    AggregationMode::kMasked};
+  for (int i = 0; i < 3; ++i) {
     row.ratio[i] = TimeSecure(w, modes[i]) / row.plain_seconds;
   }
   return row;

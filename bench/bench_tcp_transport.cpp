@@ -148,7 +148,7 @@ int RealMain() {
   const ScanWorkload w = MakeSized(4000, 21);
   for (const auto mode :
        {AggregationMode::kPublicShare, AggregationMode::kAdditive,
-        AggregationMode::kMasked, AggregationMode::kShamir}) {
+        AggregationMode::kMasked}) {
     const TcpRun tcp = RunTcp(w, mode);
     std::printf("%-10s | %9lld %12lld %12lld | %12.1f %9.2f\n",
                 AggregationModeName(mode),

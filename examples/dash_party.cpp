@@ -37,7 +37,7 @@ void PrintUsage() {
   std::fprintf(
       stderr,
       "usage: dash_party --party P (--cluster h:p,h:p,... | --config FILE)\n"
-      "                  [--mode masked|additive|shamir|public]\n"
+      "                  [--mode masked|additive|public]\n"
       "                  [--r-combine stack|tree] [--center]\n"
       "                  [--variants M] [--samples N-per-party]\n"
       "                  [--frac-bits N] [--seed S] [--data-seed S]\n"
@@ -111,19 +111,12 @@ int RealMain(int argc, char** argv) {
     } else if (arg == "--mode") {
       const char* value = next();
       if (value == nullptr) return 2;
-      const std::string s = value;
-      if (s == "masked") {
-        scan_options.aggregation = AggregationMode::kMasked;
-      } else if (s == "additive") {
-        scan_options.aggregation = AggregationMode::kAdditive;
-      } else if (s == "shamir") {
-        scan_options.aggregation = AggregationMode::kShamir;
-      } else if (s == "public") {
-        scan_options.aggregation = AggregationMode::kPublicShare;
-      } else {
-        std::fprintf(stderr, "unknown --mode '%s'\n", value);
+      auto mode = ParseAggregationMode(value);
+      if (!mode.ok()) {
+        std::fprintf(stderr, "--mode: %s\n", mode.status().ToString().c_str());
         return 2;
       }
+      scan_options.aggregation = mode.value();
     } else if (arg == "--r-combine") {
       const char* value = next();
       if (value == nullptr) return 2;
@@ -144,6 +137,10 @@ int RealMain(int argc, char** argv) {
       if (!next_i64(&samples_per_party)) return 2;
     } else if (arg == "--frac-bits") {
       if (!next_i64(&v)) return 2;
+      if (v < 1 || v > 62) {
+        std::fprintf(stderr, "--frac-bits expects an integer in [1, 62]\n");
+        return 2;
+      }
       scan_options.frac_bits = static_cast<int>(v);
     } else if (arg == "--seed") {
       if (!next_i64(&v)) return 2;

@@ -29,7 +29,6 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -378,37 +377,14 @@ void PrintUsage() {
       "bit-identical, so the reference checksum is the same.\n");
 }
 
-// Parses the SUBMIT verb's argument list (shared with --simulate-job so
-// the reference path accepts the exact client spec).
-bool ParseSubmitArgs(const std::string& args, JobSpec* spec) {
-  std::istringstream in(args);
-  std::string mode;
-  in >> spec->job_id >> spec->cohort_key >> spec->variants >>
-      spec->samples_per_party >> spec->covariates >> spec->data_seed >>
-      mode >> spec->deadline_ms;
-  if (in.fail()) return false;
-  for (const AggregationMode m :
-       {AggregationMode::kPublicShare, AggregationMode::kAdditive,
-        AggregationMode::kMasked, AggregationMode::kShamir}) {
-    if (mode == AggregationModeName(m)) {
-      spec->mode = m;
-      in >> spec->protocol_seed;  // optional
-      if (in.fail()) in.clear();
-      std::string extra;
-      if (in >> extra && extra == "stream") spec->stream = true;
-      return true;
-    }
-  }
-  return false;
-}
-
 int SimulateJob(const std::string& args, int parties) {
-  JobSpec spec;
-  if (!ParseSubmitArgs(args, &spec)) {
-    std::fprintf(stderr, "--simulate-job: cannot parse \"%s\"\n",
-                 args.c_str());
+  const Result<JobSpec> parsed = ParseJobSpec(args);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "--simulate-job \"%s\": %s\n", args.c_str(),
+                 parsed.status().ToString().c_str());
     return 2;
   }
+  const JobSpec& spec = parsed.value();
   const Status valid = ValidateJobSpec(spec, parties);
   if (!valid.ok()) {
     std::fprintf(stderr, "--simulate-job: %s\n", valid.ToString().c_str());

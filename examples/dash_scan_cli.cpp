@@ -3,8 +3,7 @@
 //
 //   $ dash_scan_cli --party x1.csv:y1.csv:c1.csv
 //                   --party x2.csv:y2.csv:c2.csv
-//                   [--mode masked|additive|shamir|public]
-//                   [--projection sums|beaver]
+//                   [--mode masked|additive|public]
 //                   [--r-combine stack|tree] [--impute]
 //                   [--center] [--frac-bits N] [--threads N]
 //                   [--out results.csv] [--report report.txt]
@@ -32,19 +31,10 @@ void PrintUsage() {
   std::fprintf(
       stderr,
       "usage: dash_scan_cli --party X.csv:y.csv[:C.csv] [--party ...]\n"
-      "                     [--mode masked|additive|shamir|public]\n"
-      "                     [--projection sums|beaver]\n"
+      "                     [--mode masked|additive|public]\n"
       "                     [--r-combine stack|tree] [--center] [--impute]\n"
       "                     [--frac-bits N] [--threads N] [--out FILE]\n"
       "                     [--report FILE]\n");
-}
-
-Result<AggregationMode> ParseMode(const std::string& s) {
-  if (s == "masked") return AggregationMode::kMasked;
-  if (s == "additive") return AggregationMode::kAdditive;
-  if (s == "shamir") return AggregationMode::kShamir;
-  if (s == "public") return AggregationMode::kPublicShare;
-  return InvalidArgumentError("unknown --mode '" + s + "'");
 }
 
 int RealMain(int argc, char** argv) {
@@ -82,23 +72,12 @@ int RealMain(int argc, char** argv) {
     } else if (arg == "--mode") {
       const char* value = next();
       if (value == nullptr) return 2;
-      auto mode = ParseMode(value);
+      auto mode = ParseAggregationMode(value);
       if (!mode.ok()) {
-        std::fprintf(stderr, "%s\n", mode.status().ToString().c_str());
+        std::fprintf(stderr, "--mode: %s\n", mode.status().ToString().c_str());
         return 2;
       }
       options.aggregation = mode.value();
-    } else if (arg == "--projection") {
-      const char* value = next();
-      if (value == nullptr) return 2;
-      if (std::strcmp(value, "sums") == 0) {
-        options.projection = ProjectionSecurity::kRevealProjectedSums;
-      } else if (std::strcmp(value, "beaver") == 0) {
-        options.projection = ProjectionSecurity::kBeaverDotProducts;
-      } else {
-        std::fprintf(stderr, "unknown --projection '%s'\n", value);
-        return 2;
-      }
     } else if (arg == "--r-combine") {
       const char* value = next();
       if (value == nullptr) return 2;
@@ -176,11 +155,10 @@ int RealMain(int argc, char** argv) {
   int64_t n = 0;
   for (const auto& p : parties) n += p.num_samples();
   std::printf("scanned %lld variants over %lld samples in %zu parties "
-              "(mode=%s, projection=%s)\n",
+              "(mode=%s)\n",
               static_cast<long long>(scan.num_variants()),
               static_cast<long long>(n), parties.size(),
-              AggregationModeName(options.aggregation),
-              ProjectionSecurityName(options.projection));
+              AggregationModeName(options.aggregation));
   std::printf("traffic: %lld bytes, %d rounds; dof = %lld\n",
               static_cast<long long>(out->metrics.total_bytes),
               out->metrics.rounds, static_cast<long long>(scan.dof));

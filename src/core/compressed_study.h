@@ -38,9 +38,8 @@ class CompressedStudy {
 
   // Secure multi-party compression: one aggregation round over the
   // configured secure-sum mode; the resulting object is public (it is
-  // exactly what the protocol reveals). Because it reveals CᵀX itself,
-  // options.projection kBeaverDotProducts and options.center_per_party
-  // fail InvalidArgument.
+  // exactly what the protocol reveals). It reveals CᵀX itself, so
+  // options.center_per_party fails InvalidArgument.
   struct SecureOutput;
   static Result<SecureOutput> SecureCompress(
       const std::vector<MultiPhenotypePartyData>& parties,

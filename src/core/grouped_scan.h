@@ -56,8 +56,8 @@ struct SecureGroupedScanOutput {
 
 // Simulated secure grouped scan: P threads of RunPartySummandProtocol
 // (transport/party_runner.h), each finalizing the revealed totals
-// locally. The totals include Qᵀy and QᵀX_g, so options.projection
-// kBeaverDotProducts and options.center_per_party fail InvalidArgument.
+// locally. The totals are the workload's own uncentered sums, so
+// options.center_per_party fails InvalidArgument.
 Result<SecureGroupedScanOutput> SecureGroupedScan(
     const std::vector<PartyData>& parties, int64_t group_size,
     const SecureScanOptions& options = {});

@@ -14,10 +14,9 @@ Result<SecureImputationOutput> SecureMeanImpute(
   int64_t total_missing = 0;
   for (const auto& p : *parties) total_missing += CountMissing(p.x);
 
-  // Projection and centering configure the scan that follows; the
-  // imputation sums plain column moments either way.
+  // Centering configures the scan that follows; the imputation sums
+  // plain column moments either way.
   SecureScanOptions moment_options = options;
-  moment_options.projection = ProjectionSecurity::kRevealProjectedSums;
   moment_options.center_per_party = false;
   std::vector<PartySummandOutput> sums(static_cast<size_t>(num_parties));
   SecureImputationOutput out;

@@ -33,8 +33,8 @@ struct SecureImputationOutput {
 // the configured aggregation mode, then imputes every party's X in
 // place. Columns with no observed entries anywhere impute to 0 (and will
 // be flagged untestable by the scan). Parties must already validate
-// (consistent M). options.projection and options.center_per_party
-// configure the scan that follows and are ignored here.
+// (consistent M). options.center_per_party configures the scan that
+// follows and is ignored here.
 Result<SecureImputationOutput> SecureMeanImpute(
     std::vector<PartyData>* parties, const SecureScanOptions& options = {});
 

@@ -44,9 +44,8 @@ struct SecureMultiPhenotypeOutput {
 
 // Secure multi-party version: P threads of RunPartySummandProtocol
 // (transport/party_runner.h) — one R combination plus one secure-sum
-// aggregation covering all phenotypes. The totals include Qᵀy and QᵀX,
-// so options.projection kBeaverDotProducts and options.center_per_party
-// fail InvalidArgument.
+// aggregation covering all phenotypes. The totals are the workload's own
+// uncentered sums, so options.center_per_party fails InvalidArgument.
 Result<SecureMultiPhenotypeOutput> SecureMultiPhenotypeScan(
     const std::vector<MultiPhenotypePartyData>& parties,
     const SecureScanOptions& options = {});

@@ -106,7 +106,7 @@ Result<ScanResult> FinalizeScan(const ScanSufficientStats& totals) {
   const int64_t m = totals.num_variants();
   const int64_t k = totals.num_covariates();
   // Project the K-vector statistics down to the scalars Lemma 2.1 uses
-  // and share the finalization path with the Beaver-secured aggregation.
+  // and share the finalization path with the compressed study.
   ProjectedSufficientStats proj;
   proj.num_samples = totals.num_samples;
   proj.num_covariates = k;

@@ -51,10 +51,9 @@ Result<ScanResult> FinalizeScan(const ScanSufficientStats& totals);
 // revealed the same result, and what dash_party prints.
 uint64_t ScanResultChecksum(const ScanResult& result);
 
-// The projected form of the sufficient statistics: what remains when
-// the K-vectors Qᵀy and QᵀX are never revealed and only their dot
-// products are (the Beaver-secured aggregation of
-// mpc/secure_projection.h). Lemma 2.1 needs nothing more.
+// The projected form of the sufficient statistics: the K-vectors Qᵀy
+// and QᵀX reduced to the dot products Lemma 2.1 consumes. Lemma 2.1
+// needs nothing more.
 struct ProjectedSufficientStats {
   int64_t num_samples = 0;
   int64_t num_covariates = 0;  // K (public shape information)

@@ -8,16 +8,6 @@
 
 namespace dash {
 
-const char* ProjectionSecurityName(ProjectionSecurity security) {
-  switch (security) {
-    case ProjectionSecurity::kRevealProjectedSums:
-      return "reveal-sums";
-    case ProjectionSecurity::kBeaverDotProducts:
-      return "beaver-dot-products";
-  }
-  return "unknown";
-}
-
 SecureAssociationScan::SecureAssociationScan(const SecureScanOptions& options)
     : options_(options) {}
 

@@ -30,19 +30,6 @@
 
 namespace dash {
 
-// What the protocol reveals about the projected statistics.
-enum class ProjectionSecurity {
-  // Reveal the aggregated K-vectors Qᵀy and QᵀX (the paper's baseline:
-  // "sharing them to sum or applying an SMC sum protocol").
-  kRevealProjectedSums = 0,
-  // Reveal only the dot products Lemma 2.1 consumes, via Beaver-triple
-  // multiplication on the summands (the paper's "for even greater
-  // security" variant). Costs O(KM) traffic instead of O(M).
-  kBeaverDotProducts = 1,
-};
-
-const char* ProjectionSecurityName(ProjectionSecurity security);
-
 struct SecureScanOptions {
   // How the sufficient-statistic summands are aggregated.
   AggregationMode aggregation = AggregationMode::kMasked;
@@ -50,15 +37,8 @@ struct SecureScanOptions {
   // How the per-party R factors are combined.
   RCombineMode r_combine = RCombineMode::kBroadcastStack;
 
-  // Whether the projected statistics are revealed as sums or only as
-  // the final dot products.
-  ProjectionSecurity projection = ProjectionSecurity::kRevealProjectedSums;
-
-  // Fixed-point bits for the Beaver products (results carry 2x this;
-  // see mpc/secure_projection.h for the headroom trade-off).
-  int projection_frac_bits = 20;
-
-  // Fixed-point precision for the ring/field secure sums.
+  // Fixed-point precision for the ring secure sums, in [1, 62]; the
+  // per-party entry points refuse any other value with InvalidArgument.
   int frac_bits = FixedPointCodec::kDefaultFracBits;
 
   // Threads for the per-party statistics pass.

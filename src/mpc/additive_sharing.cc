@@ -7,24 +7,6 @@
 
 namespace dash {
 
-std::vector<uint64_t> AdditiveShare(uint64_t value, int n, Rng* rng) {
-  DASH_CHECK_GE(n, 1);
-  std::vector<uint64_t> shares(static_cast<size_t>(n));
-  uint64_t acc = 0;
-  for (int i = 1; i < n; ++i) {
-    shares[static_cast<size_t>(i)] = rng->NextU64();
-    acc += shares[static_cast<size_t>(i)];
-  }
-  shares[0] = value - acc;  // wrapping
-  return shares;
-}
-
-uint64_t AdditiveReconstruct(const std::vector<uint64_t>& shares) {
-  uint64_t sum = 0;
-  for (const uint64_t s : shares) sum += s;
-  return sum;
-}
-
 std::vector<Secret<RingVector>> AdditiveShareVector(
     const Secret<RingVector>& values, int n, Rng* rng) {
   DASH_CHECK_GE(n, 1);
@@ -77,23 +59,6 @@ Result<Masked<RingVector>> AccumulateAdditiveShares(
     for (size_t e = 0; e < partial.size(); ++e) partial[e] += share[e];
   }
   return Masked<RingVector>::Seal(std::move(partial), MpcPass::Get());
-}
-
-Result<RingVector> OpenAdditiveChunk(const Masked<RingVector>& own_partial,
-                                     size_t begin, size_t end,
-                                     const std::vector<RingVector>& peer_chunks) {
-  const RingVector& own = own_partial.wire();
-  DASH_CHECK(begin <= end && end <= own.size());
-  RingVector total(own.begin() + static_cast<std::ptrdiff_t>(begin),
-                   own.begin() + static_cast<std::ptrdiff_t>(end));
-  for (const RingVector& peer : peer_chunks) {
-    if (peer.size() != total.size()) {
-      return FailedPreconditionError(
-          "protocol desync: partial sum length mismatch");
-    }
-    for (size_t e = 0; e < total.size(); ++e) total[e] += peer[e];
-  }
-  return total;
 }
 
 }  // namespace dash

@@ -8,8 +8,7 @@
 //
 // Share vectors are Secret<RingVector>: protocol code outside src/mpc/
 // can route them to SerializeShareForHolder (one share, to its holder)
-// or through the accumulate/open reveal points below, but cannot read
-// the raw words — see mpc/secrecy.h and DESIGN.md §11.
+// or through the accumulate step below, but cannot read the raw words — see mpc/secrecy.h and DESIGN.md §11.
 
 #ifndef DASH_MPC_ADDITIVE_SHARING_H_
 #define DASH_MPC_ADDITIVE_SHARING_H_
@@ -24,17 +23,6 @@
 
 namespace dash {
 
-// Splits `value` into `n` ring shares. Requires n >= 1. Scalar legacy
-// primitive kept for the Beaver dealer and the unit tests; the return
-// vector is secret material despite its plain type.
-DASH_SECRET_SOURCE
-[[nodiscard]] std::vector<uint64_t> AdditiveShare(uint64_t value, int n,
-                                                  Rng* rng);
-
-// Sum of all shares (mod 2^64). Reveal point: requires the full set.
-[[nodiscard]] uint64_t AdditiveReconstruct(
-    const std::vector<uint64_t>& shares);
-
 // Element-wise sharing of a vector: result[j] is the j-th party's share
 // vector, result[j][i] a share of values[i]. Requires n >= 1.
 [[nodiscard]] std::vector<Secret<RingVector>> AdditiveShareVector(
@@ -48,20 +36,12 @@ Result<RingVector> AdditiveReconstructVector(
 
 // Folds the shares received from peers into the party's own kept share.
 // The result is a partial share-sum — individually uniform, hence
-// sealed Masked and safe to broadcast.
+// sealed Masked and safe to send. The secure sum opens chunk o of all P
+// partials with OpenMaskedChunk (mpc/masked_aggregation.h), as it opens
+// the masked mode's contributions.
 Result<Masked<RingVector>> AccumulateAdditiveShares(
     const Secret<RingVector>& own_share,
     const std::vector<RingVector>& received_shares);
-
-// Opens chunk [begin, end) of the ring total: own_partial's words there
-// plus every peer's partial for that chunk (each peer_chunks entry is
-// end - begin long; another length is a protocol desync). Reveal point
-// (round-key phase2-additive): the sum of ALL P partials is the
-// aggregate total, so the output is exactly that chunk of the
-// protocol's declared output.
-Result<RingVector> OpenAdditiveChunk(const Masked<RingVector>& own_partial,
-                                     size_t begin, size_t end,
-                                     const std::vector<RingVector>& peer_chunks);
 
 }  // namespace dash
 

@@ -40,7 +40,7 @@ Result<RingVector> OpenMaskedChunk(const Masked<RingVector>& own_masked,
   for (const RingVector& peer : peer_chunks) {
     if (peer.size() != total.size()) {
       return FailedPreconditionError(
-          "protocol desync: masked vector length mismatch");
+          "protocol desync: sealed chunk length mismatch");
     }
     for (size_t e = 0; e < total.size(); ++e) total[e] += peer[e];
   }

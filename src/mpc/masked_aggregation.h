@@ -11,7 +11,8 @@
 // secure sum (mpc/secure_sum.h) splits that sum by chunks: each party
 // sends chunk o of masked_p to party o, which opens chunk o of the
 // total — one vector's worth of words per party per sum, the cheapest
-// of the secure modes.
+// of the secure modes. The additive mode's partial share-sums reach the
+// same open by the same reduce.
 //
 // `round_nonce` must change between protocol invocations that reuse the
 // same pairwise keys; it selects a fresh ChaCha20 stream so masks are
@@ -45,10 +46,11 @@ Masked<RingVector> ApplyPairwiseMasks(
 // Opens chunk [begin, end) of the ring total: own_masked's words there
 // plus every peer's words for that chunk (each peer_chunks entry is
 // end - begin long; another length is a protocol desync). Reveal point
-// (round-key phase2-masked): an element's pairwise masks cancel once all
-// P parties' words for it are added, so the output is exactly that chunk
-// of the aggregate the protocol reveals. PartySecureVectorSum opens only
-// the chunk it owns.
+// (round-key phase2-masked): the P parties' sealed vectors — pairwise-
+// masked contributions, or additive partial share-sums — add up to the
+// ring-encoded total once all P parties' words for an element are
+// added, so the output is exactly that chunk of the aggregate the
+// protocol reveals. PartySecureVectorSum opens only the chunk it owns.
 Result<RingVector> OpenMaskedChunk(const Masked<RingVector>& own_masked,
                                    size_t begin, size_t end,
                                    const std::vector<RingVector>& peer_chunks);

@@ -24,12 +24,6 @@ uint64_t FieldPow(uint64_t a, uint64_t e) {
   return result;
 }
 
-uint64_t FieldInv(uint64_t a) {
-  a = FieldReduce(a);
-  DASH_CHECK(a != 0u) << "0 has no inverse";
-  return FieldPow(a, kFieldPrime - 2);
-}
-
 uint64_t FieldUniform(Rng* rng) {
   // Rejection from 61 random bits keeps the distribution exactly uniform.
   for (;;) {

@@ -1,10 +1,8 @@
 // Arithmetic in the Mersenne prime field F_p, p = 2^61 - 1.
 //
-// Shamir secret sharing and the Diffie-Hellman seed agreement both work
-// over this field. The Mersenne modulus admits a fast reduction (fold the
-// high bits), and 61 bits leaves room for the fixed-point encodings the
-// secure sums transport (signed values are mapped to [0, p) with the
-// upper half representing negatives).
+// The Diffie-Hellman key agreement of the masked secure sum
+// (mpc/key_exchange.h) works in this field's multiplicative group. The
+// Mersenne modulus admits a fast reduction (fold the high bits).
 
 #ifndef DASH_MPC_PRIME_FIELD_H_
 #define DASH_MPC_PRIME_FIELD_H_
@@ -26,39 +24,14 @@ inline uint64_t FieldReduce(uint64_t x) {
   return x;
 }
 
-inline uint64_t FieldAdd(uint64_t a, uint64_t b) {
-  uint64_t s = a + b;  // < 2^62, no overflow
-  if (s >= kFieldPrime) s -= kFieldPrime;
-  return s;
-}
-
-inline uint64_t FieldSub(uint64_t a, uint64_t b) {
-  return (a >= b) ? a - b : a + kFieldPrime - b;
-}
-
 // Product via 128-bit intermediate and Mersenne folding.
 uint64_t FieldMul(uint64_t a, uint64_t b);
 
 // a^e mod p by square-and-multiply.
 uint64_t FieldPow(uint64_t a, uint64_t e);
 
-// Multiplicative inverse (Fermat); requires a != 0 mod p.
-uint64_t FieldInv(uint64_t a);
-
 // Uniform field element.
 uint64_t FieldUniform(Rng* rng);
-
-// Signed fixed-point embeddings: values in (-p/2, p/2) round-trip.
-inline uint64_t FieldEncodeSigned(int64_t v) {
-  return (v >= 0) ? FieldReduce(static_cast<uint64_t>(v))
-                  : FieldSub(0, FieldReduce(static_cast<uint64_t>(-v)));
-}
-
-inline int64_t FieldDecodeSigned(uint64_t f) {
-  DASH_DCHECK(f < kFieldPrime);
-  return (f > kFieldPrime / 2) ? -static_cast<int64_t>(kFieldPrime - f)
-                               : static_cast<int64_t>(f);
-}
 
 }  // namespace dash
 

@@ -7,22 +7,22 @@
 // a convention:
 //
 //  * Secret<T>  — material derived from a party's private data (ring
-//    encodings, share vectors, DH exponents, Beaver triples). Anyone
+//    encodings, share vectors, DH exponents, mask keys). Anyone
 //    may CREATE a Secret (wrapping your own data costs nothing), but
 //    READING one requires either the MPC-layer passkey (MpcPass, only
 //    constructible inside dash_mpc) or the audited DASH_DECLASSIFY
 //    escape hatch.
 //  * Masked<T>  — material that is safe to put on the wire because the
 //    MPC layer already masked/aggregated it (a pairwise-masked vector,
-//    a partial share-sum that is individually uniform, an opened Beaver
-//    d/e). The duality of Secret: anyone may READ a Masked value, but
-//    only the MPC layer can SEAL one.
+//    a partial share-sum that is individually uniform). The duality of
+//    Secret: anyone may READ a Masked value, but only the MPC layer can
+//    SEAL one.
 //
 // Escape hatches, in decreasing order of preference:
 //  * MaskAndSerialize(masked)       — wire bytes of sealed material.
 //  * SerializeShareForHolder(share) — wire bytes of ONE share destined
-//    for its holder; a single additive/Shamir share is marginally
-//    uniform, so sending it to exactly one party reveals nothing.
+//    for its holder; a single additive share is marginally uniform, so
+//    sending it to exactly one party reveals nothing.
 //  * DASH_DECLASSIFY(expr, reason)  — audited raw access. Every use is
 //    recorded in the SecrecyAudit registry and must be justified by an
 //    entry in tools/secrecy_allowlist.txt naming the PROTOCOL.md round
@@ -44,7 +44,7 @@
 
 namespace dash {
 
-// Ring-encoded payloads (Z_2^64 or F_(2^61-1) elements).
+// Ring-encoded payloads (Z_2^64 elements).
 using RingVector = std::vector<uint64_t>;
 
 // Passkey for MPC-internal access to Secret values. The constructor is
@@ -140,12 +140,6 @@ T Declassify(const Secret<T>& secret, const DeclassifyContext& ctx) {
 #define DASH_DECLASSIFY(expr, reason)         \
   ::dash::Declassify((expr), ::dash::DeclassifyContext{ \
                                  "" reason, __FILE__, __LINE__})
-
-// Marks a function whose RETURN VALUE is secret material even though
-// its type is a plain scalar/vector (legacy scalar primitives kept for
-// the dealer and the unit tests). tools/dash_taint.py seeds taint at
-// calls to annotated functions. Expands to nothing.
-#define DASH_SECRET_SOURCE
 
 // --- Serialization escape hatches (reveal points) --------------------
 //

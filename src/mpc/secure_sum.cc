@@ -8,7 +8,6 @@
 #include "mpc/additive_sharing.h"
 #include "mpc/key_exchange.h"
 #include "mpc/masked_aggregation.h"
-#include "mpc/shamir.h"
 #include "net/round_annotations.h"
 #include "net/serialization.h"
 
@@ -22,10 +21,18 @@ const char* AggregationModeName(AggregationMode mode) {
       return "additive";
     case AggregationMode::kMasked:
       return "masked";
-    case AggregationMode::kShamir:
-      return "shamir";
   }
   return "unknown";
+}
+
+Result<AggregationMode> ParseAggregationMode(const std::string& name) {
+  for (const AggregationMode mode :
+       {AggregationMode::kPublicShare, AggregationMode::kAdditive,
+        AggregationMode::kMasked}) {
+    if (name == AggregationModeName(mode)) return mode;
+  }
+  return InvalidArgumentError("unknown mode '" + name +
+                              "' (public|additive|masked)");
 }
 
 namespace {
@@ -120,17 +127,20 @@ Result<Vector> PartySecureVectorSum::Run(const Secret<Vector>& input) {
         input, "phase2-single: a single party's total IS its own input");
   }
   ++round_nonce_;
-  switch (options_.mode) {
-    case AggregationMode::kPublicShare:
-      return RunPublic(input);
-    case AggregationMode::kAdditive:
-      return RunAdditive(input);
-    case AggregationMode::kMasked:
-      return RunMasked(input);
-    case AggregationMode::kShamir:
-      return RunShamir(input);
+  if (options_.mode == AggregationMode::kPublicShare) return RunPublic(input);
+  // The secure modes differ only in how this party's sealed vector is
+  // made from its encoded contribution.
+  net_->BeginRound();
+  DASH_ASSIGN_OR_RETURN(Secret<RingVector> encoded,
+                        codec_.EncodeSecretVector(input));
+  if (options_.mode == AggregationMode::kMasked) {
+    // The masks cancel element by element in the sum over all P parties.
+    return ReduceScatter(
+        ApplyPairwiseMasks(local_, encoded, pairwise_keys_, round_nonce_));
   }
-  return InternalError("unknown aggregation mode");
+  DASH_ASSIGN_OR_RETURN(const Masked<RingVector> partial,
+                        ShareAndAccumulate(encoded));
+  return ReduceScatter(partial);
 }
 
 Result<Vector> PartySecureVectorSum::RunPublic(
@@ -210,14 +220,11 @@ Result<Vector> PartySecureVectorSum::GatherTotal(const RingVector& own_chunk,
   return codec_.DecodeVector(total);
 }
 
-Result<Vector> PartySecureVectorSum::RunAdditive(const Secret<Vector>& input) {
+Result<Masked<RingVector>> PartySecureVectorSum::ShareAndAccumulate(
+    const Secret<RingVector>& encoded) {
   const int p = net_->num_parties();
-
-  // Round 1: keep our own share, send share j to party j (one share per
+  // Keep our own share and send share j to party j (one share per
   // holder — the sanctioned SerializeShareForHolder reveal point).
-  net_->BeginRound();
-  DASH_ASSIGN_OR_RETURN(Secret<RingVector> encoded,
-                        codec_.EncodeSecretVector(input));
   auto shares = AdditiveShareVector(encoded, p, &rng_);
   const Secret<RingVector> own = std::move(shares[static_cast<size_t>(local_)]);
   for (int j = 0; j < p; ++j) {
@@ -228,9 +235,8 @@ Result<Vector> PartySecureVectorSum::RunAdditive(const Secret<Vector>& input) {
                    SerializeShareForHolder(shares[static_cast<size_t>(j)])));
   }
 
-  // Round 2: sum the shares we hold into our partial (individually
-  // uniform, hence Masked; all P partials add up to the total) and send
-  // chunk o of it to party o, which opens chunk o of the total.
+  // The sum of the shares we hold is individually uniform, hence
+  // Masked; all P partials add up to the total.
   net_->BeginRound();
   std::vector<RingVector> received;
   received.reserve(static_cast<size_t>(p - 1));
@@ -243,52 +249,19 @@ Result<Vector> PartySecureVectorSum::RunAdditive(const Secret<Vector>& input) {
     DASH_ASSIGN_OR_RETURN(RingVector share, r.GetU64Vector());
     received.push_back(std::move(share));
   }
-  DASH_ASSIGN_OR_RETURN(Masked<RingVector> partial,
-                        AccumulateAdditiveShares(own, received));
-  const size_t length = partial.wire().size();
-  for (int o = 0; o < p; ++o) {
-    if (o == local_) continue;
-    DASH_ROUND(phase2_additive_reveal, kPartialSum);
-    DASH_RETURN_IF_ERROR(net_->Send(
-        local_, o, MessageTag::kPartialSum,
-        MaskAndSerialize(partial, ChunkBegin(length, p, o),
-                         ChunkBegin(length, p, o + 1))));
-  }
-  std::vector<RingVector> peer_partials;
-  peer_partials.reserve(static_cast<size_t>(p - 1));
-  for (int q = 0; q < p; ++q) {
-    if (q == local_) continue;
-    DASH_ROUND(phase2_additive_reveal, kPartialSum);
-    DASH_ASSIGN_OR_RETURN(Message msg,
-                          net_->Receive(local_, q, MessageTag::kPartialSum));
-    DASH_ASSIGN_OR_RETURN(RingVector chunk, ReadChunk(msg, length));
-    peer_partials.push_back(std::move(chunk));
-  }
-  DASH_ASSIGN_OR_RETURN(
-      RingVector own_total,
-      OpenAdditiveChunk(partial, ChunkBegin(length, p, local_),
-                        ChunkBegin(length, p, local_ + 1), peer_partials));
-  return GatherTotal(own_total, length);
+  return AccumulateAdditiveShares(own, received);
 }
 
-Result<Vector> PartySecureVectorSum::RunMasked(const Secret<Vector>& input) {
+Result<Vector> PartySecureVectorSum::ReduceScatter(
+    const Masked<RingVector>& sealed) {
   const int p = net_->num_parties();
-
-  // Reduce: mask our whole contribution — the masks cancel element by
-  // element in the sum over all P parties — and send chunk o of it to
-  // party o, which opens chunk o of the total.
-  net_->BeginRound();
-  DASH_ASSIGN_OR_RETURN(Secret<RingVector> encoded,
-                        codec_.EncodeSecretVector(input));
-  const Masked<RingVector> masked =
-      ApplyPairwiseMasks(local_, encoded, pairwise_keys_, round_nonce_);
-  const size_t length = masked.wire().size();
+  const size_t length = sealed.wire().size();
   for (int o = 0; o < p; ++o) {
     if (o == local_) continue;
     DASH_ROUND(phase2_masked, kMaskedValue);
     DASH_RETURN_IF_ERROR(net_->Send(
         local_, o, MessageTag::kMaskedValue,
-        MaskAndSerialize(masked, ChunkBegin(length, p, o),
+        MaskAndSerialize(sealed, ChunkBegin(length, p, o),
                          ChunkBegin(length, p, o + 1))));
   }
   std::vector<RingVector> peers;
@@ -303,76 +276,8 @@ Result<Vector> PartySecureVectorSum::RunMasked(const Secret<Vector>& input) {
   }
   DASH_ASSIGN_OR_RETURN(
       RingVector own_total,
-      OpenMaskedChunk(masked, ChunkBegin(length, p, local_),
+      OpenMaskedChunk(sealed, ChunkBegin(length, p, local_),
                       ChunkBegin(length, p, local_ + 1), peers));
-  return GatherTotal(own_total, length);
-}
-
-Result<Vector> PartySecureVectorSum::RunShamir(const Secret<Vector>& input) {
-  const int p = net_->num_parties();
-  // Polynomial degree floor((P-1)/2): a minority's shares reveal nothing.
-  const int threshold = (p - 1) / 2;
-  // Field-encodes AND validates headroom — deliberately before
-  // BeginRound so validation failures precede any traffic.
-  DASH_ASSIGN_OR_RETURN(Secret<RingVector> encoded,
-                        ShamirFieldEncode(codec_, input, p));
-
-  // Round 1: distribute shares of our input (party j gets the
-  // evaluation at x = j+1); keep our own.
-  net_->BeginRound();
-  DASH_ASSIGN_OR_RETURN(
-      auto shares, ShamirShareVectorForParties(encoded, p, threshold, &rng_));
-  const Secret<RingVector> own = std::move(shares[static_cast<size_t>(local_)]);
-  for (int j = 0; j < p; ++j) {
-    if (j == local_) continue;
-    DASH_ROUND(phase2_shamir_share, kShamirShare);
-    DASH_RETURN_IF_ERROR(
-        net_->Send(local_, j, MessageTag::kShamirShare,
-                   SerializeShareForHolder(shares[static_cast<size_t>(j)])));
-  }
-
-  // Round 2: sum the shares we hold (a share of the total by linearity —
-  // individually uniform, hence Masked) and send chunk o of that sum
-  // share to party o, which interpolates chunk o of the total.
-  net_->BeginRound();
-  std::vector<RingVector> received;
-  received.reserve(static_cast<size_t>(p - 1));
-  for (int i = 0; i < p; ++i) {
-    if (i == local_) continue;
-    DASH_ROUND(phase2_shamir_share, kShamirShare);
-    DASH_ASSIGN_OR_RETURN(Message msg,
-                          net_->Receive(local_, i, MessageTag::kShamirShare));
-    ByteReader r(msg.payload);
-    DASH_ASSIGN_OR_RETURN(RingVector ys, r.GetU64Vector());
-    received.push_back(std::move(ys));
-  }
-  DASH_ASSIGN_OR_RETURN(Masked<RingVector> held,
-                        AccumulateShamirShares(own, received));
-  const size_t length = held.wire().size();
-  for (int o = 0; o < p; ++o) {
-    if (o == local_) continue;
-    DASH_ROUND(phase2_shamir_reveal, kPartialSum);
-    DASH_RETURN_IF_ERROR(net_->Send(
-        local_, o, MessageTag::kPartialSum,
-        MaskAndSerialize(held, ChunkBegin(length, p, o),
-                         ChunkBegin(length, p, o + 1))));
-  }
-
-  // Interpolate at x = 0 from all P sum shares of our chunk (our own
-  // slot comes from `held`; the vector's local slot stays empty).
-  std::vector<RingVector> sum_shares(static_cast<size_t>(p));
-  for (int q = 0; q < p; ++q) {
-    if (q == local_) continue;
-    DASH_ROUND(phase2_shamir_reveal, kPartialSum);
-    DASH_ASSIGN_OR_RETURN(Message msg,
-                          net_->Receive(local_, q, MessageTag::kPartialSum));
-    DASH_ASSIGN_OR_RETURN(sum_shares[static_cast<size_t>(q)],
-                          ReadChunk(msg, length));
-  }
-  DASH_ASSIGN_OR_RETURN(
-      RingVector own_total,
-      OpenShamirChunk(held, ChunkBegin(length, p, local_),
-                      ChunkBegin(length, p, local_ + 1), local_, sum_shares));
   return GatherTotal(own_total, length);
 }
 

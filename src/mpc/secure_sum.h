@@ -3,27 +3,27 @@
 // This is the protocol the paper's §3 invokes to combine the parties'
 // sufficient-statistic summands "by computing their internal summands and
 // either sharing them to sum or by applying an SMC sum protocol which
-// only reveals the overall sum". Four interchangeable modes:
+// only reveals the overall sum". Three interchangeable modes:
 //
 //  * kPublicShare — every party broadcasts its plaintext contribution;
 //    not secure, exact in doubles; the baseline the secure modes are
 //    measured against ("sharing them to sum").
 //  * kAdditive — each party additively secret-shares its fixed-point
-//    contribution among all parties, then reveals the total from the
-//    parties' share sums. One share round, then reduce and gather.
-//  * kMasked — pairwise ChaCha20 masks that cancel in the total
-//    (Bonawitz-style); reduce and gather after a one-time key agreement.
-//  * kShamir — Shamir sharing over F_(2^61-1) with threshold
-//    floor((P-1)/2); one share round, then reduce and gather.
+//    contribution among all parties (one share round) and seals the sum
+//    of the shares it holds.
+//  * kMasked — each party seals its fixed-point contribution plus
+//    pairwise ChaCha20 masks that cancel in the total (Bonawitz-style),
+//    after a one-time key agreement.
 //
-// The secure modes end in the same two rounds. Party o owns chunk o =
-// [floor(o*L/P), floor((o+1)*L/P)) of the L-word vector. Reduce: every
-// party sends chunk o of its sealed vector (masked contribution, share
-// sum) to party o, which opens chunk o of the total. Gather: every owner
-// sends its opened chunk to every peer, and each party decodes the
-// assembled total with its own codec. A party so sends about
-// 2(P-1)*L/P words per sum (plus (P-1)*L in a share round), under two
-// vectors for any P.
+// The two secure modes differ only in how a party's sealed vector is
+// made; both then run one reduce-scatter and one all-gather. Party o
+// owns chunk o = [floor(o*L/P), floor((o+1)*L/P)) of the L-word vector.
+// Reduce: every party sends chunk o of its sealed vector to party o,
+// which opens chunk o of the total. Gather: every owner sends its
+// opened chunk to every peer, and each party decodes the assembled
+// total with its own codec. A party so sends about 2(P-1)*L/P words per
+// sum (plus (P-1)*L in the additive share round), under two vectors
+// for any P.
 //
 // All modes reveal exactly the element-wise sum to every party and cost
 // O(length) bytes per party, independent of the per-party sample counts
@@ -38,6 +38,7 @@
 #define DASH_MPC_SECURE_SUM_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "linalg/vector_ops.h"
@@ -54,18 +55,18 @@ enum class AggregationMode {
   kPublicShare = 0,
   kAdditive = 1,
   kMasked = 2,
-  kShamir = 3,
 };
 
 // Stable name, e.g. "masked".
 const char* AggregationModeName(AggregationMode mode);
 
+// Inverse of AggregationModeName; InvalidArgument names an unknown mode.
+Result<AggregationMode> ParseAggregationMode(const std::string& name);
+
 struct SecureSumOptions {
   AggregationMode mode = AggregationMode::kMasked;
 
-  // Fixed-point fractional bits for the ring/field encodings. Note the
-  // Shamir field is 61 bits wide, so its headroom is 2^(60 - frac_bits)
-  // rather than 2^(63 - frac_bits).
+  // Fixed-point fractional bits for the ring encoding, in [1, 62].
   int frac_bits = FixedPointCodec::kDefaultFracBits;
 
   // Seed for the per-party randomness (shares, masks, DH exponents).
@@ -76,7 +77,7 @@ struct SecureSumOptions {
   // this to their session id so no two sessions ever derive the same DH
   // exponents — and therefore never share pairwise mask keys — even
   // when every job runs with the same protocol seed. The revealed total
-  // is independent of the randomness (ring/field sums are exact), so
+  // is independent of the randomness (ring sums are exact), so
   // results stay bit-identical across domains.
   uint64_t mask_domain = 0;
 };
@@ -90,9 +91,7 @@ struct SecureSumOptions {
 //                 party order;
 //  * additive   — Z_2^64 wrapping adds are commutative/associative, so
 //                 receive order cannot change the total;
-//  * masked     — same ring argument after the pairwise masks cancel;
-//  * shamir     — F_(2^61-1) adds are exact; reconstruction weights are
-//                 a deterministic function of the fixed points 1..P.
+//  * masked     — same ring argument after the pairwise masks cancel.
 // Decoding word e depends only on word e, so opening the total chunk by
 // chunk changes no bit.
 //
@@ -124,10 +123,17 @@ class PartySecureVectorSum {
 
  private:
   Result<Vector> RunPublic(const Secret<Vector>& input);
-  Result<Vector> RunAdditive(const Secret<Vector>& input);
-  Result<Vector> RunMasked(const Secret<Vector>& input);
-  Result<Vector> RunShamir(const Secret<Vector>& input);
-  // The all-gather every secure mode ends with: sends this party's
+  // The additive mode's share round: sends share j of `encoded` to
+  // party j and seals the sum of the P shares this party then holds.
+  Result<Masked<RingVector>> ShareAndAccumulate(
+      const Secret<RingVector>& encoded);
+  // The reduce-scatter both secure modes end with. `sealed` is this
+  // party's additive partial or masked contribution; the P parties'
+  // sealed vectors add up to the ring-encoded total. Sends chunk o of
+  // it to party o, opens this party's own chunk from the peers' chunks
+  // and gathers the total.
+  Result<Vector> ReduceScatter(const Masked<RingVector>& sealed);
+  // The all-gather the reduce-scatter ends with: sends this party's
   // opened chunk of the ring total to every peer, assembles the
   // `length`-word total from all P chunks and decodes it.
   Result<Vector> GatherTotal(const RingVector& own_chunk, size_t length);

@@ -10,12 +10,8 @@ const char* MessageTagName(MessageTag tag) {
       return "PlainStats";
     case MessageTag::kAdditiveShare:
       return "AdditiveShare";
-    case MessageTag::kPartialSum:
-      return "PartialSum";
     case MessageTag::kMaskedValue:
       return "MaskedValue";
-    case MessageTag::kShamirShare:
-      return "ShamirShare";
     case MessageTag::kPublicKey:
       return "PublicKey";
     case MessageTag::kAggregate:

@@ -18,9 +18,7 @@ enum class MessageTag : uint32_t {
   kRFactor = 1,          // a party's K x K local R factor
   kPlainStats = 2,       // plaintext sufficient-statistic contribution
   kAdditiveShare = 3,    // one additive share of a secret vector
-  kPartialSum = 4,       // partial (share) sum during reveal
-  kMaskedValue = 5,      // PRG-masked contribution (masked aggregation)
-  kShamirShare = 6,      // Shamir share vector
+  kMaskedValue = 5,      // a sealed chunk in a secure sum's reduce round
   kPublicKey = 7,        // Diffie-Hellman public value
   kAggregate = 8,        // aggregated result broadcast
   kTreeR = 9,            // tree-TSQR intermediate R factor

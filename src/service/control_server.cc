@@ -46,18 +46,6 @@ std::string ErrLine(const Status& status) {
          status.message();
 }
 
-bool ParseMode(const std::string& token, AggregationMode* mode) {
-  for (const AggregationMode m :
-       {AggregationMode::kPublicShare, AggregationMode::kAdditive,
-        AggregationMode::kMasked, AggregationMode::kShamir}) {
-    if (token == AggregationModeName(m)) {
-      *mode = m;
-      return true;
-    }
-  }
-  return false;
-}
-
 Status SendAll(int fd, const std::string& data) {
   size_t off = 0;
   while (off < data.size()) {
@@ -186,30 +174,11 @@ std::string ControlServer::HandleLine(const std::string& line) {
   if (verb == "PING") return "OK pong";
 
   if (verb == "SUBMIT") {
-    JobSpec spec;
-    std::string mode;
-    in >> spec.job_id >> spec.cohort_key >> spec.variants >>
-        spec.samples_per_party >> spec.covariates >> spec.data_seed >>
-        mode >> spec.deadline_ms;
-    if (in.fail()) {
-      return "ERR InvalidArgument: want SUBMIT <job_id> <cohort> "
-             "<variants> <samples> <covariates> <data_seed> <mode> "
-             "<deadline_ms> [protocol_seed] [stream]";
-    }
-    if (!ParseMode(mode, &spec.mode)) {
-      return "ERR InvalidArgument: unknown mode '" + mode +
-             "' (public|additive|masked|shamir)";
-    }
-    in >> spec.protocol_seed;  // optional; keeps the default on failure
-    if (in.fail()) in.clear();  // no seed; "stream" may still follow
-    std::string extra;
-    if (in >> extra) {
-      if (extra != "stream") {
-        return "ERR InvalidArgument: unknown trailing token '" + extra +
-               "' (only 'stream')";
-      }
-      spec.stream = true;
-    }
+    std::string args;
+    std::getline(in, args);
+    const Result<JobSpec> parsed = ParseJobSpec(args);
+    if (!parsed.ok()) return ErrLine(parsed.status());
+    const JobSpec& spec = parsed.value();
     const Status valid = ValidateJobSpec(spec, options_.num_parties);
     if (!valid.ok()) return ErrLine(valid);
     const Status submitted = scheduler_->Submit(spec);

@@ -4,7 +4,8 @@
 //
 //   PING
 //   SUBMIT <job_id> <cohort> <variants> <samples> <covariates>
-//          <data_seed> <mode> <deadline_ms> [protocol_seed]
+//          <data_seed> <mode> <deadline_ms> [protocol_seed] [stream]
+//                          (service/job.h ParseJobSpec)
 //   STATUS <job_id>        -> OK state=... checksum=... cache_hit=...
 //   RESULT <job_id>        -> OK <checksum-hex>   (only when done)
 //   CANCEL <job_id>

@@ -1,8 +1,39 @@
 #include "service/job.h"
 
+#include <sstream>
 #include <string>
 
 namespace dash {
+
+Result<JobSpec> ParseJobSpec(const std::string& args) {
+  std::istringstream in(args);
+  JobSpec spec;
+  std::string mode;
+  in >> spec.job_id >> spec.cohort_key >> spec.variants >>
+      spec.samples_per_party >> spec.covariates >> spec.data_seed >> mode >>
+      spec.deadline_ms;
+  if (in.fail()) {
+    return InvalidArgumentError(
+        "want <job_id> <cohort> <variants> <samples> <covariates> "
+        "<data_seed> <mode> <deadline_ms> [protocol_seed] [stream]");
+  }
+  DASH_ASSIGN_OR_RETURN(spec.mode, ParseAggregationMode(mode));
+  in >> spec.protocol_seed;  // optional; keeps the default on failure
+  if (in.fail()) in.clear();  // no seed; "stream" may still follow
+  std::string extra;
+  if (in >> extra) {
+    if (extra != "stream") {
+      return InvalidArgumentError("unknown trailing token '" + extra +
+                                  "' (only 'stream')");
+    }
+    spec.stream = true;
+    if (in >> extra) {
+      return InvalidArgumentError("unknown trailing token '" + extra +
+                                  "' after 'stream'");
+    }
+  }
+  return spec;
+}
 
 Status ValidateJobSpec(const JobSpec& spec, int num_parties) {
   if (num_parties < 1) {

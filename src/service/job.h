@@ -67,6 +67,15 @@ struct JobSpec {
 // 3 x 2,048 x 512, is about 3.1M cells.
 inline constexpr int64_t kMaxJobCells = int64_t{1} << 28;
 
+// Parses the SUBMIT verb's arguments (service/control_server.h):
+//   <job_id> <cohort> <variants> <samples> <covariates> <data_seed>
+//   <mode> <deadline_ms> [protocol_seed] [stream]
+// with <mode> an AggregationModeName. Anything else, a missing field or
+// a token after `stream` fails InvalidArgument. The SUBMIT verb,
+// `dash_partyd --simulate-job` and the per-party CLIs share it, so they
+// accept and refuse the same lines. Shape limits are ValidateJobSpec's.
+Result<JobSpec> ParseJobSpec(const std::string& args);
+
 // InvalidArgument unless a cohort of `num_parties` parties can be built
 // from `spec`: num_parties, variants, samples_per_party and covariates
 // all >= 1, and at most kMaxJobCells genotype cells. The SUBMIT verb and

@@ -1,6 +1,5 @@
 #include "transport/party_runner.h"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -13,7 +12,6 @@
 #include "core/suff_stats.h"
 #include "linalg/qr.h"
 #include "mpc/secrecy.h"
-#include "mpc/secure_projection.h"
 #include "net/abort.h"
 #include "net/round_annotations.h"
 #include "net/serialization.h"
@@ -159,6 +157,16 @@ Result<Phase01Output> RunPhases01(Transport* transport, const Matrix& c,
   return out;
 }
 
+// Phase 2's codec takes frac_bits in [1, 62]. Every entry point checks
+// it before round 1, so a misconfigured party fails alone instead of
+// leaving its peers mid-protocol.
+Status ValidateFracBits(const SecureScanOptions& options) {
+  if (1 <= options.frac_bits && options.frac_bits <= 62) return Status::Ok();
+  return InvalidArgumentError("frac_bits " +
+                              std::to_string(options.frac_bits) +
+                              " is outside [1, 62]");
+}
+
 // The Phase-2 secure-sum configuration of every entry point. A
 // workload's `seed_salt` gives its masks their own stream under the one
 // protocol seed. Concurrent sessions over one mesh must never share
@@ -204,6 +212,7 @@ Result<SecureScanOutput> RunPartyScanProtocol(
     }
   }
   DASH_RETURN_IF_ERROR(ValidateParties({input_party}));
+  DASH_RETURN_IF_ERROR(ValidateFracBits(options));
 
   // Per-party preprocessing: centering is a within-party operation, so
   // the single-element call is exactly the pooled preprocessing of this
@@ -280,51 +289,10 @@ Result<SecureScanOutput> RunPartyScanProtocol(
   metrics.local_compute_seconds += timer.ElapsedSeconds();
 
   // Stage 4 (network): aggregate the arena. Stage 5 (local, public):
-  // Lemma 2.1 on the revealed totals.
-  const StatsWireLayout layout{m, k};
+  // Lemma 2.1 on the revealed totals, whose copies are freed before the
+  // commit round.
   ScanResult result;
-  if (options.projection == ProjectionSecurity::kBeaverDotProducts) {
-    // The orthogonal statistics (y.y, X.y, X.X) are summed as usual, but
-    // the projected K-vectors never leave the party — only the dot
-    // products Lemma 2.1 consumes are opened (mpc/secure_projection.h).
-    Vector plain;
-    plain.reserve(static_cast<size_t>(1 + 2 * m));
-    plain.push_back(flat[static_cast<size_t>(layout.yy_offset())]);
-    plain.insert(plain.end(), flat.begin() + layout.xy_offset(),
-                 flat.begin() + layout.qtx_offset());
-    Vector qty(flat.begin() + layout.qty_offset(),
-               flat.begin() + layout.xy_offset());
-    Matrix qtx(k, m);
-    std::copy(flat.begin() + layout.qtx_offset(), flat.end(), qtx.data());
-
-    timer.Reset();
-    DASH_ASSIGN_OR_RETURN(Vector plain_totals,
-                          secure_sum.Run(Secret<Vector>(std::move(plain))));
-    SecureProjectionOptions proj_options;
-    proj_options.frac_bits = options.projection_frac_bits;
-    proj_options.seed = options.seed ^ 0xbea7e5;
-    DASH_ASSIGN_OR_RETURN(
-        ProjectedStats projected,
-        SecureProjectedAggregation(transport, proj_options)
-            .Run(Secret<Vector>(std::move(qty)),
-                 Secret<Matrix>(std::move(qtx))));
-    metrics.protocol_seconds += timer.ElapsedSeconds();
-
-    timer.Reset();
-    ProjectedSufficientStats totals;
-    totals.num_samples = total_samples - absorbed_params;
-    totals.num_covariates = k;
-    totals.yy = plain_totals[0];
-    totals.xy.assign(plain_totals.begin() + 1, plain_totals.begin() + 1 + m);
-    totals.xx.assign(plain_totals.begin() + 1 + m,
-                     plain_totals.begin() + 1 + 2 * m);
-    totals.qty_qty = projected.qty_qty;
-    totals.qtx_qty = std::move(projected.qtx_qty);
-    totals.qtx_qtx = std::move(projected.qtx_qtx);
-    DASH_ASSIGN_OR_RETURN(result, FinalizeScanProjected(totals));
-    metrics.local_compute_seconds += timer.ElapsedSeconds();
-  } else {
-    // One secure-sum aggregation of everything.
+  {
     timer.Reset();
     DASH_ASSIGN_OR_RETURN(const Vector flat_totals,
                           secure_sum.Run(Secret<Vector>(std::move(flat))));
@@ -400,12 +368,7 @@ Result<PartySummandOutput> RunSummandProtocol(
     Transport* transport, const Matrix& c, const SecureScanOptions& options,
     uint64_t seed_salt, const PartySummandFn& summand) {
   DASH_CHECK(transport != nullptr);
-  if (options.projection != ProjectionSecurity::kRevealProjectedSums) {
-    return InvalidArgumentError(
-        std::string("summand protocol: projection=") +
-        ProjectionSecurityName(options.projection) +
-        " is unsupported; the workload's summed totals are revealed");
-  }
+  DASH_RETURN_IF_ERROR(ValidateFracBits(options));
   if (options.center_per_party) {
     return InvalidArgumentError(
         "summand protocol: center_per_party is unsupported; the workload "

@@ -12,7 +12,7 @@
 // (net/network.h). So
 //
 //   * every party, on every backend, reveals the same ScanResult bit for
-//     bit (ring/field sums are order-independent; the public mode and
+//     bit (ring sums are order-independent; the public mode and
 //     all plaintext reductions fix party-index summation order; doubles
 //     travel as exact IEEE-754 bit patterns), and
 //   * the union of the parties' per-link traffic is the same multiset of
@@ -92,6 +92,9 @@ uint64_t Phase1Fingerprint(const Matrix& c, int64_t absorbed_params,
 // and `phase1` is refilled. All-or-nothing: one stale party forces the
 // full Phase 1 at every party, so the transcript stays identical at all
 // of them.
+//
+// options.frac_bits outside [1, 62] fails InvalidArgument before round
+// 1, at this party alone.
 Result<SecureScanOutput> RunPartySecureScan(Transport* transport,
                                             const PartyData& party,
                                             const SecureScanOptions& options,
@@ -117,8 +120,8 @@ struct StreamingPartyScan {
 // Streamed variant of RunPartySecureScan: y and the permanent
 // covariates C stay RAM-resident (they are all Phases 0–1 need), X
 // streams from stream.source into the Phase-2 summand arena. The arena
-// is bit-identical to the in-memory one, so every aggregation and
-// projection mode applies unchanged. Incompatible with
+// is bit-identical to the in-memory one, so every aggregation mode
+// applies unchanged. Incompatible with
 // center_per_party (X is immutable on disk — pre-center before
 // packing). On success the checkpoint file, if any, is removed; on
 // failure it is left behind so the next run resumes.
@@ -144,9 +147,9 @@ struct PartySummandOutput {
 // block and so runs only the sample-count round before the sum. Every
 // party returns the same totals; the caller finalizes them locally.
 //
-// The totals are the plain sums, so options.projection must be
-// kRevealProjectedSums, and options.center_per_party must be false (the
-// summand is the workload's own); either one fails InvalidArgument.
+// options.center_per_party must be false (the summand is the workload's
+// own), and options.frac_bits must lie in [1, 62]; either one fails
+// InvalidArgument before round 1.
 Result<PartySummandOutput> RunPartySummandProtocol(
     Transport* transport, const Matrix& c, const SecureScanOptions& options,
     uint64_t seed_salt, const PartySummandFn& summand);

@@ -232,10 +232,10 @@ TEST(MultiPhenotypeTest, MarginalPhenotypeCostIsSmall) {
             3.0 * static_cast<double>(m1.total_bytes));
 }
 
-TEST(MultiPhenotypeTest, SecureRejectsProjectionAndCentering) {
+TEST(MultiPhenotypeTest, SecureRejectsCentering) {
   // The multi-phenotype summand is summed and revealed as it is, so
-  // options that would hide Qᵀy and QᵀX or absorb P degrees of freedom
-  // must fail loudly instead of being ignored.
+  // centering, which would absorb P degrees of freedom, must fail loudly
+  // instead of being ignored.
   Rng rng(31);
   std::vector<MultiPhenotypePartyData> parties;
   for (const int64_t n : {int64_t{40}, int64_t{50}}) {
@@ -245,18 +245,13 @@ TEST(MultiPhenotypeTest, SecureRejectsProjectionAndCentering) {
     pd.ys = GaussianMatrix(n, 2, &rng);
     parties.push_back(std::move(pd));
   }
-  SecureScanOptions beaver;
-  beaver.projection = ProjectionSecurity::kBeaverDotProducts;
   SecureScanOptions centered;
   centered.center_per_party = true;
-  for (const auto& [opts, option] :
-       {std::pair{beaver, "projection"}, std::pair{centered, "center_per_party"}}) {
-    const auto out = SecureMultiPhenotypeScan(parties, opts);
-    ASSERT_FALSE(out.ok()) << option;
-    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(out.status().message().find(option), std::string::npos)
-        << out.status();
-  }
+  const auto out = SecureMultiPhenotypeScan(parties, centered);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(out.status().message().find("center_per_party"), std::string::npos)
+      << out.status();
 }
 
 TEST(MultiPhenotypeTest, ValidatesShapes) {

@@ -10,10 +10,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/association_scan.h"
 #include "data/genotype_generator.h"
+#include "data/panel_stream.h"
 #include "data/workloads.h"
 #include "net/network.h"
 #include "stats/ols.h"
@@ -67,8 +69,7 @@ INSTANTIATE_TEST_SUITE_P(
     Configs, SecureScanConfigTest,
     testing::Combine(testing::Values(AggregationMode::kPublicShare,
                                      AggregationMode::kAdditive,
-                                     AggregationMode::kMasked,
-                                     AggregationMode::kShamir),
+                                     AggregationMode::kMasked),
                      testing::Values(RCombineMode::kBroadcastStack,
                                      RCombineMode::kBinaryTree)));
 
@@ -287,7 +288,7 @@ TEST(SecureScanTest, OutputCarriesItsResultChecksum) {
   const std::vector<PartyData> single = {w.parties[0]};
   for (const AggregationMode mode :
        {AggregationMode::kPublicShare, AggregationMode::kAdditive,
-        AggregationMode::kMasked, AggregationMode::kShamir}) {
+        AggregationMode::kMasked}) {
     SecureScanOptions options;
     options.aggregation = mode;
     for (const std::vector<PartyData>* parties : {&single, &w.parties}) {
@@ -295,6 +296,54 @@ TEST(SecureScanTest, OutputCarriesItsResultChecksum) {
       ASSERT_TRUE(out.ok()) << out.status();
       EXPECT_EQ(out->result_checksum, ScanResultChecksum(out->result))
           << AggregationModeName(mode) << " P=" << parties->size();
+    }
+  }
+}
+
+// frac_bits outside the codec's [1, 62] is refused by every per-party
+// entry point before round 1: InvalidArgument at every party, alone or
+// in a mesh where every party is configured the same way, and nothing
+// sent — not even an abort.
+TEST(SecureScanTest, OutOfRangeFracBitsIsInvalidArgumentAtEveryParty) {
+  GwasWorkloadOptions workload_options;
+  workload_options.party_sizes = {40, 50, 45};
+  workload_options.num_variants = 8;
+  workload_options.num_covariates = 2;
+  workload_options.num_causal = 1;
+  workload_options.seed = 23;
+  const ScanWorkload w = MakeGwasWorkload(workload_options).value();
+  std::vector<PackedGenotypeMatrix> packed;
+  for (const PartyData& party : w.parties) {
+    packed.push_back(PackedGenotypeMatrix::TryFromDense(party.x).value());
+  }
+  for (const int frac_bits : {0, 63}) {
+    SecureScanOptions options;
+    options.frac_bits = frac_bits;
+    const std::string named = "frac_bits " + std::to_string(frac_bits);
+    for (const int parties : {1, 3}) {
+      const Status run = RunPartiesInProcess(parties, [&](Transport* t) {
+        const size_t i = static_cast<size_t>(t->local_party());
+        const PartyData& party = w.parties[i];
+        InMemoryPanelSource source(packed[i], party.y, party.c);
+        StreamingPartyScan stream;
+        stream.source = &source;
+        const Status refused[] = {
+            RunPartySecureScan(t, party, options).status(),
+            RunPartySecureScanStreamed(t, party.y, party.c, stream, options)
+                .status(),
+            RunPartySummandProtocol(t, party.c, options, /*seed_salt=*/0,
+                                    [](const Matrix&) { return Vector{1.0}; })
+                .status()};
+        for (const Status& status : refused) {
+          EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+              << "P=" << parties << " party " << i << ": " << status;
+          EXPECT_NE(status.message().find(named), std::string::npos)
+              << status;
+        }
+        EXPECT_EQ(t->metrics().total_bytes(), 0);
+        return Status::Ok();
+      });
+      EXPECT_TRUE(run.ok()) << run;
     }
   }
 }

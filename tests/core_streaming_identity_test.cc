@@ -20,8 +20,8 @@
 //      answer), never trusted into a wrong result.
 //
 //   4. RUNNER. A streamed secure scan reveals the in-memory scan's
-//      exact result under either projection mode: Phase 2 builds the
-//      same summand arena from either source.
+//      exact result under either secure aggregation mode: Phase 2
+//      builds the same summand arena from either source.
 
 #include <gtest/gtest.h>
 
@@ -400,7 +400,7 @@ TEST(StreamingIdentityTest, CompletedRunKeepsCheckpointForCaller) {
 
 // ---- 4. the streamed runner ------------------------------------------
 
-TEST(StreamingIdentityTest, StreamedRunnerMatchesInMemoryEveryProjection) {
+TEST(StreamingIdentityTest, StreamedRunnerMatchesInMemoryEverySecureMode) {
   GwasWorkloadOptions wopts;
   wopts.party_sizes = {300, 260, 280};  // every party ends mid-panel
   wopts.num_variants = 40;
@@ -414,12 +414,11 @@ TEST(StreamingIdentityTest, StreamedRunnerMatchesInMemoryEveryProjection) {
     ASSERT_TRUE(x.has_value());
     packed.push_back(std::move(*x));
   }
-  for (const ProjectionSecurity projection :
-       {ProjectionSecurity::kRevealProjectedSums,
-        ProjectionSecurity::kBeaverDotProducts}) {
-    SCOPED_TRACE(ProjectionSecurityName(projection));
+  for (const AggregationMode mode :
+       {AggregationMode::kAdditive, AggregationMode::kMasked}) {
+    SCOPED_TRACE(AggregationModeName(mode));
     SecureScanOptions options;
-    options.projection = projection;
+    options.aggregation = mode;
     const auto reference = SecureAssociationScan(options).Run(workload.parties);
     ASSERT_TRUE(reference.ok()) << reference.status();
     std::vector<uint64_t> checksums(static_cast<size_t>(p), 0);

@@ -59,14 +59,15 @@ TEST(LeakageTest, AdditiveSharesLookUniformRegardlessOfSecret) {
   for (uint64_t seed = 1; seed <= 400; ++seed) {
     Rng rng_a(seed);
     Rng rng_b(seed + 10000);
-    const auto shares_zero = AdditiveShare(codec.Encode(0.0), 2, &rng_a);
-    const auto shares_big =
-        AdditiveShare(codec.Encode(123456.789), 2, &rng_b);
+    const auto shares_zero = AdditiveShareVector(
+        Secret<RingVector>(RingVector{codec.Encode(0.0)}), 2, &rng_a);
+    const auto shares_big = AdditiveShareVector(
+        Secret<RingVector>(RingVector{codec.Encode(123456.789)}), 2, &rng_b);
     ByteWriter wa;
-    wa.PutU64(shares_zero[1]);
+    wa.PutU64(DASH_DECLASSIFY(shares_zero[1], "test: the share party 1 gets")[0]);
     const auto a = wa.Take();
     ByteWriter wb;
-    wb.PutU64(shares_big[1]);
+    wb.PutU64(DASH_DECLASSIFY(shares_big[1], "test: the share party 1 gets")[0]);
     const auto b = wb.Take();
     zero_secret_bytes.insert(zero_secret_bytes.end(), a.begin(), a.end());
     big_secret_bytes.insert(big_secret_bytes.end(), b.begin(), b.end());
@@ -107,8 +108,7 @@ TEST(LeakageTest, SecureModesRevealOnlyTheTotal) {
   const std::vector<Vector> config_a = {{5.0}, {1.0}, {-2.0}};
   const std::vector<Vector> config_b = {{-3.0}, {6.0}, {1.0}};
   for (const auto mode :
-       {AggregationMode::kAdditive, AggregationMode::kMasked,
-        AggregationMode::kShamir}) {
+       {AggregationMode::kAdditive, AggregationMode::kMasked}) {
     SecureSumOptions opts;
     opts.mode = mode;
     opts.frac_bits = 32;
@@ -127,8 +127,7 @@ TEST(LeakageTest, TrafficVolumeIsValueIndependent) {
   // Byte counts depend only on shapes, never on magnitudes — a
   // compressible-payload side channel would violate this.
   for (const auto mode :
-       {AggregationMode::kAdditive, AggregationMode::kMasked,
-        AggregationMode::kShamir}) {
+       {AggregationMode::kAdditive, AggregationMode::kMasked}) {
     int64_t bytes[2] = {0, 0};
     int variant = 0;
     for (const double scale : {1e-6, 1e5}) {

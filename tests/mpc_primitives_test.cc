@@ -1,4 +1,4 @@
-// Fixed point, prime field, additive & Shamir sharing, DH, masking.
+// Fixed point, prime field, additive sharing, DH, masking.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "mpc/key_exchange.h"
 #include "mpc/masked_aggregation.h"
 #include "mpc/prime_field.h"
-#include "mpc/shamir.h"
 #include "util/isa.h"
 #include "util/random.h"
 
@@ -134,8 +133,6 @@ TEST(FixedPointTest, EncodeVectorReportsTheFirstOffenderLikeTryEncode) {
 }
 
 TEST(PrimeFieldTest, BasicIdentities) {
-  EXPECT_EQ(FieldAdd(kFieldPrime - 1, 1), 0u);
-  EXPECT_EQ(FieldSub(0, 1), kFieldPrime - 1);
   EXPECT_EQ(FieldMul(2, 3), 6u);
   EXPECT_EQ(FieldReduce(kFieldPrime), 0u);
   EXPECT_EQ(FieldReduce(kFieldPrime + 5), 5u);
@@ -157,7 +154,7 @@ TEST(PrimeFieldTest, FermatInverse) {
   for (int trial = 0; trial < 100; ++trial) {
     const uint64_t a = FieldUniform(&rng);
     if (a == 0) continue;
-    EXPECT_EQ(FieldMul(a, FieldInv(a)), 1u);
+    EXPECT_EQ(FieldMul(a, FieldPow(a, kFieldPrime - 2)), 1u);
   }
   EXPECT_EQ(FieldPow(5, 0), 1u);
   EXPECT_EQ(FieldPow(5, 1), 5u);
@@ -168,25 +165,15 @@ TEST(PrimeFieldTest, MersenneStructure) {
   EXPECT_EQ(FieldPow(2, 61), 1u);
 }
 
-TEST(PrimeFieldTest, SignedEmbeddingRoundTrips) {
-  for (const int64_t v : {int64_t{0}, int64_t{1}, int64_t{-1},
-                          int64_t{123456789}, int64_t{-987654321}}) {
-    EXPECT_EQ(FieldDecodeSigned(FieldEncodeSigned(v)), v);
-  }
-  // Sums of signed values embed linearly.
-  const uint64_t a = FieldEncodeSigned(-500);
-  const uint64_t b = FieldEncodeSigned(123);
-  EXPECT_EQ(FieldDecodeSigned(FieldAdd(a, b)), -377);
-}
-
 TEST(AdditiveSharingTest, SharesReconstruct) {
   Rng rng(4);
   for (const int n : {1, 2, 3, 8}) {
     for (int trial = 0; trial < 50; ++trial) {
-      const uint64_t secret = rng.NextU64();
-      const auto shares = AdditiveShare(secret, n, &rng);
+      const RingVector secret = {rng.NextU64()};
+      const auto shares =
+          AdditiveShareVector(Secret<RingVector>(secret), n, &rng);
       EXPECT_EQ(static_cast<int>(shares.size()), n);
-      EXPECT_EQ(AdditiveReconstruct(shares), secret);
+      EXPECT_EQ(AdditiveReconstructVector(shares).value(), secret);
     }
   }
 }
@@ -198,8 +185,11 @@ TEST(AdditiveSharingTest, PartialSharesLookUniform) {
   int ones = 0;
   const int trials = 2000;
   for (int t = 0; t < trials; ++t) {
-    const auto shares = AdditiveShare(42, 3, &rng);
-    ones += static_cast<int>((shares[1] >> 63) & 1);
+    const auto shares =
+        AdditiveShareVector(Secret<RingVector>(RingVector{42}), 3, &rng);
+    const RingVector share1 =
+        DASH_DECLASSIFY(shares[1], "test inspects one share's top bit");
+    ones += static_cast<int>((share1[0] >> 63) & 1);
   }
   EXPECT_NEAR(static_cast<double>(ones) / trials, 0.5, 0.05);
 }
@@ -216,87 +206,6 @@ TEST(AdditiveSharingTest, VectorSharesReconstruct) {
                    {Secret<RingVector>(RingVector{1, 2}),
                     Secret<RingVector>(RingVector{1})})
                    .ok());
-}
-
-TEST(ShamirTest, ThresholdReconstruction) {
-  Rng rng(7);
-  const uint64_t secret = 123456789;
-  const auto shares = ShamirSplit(secret, 5, 2, &rng).value();
-  ASSERT_EQ(shares.size(), 5u);
-  // Any 3 shares (t+1) reconstruct.
-  EXPECT_EQ(ShamirReconstruct({shares[0], shares[2], shares[4]}).value(),
-            secret);
-  EXPECT_EQ(ShamirReconstruct({shares[1], shares[2], shares[3]}).value(),
-            secret);
-  // All 5 also reconstruct.
-  EXPECT_EQ(ShamirReconstruct(shares).value(), secret);
-}
-
-TEST(ShamirTest, BelowThresholdRevealsNothingUseful) {
-  // 2 shares of a degree-2 polynomial interpolate to the wrong constant
-  // almost surely; check it differs across secrets with the same shares
-  // prefix is impossible, so instead check mismatch from the secret.
-  Rng rng(8);
-  int wrong = 0;
-  for (int trial = 0; trial < 50; ++trial) {
-    const uint64_t secret = FieldUniform(&rng);
-    const auto shares = ShamirSplit(secret, 5, 2, &rng).value();
-    const uint64_t guess =
-        ShamirReconstruct({shares[0], shares[1]}).value();
-    wrong += (guess != secret);
-  }
-  EXPECT_GE(wrong, 45);
-}
-
-TEST(ShamirTest, LinearityOfShares) {
-  // Pointwise sums of shares are shares of the sum — the property the
-  // secure sum protocol exploits.
-  Rng rng(9);
-  const uint64_t s1 = 111111;
-  const uint64_t s2 = 222222;
-  const auto sh1 = ShamirSplit(s1, 4, 1, &rng).value();
-  const auto sh2 = ShamirSplit(s2, 4, 1, &rng).value();
-  std::vector<ShamirShare> sum(4);
-  for (int i = 0; i < 4; ++i) {
-    sum[static_cast<size_t>(i)] =
-        ShamirShare{sh1[static_cast<size_t>(i)].x,
-                    FieldAdd(sh1[static_cast<size_t>(i)].y,
-                             sh2[static_cast<size_t>(i)].y)};
-  }
-  EXPECT_EQ(ShamirReconstruct(sum).value(), FieldAdd(s1, s2));
-}
-
-TEST(ShamirTest, ParameterValidation) {
-  Rng rng(10);
-  EXPECT_FALSE(ShamirSplit(1, 0, 0, &rng).ok());
-  EXPECT_FALSE(ShamirSplit(1, 3, 3, &rng).ok());
-  EXPECT_FALSE(ShamirSplit(1, 3, -1, &rng).ok());
-  EXPECT_FALSE(ShamirSplit(kFieldPrime, 3, 1, &rng).ok());
-  EXPECT_FALSE(ShamirReconstruct({}).ok());
-  EXPECT_FALSE(ShamirReconstruct({{1, 5}, {1, 6}}).ok());  // duplicate x
-}
-
-TEST(ShamirTest, VectorSplitReconstruct) {
-  Rng rng(11);
-  const std::vector<uint64_t> secrets = {5, 10, kFieldPrime - 1};
-  const auto shares = ShamirSplitVector(secrets, 3, 1, &rng).value();
-  EXPECT_EQ(ShamirReconstructVector(shares).value(), secrets);
-}
-
-TEST(ShamirTest, LagrangeWeightsMatchFullReconstruction) {
-  Rng rng(12);
-  const uint64_t secret = 987654321;
-  const auto shares = ShamirSplit(secret, 4, 1, &rng).value();
-  const auto weights = LagrangeWeightsAtZero({1, 2, 3, 4}).value();
-  uint64_t acc = 0;
-  for (int i = 0; i < 4; ++i) {
-    acc = FieldAdd(acc, FieldMul(weights[static_cast<size_t>(i)],
-                                 shares[static_cast<size_t>(i)].y));
-  }
-  EXPECT_EQ(acc, secret);
-  EXPECT_FALSE(LagrangeWeightsAtZero({1, 1}).ok());
-  EXPECT_FALSE(LagrangeWeightsAtZero({0, 1}).ok());
-  EXPECT_FALSE(LagrangeWeightsAtZero({}).ok());
 }
 
 TEST(DiffieHellmanTest, SharedSecretsAgree) {

@@ -113,8 +113,7 @@ INSTANTIATE_TEST_SUITE_P(
     ModesAndParties, SecureSumModeTest,
     testing::Combine(testing::Values(AggregationMode::kPublicShare,
                                      AggregationMode::kAdditive,
-                                     AggregationMode::kMasked,
-                                     AggregationMode::kShamir),
+                                     AggregationMode::kMasked),
                      testing::Values(2, 3, 5, 8)));
 
 TEST(SecureSumTest, SinglePartyShortCircuits) {
@@ -132,7 +131,7 @@ TEST(SecureSumTest, SinglePartyShortCircuits) {
 TEST(SecureSumTest, RaggedInputFailsEveryPartyWithDesync) {
   for (const AggregationMode mode :
        {AggregationMode::kPublicShare, AggregationMode::kAdditive,
-        AggregationMode::kMasked, AggregationMode::kShamir}) {
+        AggregationMode::kMasked}) {
     SecureSumOptions opts;
     opts.mode = mode;
     const std::vector<Vector> inputs = {{1.0}, {2.0}, {3.0, 4.0}};
@@ -158,17 +157,6 @@ TEST(SecureSumTest, FixedPointOverflowIsReported) {
   opts.mode = AggregationMode::kAdditive;
   opts.frac_bits = 50;  // headroom only 2^13
   EXPECT_FALSE(MeshSecureSum({{1e6}, {1e6}}, opts).ok());
-}
-
-TEST(SecureSumTest, ShamirHeadroomIsNarrowerThanRing) {
-  SecureSumOptions opts;
-  opts.mode = AggregationMode::kShamir;
-  opts.frac_bits = 40;  // field headroom 2^20 / P
-  EXPECT_FALSE(MeshSecureSum({{5e5}, {5e5}, {5e5}}, opts).ok());
-  // Lower precision restores headroom.
-  opts.frac_bits = 20;
-  EXPECT_NEAR(MeshSecureSum({{5e5}, {5e5}, {5e5}}, opts).value()[0], 1.5e6,
-              1e-2);
 }
 
 TEST(SecureSumTest, MaskedSetupIsIdempotentAndCostsOnce) {
@@ -197,8 +185,7 @@ TEST(SecureSumTest, MaskedSetupIsIdempotentAndCostsOnce) {
 
 TEST(SecureSumTest, BytesScaleLinearlyInLength) {
   for (const AggregationMode mode :
-       {AggregationMode::kAdditive, AggregationMode::kMasked,
-        AggregationMode::kShamir}) {
+       {AggregationMode::kAdditive, AggregationMode::kMasked}) {
     const int64_t bytes_small = SteadyStateBytes(mode, 3, 100, 6);
     const int64_t bytes_large = SteadyStateBytes(mode, 3, 1000, 7);
     // Fixed per-message overhead keeps the ratio just under 10x.
@@ -230,15 +217,14 @@ int64_t ReduceGatherBytes(size_t len, int parties, int p) {
 
 // Reduce-scatter + all-gather: a party sends about 2(P-1)/P vectors'
 // worth of words per sum, so its bytes stay below two vectors whatever
-// P is. Additive and Shamir pay a full share vector per peer first; their
-// reveal rounds then shrink the same way. L is prime, so the chunks are
+// P is. Additive pays a full share vector per peer first; its reduce and
+// gather then cost what masked's do. L is prime, so the chunks are
 // uneven.
 TEST(SecureSumTest, MaskedBytesPerPartyIndependentOfP) {
   constexpr size_t kLen = 10007;
   for (const int parties : {3, 5, 8}) {
     for (const AggregationMode mode :
-         {AggregationMode::kMasked, AggregationMode::kAdditive,
-          AggregationMode::kShamir}) {
+         {AggregationMode::kMasked, AggregationMode::kAdditive}) {
       const int64_t share_round =
           mode == AggregationMode::kMasked
               ? 0
@@ -262,9 +248,7 @@ TEST(SecureSumTest, MaskedIsCheapestSecureMode) {
   const int64_t masked = SteadyStateBytes(AggregationMode::kMasked, 4, 500, 8);
   const int64_t additive =
       SteadyStateBytes(AggregationMode::kAdditive, 4, 500, 8);
-  const int64_t shamir = SteadyStateBytes(AggregationMode::kShamir, 4, 500, 8);
   EXPECT_LT(masked, additive);
-  EXPECT_LE(masked, shamir);
 }
 
 TEST(SecureSumTest, NegativeAndTinyValuesSurviveQuantization) {

@@ -263,7 +263,7 @@ TEST(RunPartiesInProcessTest, PartiesMustAgreeOnRounds) {
 
 TEST(MessageTest, TagNamesAreStable) {
   EXPECT_STREQ(MessageTagName(MessageTag::kRFactor), "RFactor");
-  EXPECT_STREQ(MessageTagName(MessageTag::kShamirShare), "ShamirShare");
+  EXPECT_STREQ(MessageTagName(MessageTag::kMaskedValue), "MaskedValue");
 }
 
 }  // namespace

@@ -27,7 +27,7 @@ TEST(ProtocolTraceTest, RecordsMessageMetadata) {
   ASSERT_TRUE(a->Send(0, 1, MessageTag::kRFactor, {1, 2, 3}).ok());
   b->BeginRound();
   b->BeginRound();
-  ASSERT_TRUE(b->Broadcast(1, MessageTag::kPartialSum, {9}).ok());
+  ASSERT_TRUE(b->Broadcast(1, MessageTag::kMaskedValue, {9}).ok());
 
   ASSERT_EQ(trace.size(), 3);
   const TraceEvent& first = trace.events()[0];
@@ -39,8 +39,8 @@ TEST(ProtocolTraceTest, RecordsMessageMetadata) {
   EXPECT_EQ(first.wire_bytes,
             3 + static_cast<int64_t>(Message::kHeaderBytes));
   EXPECT_EQ(trace.events()[1].round, 2);
-  EXPECT_EQ(trace.CountTag(MessageTag::kPartialSum), 2);
-  EXPECT_EQ(trace.CountTag(MessageTag::kShamirShare), 0);
+  EXPECT_EQ(trace.CountTag(MessageTag::kMaskedValue), 2);
+  EXPECT_EQ(trace.CountTag(MessageTag::kAdditiveShare), 0);
 }
 
 TEST(ProtocolTraceTest, DetachAndClear) {
@@ -65,10 +65,10 @@ TEST(ProtocolTraceTest, CapturesWholeSecureSumTranscript) {
   ASSERT_TRUE(MeshSecureSum({{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}}, opts,
                             &traffic, &trace)
                   .ok());
-  // Additive: 6 share messages + 6 partial chunks to their owners + 6
-  // opened chunks gathered.
+  // Additive: 6 share messages + 6 partial chunks to their owners (the
+  // reduce round masked mode runs too) + 6 opened chunks gathered.
   EXPECT_EQ(trace.CountTag(MessageTag::kAdditiveShare), 6);
-  EXPECT_EQ(trace.CountTag(MessageTag::kPartialSum), 6);
+  EXPECT_EQ(trace.CountTag(MessageTag::kMaskedValue), 6);
   EXPECT_EQ(trace.CountTag(MessageTag::kTotalChunk), 6);
   EXPECT_EQ(trace.size(), 18);
   // Transcript totals agree with the endpoints' own accounting, and the
@@ -82,7 +82,7 @@ TEST(ProtocolTraceTest, CapturesWholeSecureSumTranscript) {
 
   const std::string summary = trace.Summary();
   EXPECT_NE(summary.find("AdditiveShare"), std::string::npos);
-  EXPECT_NE(summary.find("PartialSum"), std::string::npos);
+  EXPECT_NE(summary.find("MaskedValue"), std::string::npos);
 }
 
 TEST(ProtocolTraceTest, WritesParsableCsv) {

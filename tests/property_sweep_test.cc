@@ -65,9 +65,9 @@ TEST_P(EquivalenceSweepTest, SecureEqualsPooledOls) {
 
 std::vector<SweepConfig> MakeSweep() {
   std::vector<SweepConfig> configs;
-  const AggregationMode modes[] = {
-      AggregationMode::kPublicShare, AggregationMode::kAdditive,
-      AggregationMode::kMasked, AggregationMode::kShamir};
+  const AggregationMode modes[] = {AggregationMode::kPublicShare,
+                                   AggregationMode::kAdditive,
+                                   AggregationMode::kMasked};
   uint64_t seed = 1000;
   for (const auto mode : modes) {
     for (const int parties : {2, 4, 7}) {

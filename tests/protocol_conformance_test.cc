@@ -224,8 +224,7 @@ TEST(ProtocolConformanceTest, DivergentGatherIsDataLossAtCommit) {
   ScanWorkload workload = SmallWorkload();
   const int p = static_cast<int>(workload.parties.size());
   for (const AggregationMode mode :
-       {AggregationMode::kMasked, AggregationMode::kAdditive,
-        AggregationMode::kShamir}) {
+       {AggregationMode::kMasked, AggregationMode::kAdditive}) {
     SecureScanOptions options;
     options.aggregation = mode;
     const auto clean = SecureAssociationScan(options).Run(workload.parties);

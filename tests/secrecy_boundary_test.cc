@@ -134,9 +134,7 @@ Allowlist LoadAllowlist() {
 const std::map<MessageTag, std::string>& SecretTagRevealPoints() {
   static const auto* kMap = new std::map<MessageTag, std::string>{
       {MessageTag::kAdditiveShare, "SerializeShareForHolder"},
-      {MessageTag::kShamirShare, "SerializeShareForHolder"},
       {MessageTag::kMaskedValue, "MaskAndSerialize"},
-      {MessageTag::kPartialSum, "MaskAndSerialize"},
       {MessageTag::kPublicKey, "DiffieHellman::PublicValue"},
   };
   return *kMap;
@@ -144,9 +142,7 @@ const std::map<MessageTag, std::string>& SecretTagRevealPoints() {
 
 bool IsSecretCarrying(MessageTag tag) {
   return tag == MessageTag::kAdditiveShare ||
-         tag == MessageTag::kShamirShare ||
-         tag == MessageTag::kMaskedValue || tag == MessageTag::kPartialSum ||
-         tag == MessageTag::kPublicKey;
+         tag == MessageTag::kMaskedValue || tag == MessageTag::kPublicKey;
 }
 
 bool IsPublicMetadata(MessageTag tag) {
@@ -229,10 +225,7 @@ void CheckBoundary(const std::vector<CapturedMessage>& sent,
           << it->second << " missing from secrecy_allowlist.txt";
       // Pool the ring words: skip the length prefix, and in the
       // reduce messages also the full length that leads it.
-      const size_t prefix = (msg.tag == MessageTag::kMaskedValue ||
-                             msg.tag == MessageTag::kPartialSum)
-                                ? 16
-                                : 8;
+      const size_t prefix = msg.tag == MessageTag::kMaskedValue ? 16 : 8;
       if (msg.tag != MessageTag::kPublicKey &&
           msg.payload.size() > prefix) {
         secret_bytes.insert(secret_bytes.end(),
@@ -243,14 +236,9 @@ void CheckBoundary(const std::vector<CapturedMessage>& sent,
     }
   }
   if (mode == AggregationMode::kPublicShare) return;
-  // Masked/share material must be indistinguishable from noise. Shamir
-  // words live in [0, 2^61), so 3 of 64 bits are structurally zero and
-  // the expected fraction drops to (61/64)/2 ~ 0.477.
+  // Masked/share material must be indistinguishable from noise.
   ASSERT_GT(secret_bytes.size(), 4000u);
-  const double ones = OneBitFraction(secret_bytes);
-  const double expected =
-      (mode == AggregationMode::kShamir) ? 61.0 / 128.0 : 0.5;
-  EXPECT_NEAR(ones, expected, 0.02)
+  EXPECT_NEAR(OneBitFraction(secret_bytes), 0.5, 0.02)
       << "wire payloads are structured, not masked";
 }
 
@@ -292,12 +280,6 @@ TEST(SecrecyBoundaryTest, MaskedInProcess) {
   CheckBoundary(RunInProcess(AggregationMode::kMasked, 0xda5b),
                 AggregationMode::kMasked);
   CheckSeedFreshness(AggregationMode::kMasked);
-}
-
-TEST(SecrecyBoundaryTest, ShamirInProcess) {
-  CheckBoundary(RunInProcess(AggregationMode::kShamir, 0xda5b),
-                AggregationMode::kShamir);
-  CheckSeedFreshness(AggregationMode::kShamir);
 }
 
 TEST(SecrecyBoundaryTest, PublicShareBaselineIsDeclassified) {

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -462,13 +465,75 @@ TEST_F(ControlProtocolTest, MalformedSubmitsAreRejected) {
   // Shapes no cohort can have, or too large to build, are refused before
   // the job is admitted; the next valid SUBMIT is still served.
   for (const char* line : {"SUBMIT 3 c -5 96 3 42 masked 0",
-                           "SUBMIT 3 c 100000000000 1000000 3 42 masked 0"}) {
+                           "SUBMIT 3 c 100000000000 1000000 3 42 masked 0",
+                           "SUBMIT 3 c 32 64 3 7 shamir 0",
+                           "SUBMIT 3 c 32 64 3 7 masked 0 55 bogus"}) {
     const std::string reply = server_.HandleLine(line);
     EXPECT_EQ(reply.rfind("ERR InvalidArgument", 0), 0u) << line << ": "
                                                           << reply;
   }
   EXPECT_EQ(server_.HandleLine("SUBMIT 3 c 32 64 3 7 masked 0"),
             "OK submitted 3");
+}
+
+// The SUBMIT grammar has one parser (service/job.h ParseJobSpec), which
+// the SUBMIT verb and `dash_partyd --simulate-job` both call: every line
+// of this table is accepted by all three or refused by all three.
+struct SubmitLine {
+  const char* args;
+  bool accepted;
+};
+
+constexpr SubmitLine kSubmitLines[] = {
+    {"7 c 16 40 3 42 masked 0", true},
+    {"8 c 16 40 3 42 additive 0 55", true},
+    {"9 c 16 40 3 42 public 0 55 stream", true},
+    {"10 c 16 40 3 42 masked 250 stream", true},
+    {"11 c 16 40 3 42 masked 0 55 bogus", false},
+    {"11 c 16 40 3 42 masked 0 stream 55", false},
+    {"11 c 16 40 3 42 shamir 0", false},
+    {"11 c 16 40 3 42 Masked 0", false},
+    {"11 c 16 40 3 42 masked", false},
+    {"x c 16 40 3 42 masked 0", false},
+    {"", false},
+};
+
+// `dash_partyd --simulate-job <args> --parties 1`: 0 when it ran the
+// job, 2 when it refused the line.
+int SimulateJobExit(const std::string& args) {
+  const std::string command = std::string("'") + DASH_PARTYD_PATH +
+                              "' --simulate-job '" + args +
+                              "' --parties 1 >/dev/null 2>&1";
+  const int status = std::system(command.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST_F(ControlProtocolTest, SubmitAndSimulateJobShareOneGrammar) {
+  for (const SubmitLine& line : kSubmitLines) {
+    const Result<JobSpec> spec = ParseJobSpec(line.args);
+    EXPECT_EQ(spec.ok(), line.accepted) << line.args << ": " << spec.status();
+    const std::string reply =
+        server_.HandleLine(std::string("SUBMIT ") + line.args);
+    EXPECT_EQ(reply.rfind(line.accepted ? "OK submitted"
+                                        : "ERR InvalidArgument",
+                          0),
+              0u)
+        << line.args << ": " << reply;
+    EXPECT_EQ(SimulateJobExit(line.args), line.accepted ? 0 : 2)
+        << line.args;
+  }
+  const JobSpec spec = ParseJobSpec("9 c 16 40 3 42 additive 25 55 stream")
+                           .value();
+  EXPECT_EQ(spec.job_id, 9u);
+  EXPECT_EQ(spec.cohort_key, "c");
+  EXPECT_EQ(spec.variants, 16);
+  EXPECT_EQ(spec.samples_per_party, 40);
+  EXPECT_EQ(spec.covariates, 3);
+  EXPECT_EQ(spec.data_seed, 42u);
+  EXPECT_EQ(spec.mode, AggregationMode::kAdditive);
+  EXPECT_EQ(spec.deadline_ms, 25);
+  EXPECT_EQ(spec.protocol_seed, 55u);
+  EXPECT_TRUE(spec.stream);
 }
 
 TEST_F(ControlProtocolTest, CancelInvalidateStatsShutdown) {

@@ -55,33 +55,18 @@ struct ScanConfig {
   const char* name;
   AggregationMode aggregation;
   RCombineMode r_combine;
-  ProjectionSecurity projection;
   bool center_per_party;
   int num_threads;
 };
 
 constexpr ScanConfig kConfigs[] = {
     {"public-stack", AggregationMode::kPublicShare,
-     RCombineMode::kBroadcastStack, ProjectionSecurity::kRevealProjectedSums,
-     false, 1},
+     RCombineMode::kBroadcastStack, false, 1},
     {"additive-tree-centered", AggregationMode::kAdditive,
-     RCombineMode::kBinaryTree, ProjectionSecurity::kRevealProjectedSums, true,
-     1},
+     RCombineMode::kBinaryTree, true, 1},
     {"masked-stack-threads", AggregationMode::kMasked,
-     RCombineMode::kBroadcastStack, ProjectionSecurity::kRevealProjectedSums,
-     false, 2},
-    {"shamir-tree-centered", AggregationMode::kShamir,
-     RCombineMode::kBinaryTree, ProjectionSecurity::kRevealProjectedSums, true,
-     1},
+     RCombineMode::kBroadcastStack, false, 2},
     {"public-tree", AggregationMode::kPublicShare, RCombineMode::kBinaryTree,
-     ProjectionSecurity::kRevealProjectedSums, false, 1},
-    {"masked-tree-beaver", AggregationMode::kMasked, RCombineMode::kBinaryTree,
-     ProjectionSecurity::kBeaverDotProducts, false, 1},
-    {"additive-stack-beaver-centered", AggregationMode::kAdditive,
-     RCombineMode::kBroadcastStack, ProjectionSecurity::kBeaverDotProducts,
-     true, 1},
-    {"shamir-stack-beaver", AggregationMode::kShamir,
-     RCombineMode::kBroadcastStack, ProjectionSecurity::kBeaverDotProducts,
      false, 1},
 };
 
@@ -100,35 +85,19 @@ constexpr GoldenScan kGoldenScans[] = {
     {1, "public-stack", 0x9aa92e5f675df71bull, 0, 0, 0, 0},
     {1, "additive-tree-centered", 0x3fda10ab2c7bb1a8ull, 0, 0, 0, 0},
     {1, "masked-stack-threads", 0x9aa92e5f675df71bull, 0, 0, 0, 0},
-    {1, "shamir-tree-centered", 0x3fda10ab2c7bb1a8ull, 0, 0, 0, 0},
     {1, "public-tree", 0x9aa92e5f675df71bull, 0, 0, 0, 0},
-    {1, "masked-tree-beaver", 0xe76a9fb4efbc34c8ull, 0, 0, 0, 2},
-    {1, "additive-stack-beaver-centered", 0xa8925ff07a446abdull, 0, 0, 0, 2},
-    {1, "shamir-stack-beaver", 0xe76a9fb4efbc34c8ull, 0, 0, 0, 2},
     {2, "public-stack", 0x9b123dbe5dfa2701ull, 1696, 8, 848, 4},
     {2, "additive-tree-centered", 0x259820a637810a18ull, 2528, 12, 1264, 7},
     {2, "masked-stack-threads", 0xb0286543b90459a0ull, 1808, 12, 904, 6},
-    {2, "shamir-tree-centered", 0x259820a637810a18ull, 2528, 12, 1264, 7},
     {2, "public-tree", 0x9b123dbe5dfa2701ull, 1696, 8, 848, 5},
-    {2, "masked-tree-beaver", 0x44c1c58a696feca8ull, 4784, 16, 2392, 9},
-    {2, "additive-stack-beaver-centered", 0x3bdb6f40e21c57b2ull, 4176, 16, 2088, 8},
-    {2, "shamir-stack-beaver", 0x44c1c58a696feca8ull, 5312, 16, 2656, 8},
     {3, "public-stack", 0xdb16a7a122469e2aull, 5088, 24, 848, 4},
     {3, "additive-tree-centered", 0xbcb56daa871fb640ull, 6384, 34, 1088, 8},
     {3, "masked-stack-threads", 0xc400eb37a6ec7858ull, 4080, 36, 680, 6},
-    {3, "shamir-tree-centered", 0xbcb56daa871fb640ull, 6384, 34, 1088, 8},
     {3, "public-tree", 0x1eab8a18d0e51eaeull, 4880, 22, 848, 6},
-    {3, "masked-tree-beaver", 0x1f51de7035a50cedull, 13616, 46, 2304, 10},
-    {3, "additive-stack-beaver-centered", 0x1b121eaeca5e3000ull, 12000, 48, 2000, 8},
-    {3, "shamir-stack-beaver", 0x1f51de7035a50cedull, 15408, 48, 2568, 8},
     {5, "public-stack", 0xfc12e77665a20b99ull, 16960, 80, 848, 4},
     {5, "additive-tree-centered", 0xca16c99d55a240c0ull, 18080, 108, 944, 9},
     {5, "masked-stack-threads", 0x842dad2c8cc6d1cbull, 10016, 120, 504, 6},
-    {5, "shamir-tree-centered", 0xca16c99d55a240c0ull, 18080, 108, 944, 9},
     {5, "public-tree", 0xfc12e77665a20b99ull, 15712, 68, 848, 7},
-    {5, "masked-tree-beaver", 0x2992c867eebd93d7ull, 43424, 148, 2232, 11},
-    {5, "additive-stack-beaver-centered", 0x48441f210bf6a60eull, 38592, 160, 1936, 8},
-    {5, "shamir-stack-beaver", 0x2992c867eebd93d7ull, 49952, 160, 2504, 8},
 };
 // clang-format on
 
@@ -172,7 +141,6 @@ SecureScanOptions OptionsFor(const ScanConfig& config) {
   SecureScanOptions options;
   options.aggregation = config.aggregation;
   options.r_combine = config.r_combine;
-  options.projection = config.projection;
   options.center_per_party = config.center_per_party;
   options.num_threads = config.num_threads;
   return options;
@@ -316,7 +284,7 @@ TEST(SimulatorGoldenTest, CompressedStudyAggregate) {
     locals.push_back(CompressedStudy::Compress(p.x, p.ys, p.c).value());
   }
   SecureScanOptions options;
-  options.aggregation = AggregationMode::kShamir;
+  options.aggregation = AggregationMode::kAdditive;
   const auto out = CompressedStudy::SecureAggregate(locals, options);
   ASSERT_TRUE(out.ok()) << out.status();
   BitHash h;

@@ -209,52 +209,11 @@ TEST(CrossBackendTest, MaskedBinaryTree) {
   RunBothBackends(options);
 }
 
-TEST(CrossBackendTest, ShamirBroadcastStack) {
-  SecureScanOptions options;
-  options.aggregation = AggregationMode::kShamir;
-  options.r_combine = RCombineMode::kBroadcastStack;
-  RunBothBackends(options);
-}
-
 TEST(CrossBackendTest, CenteredAdditiveBinaryTree) {
   SecureScanOptions options;
   options.aggregation = AggregationMode::kAdditive;
   options.r_combine = RCombineMode::kBinaryTree;
   options.center_per_party = true;
-  RunBothBackends(options);
-}
-
-// Beaver dot products (the paper's "greater security" variant) over
-// both secure-sum modes that feed them and both R-combines.
-TEST(CrossBackendTest, BeaverMaskedBroadcastStack) {
-  SecureScanOptions options;
-  options.aggregation = AggregationMode::kMasked;
-  options.r_combine = RCombineMode::kBroadcastStack;
-  options.projection = ProjectionSecurity::kBeaverDotProducts;
-  RunBothBackends(options);
-}
-
-TEST(CrossBackendTest, BeaverMaskedBinaryTree) {
-  SecureScanOptions options;
-  options.aggregation = AggregationMode::kMasked;
-  options.r_combine = RCombineMode::kBinaryTree;
-  options.projection = ProjectionSecurity::kBeaverDotProducts;
-  RunBothBackends(options);
-}
-
-TEST(CrossBackendTest, BeaverAdditiveBroadcastStack) {
-  SecureScanOptions options;
-  options.aggregation = AggregationMode::kAdditive;
-  options.r_combine = RCombineMode::kBroadcastStack;
-  options.projection = ProjectionSecurity::kBeaverDotProducts;
-  RunBothBackends(options);
-}
-
-TEST(CrossBackendTest, BeaverAdditiveBinaryTree) {
-  SecureScanOptions options;
-  options.aggregation = AggregationMode::kAdditive;
-  options.r_combine = RCombineMode::kBinaryTree;
-  options.projection = ProjectionSecurity::kBeaverDotProducts;
   RunBothBackends(options);
 }
 
@@ -352,17 +311,10 @@ TEST(CrossBackendTest, SummandMaskedBinaryTree) {
   RunSummandBothBackends(options);
 }
 
-TEST(CrossBackendTest, SummandShamirBroadcastStack) {
+TEST(CrossBackendTest, SummandAdditiveBroadcastStack) {
   SecureScanOptions options;
-  options.aggregation = AggregationMode::kShamir;
+  options.aggregation = AggregationMode::kAdditive;
   options.r_combine = RCombineMode::kBroadcastStack;
-  RunSummandBothBackends(options);
-}
-
-TEST(CrossBackendTest, SummandShamirBinaryTree) {
-  SecureScanOptions options;
-  options.aggregation = AggregationMode::kShamir;
-  options.r_combine = RCombineMode::kBinaryTree;
   RunSummandBothBackends(options);
 }
 

@@ -402,10 +402,10 @@ TEST(TcpTransportTest, ScanOutputCarriesItsResultChecksum) {
   workload_options.num_causal = 2;
   workload_options.seed = 9;
   const ScanWorkload workload = MakeGwasWorkload(workload_options).value();
-  constexpr AggregationMode kModes[] = {
-      AggregationMode::kPublicShare, AggregationMode::kAdditive,
-      AggregationMode::kMasked, AggregationMode::kShamir};
-  constexpr int kNumModes = 4;
+  constexpr AggregationMode kModes[] = {AggregationMode::kPublicShare,
+                                       AggregationMode::kAdditive,
+                                       AggregationMode::kMasked};
+  constexpr int kNumModes = 3;
 
   // P = 1 runs no commit round, yet the runner hashes its result once.
   ClusterConfig single;
@@ -422,7 +422,7 @@ TEST(TcpTransportTest, ScanOutputCarriesItsResultChecksum) {
         << AggregationModeName(mode);
   }
 
-  // P = 3 over loopback, the four modes in turn on one mesh.
+  // P = 3 over loopback, the three modes in turn on one mesh.
   const ClusterConfig cluster = MakeCluster(FreePorts(3));
   TcpTransportOptions tcp_options;
   tcp_options.connect_timeout_ms = 5000;

@@ -128,7 +128,7 @@ def main():
     p.add_argument("--covariates", type=int, default=3)
     p.add_argument("--data-seed", type=int, default=7)
     p.add_argument("--mode", default="masked",
-                   choices=["public", "additive", "masked", "shamir"])
+                   choices=["public", "additive", "masked"])
     p.add_argument("--deadline-ms", type=int, default=0)
     p.add_argument("--protocol-seed", type=int, default=0xDA5B)
     p.add_argument("--stream", action="store_true",

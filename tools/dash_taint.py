@@ -7,15 +7,15 @@ masks, and pre-reveal aggregates must never reach a log line, a trace,
 or the wire except through the blessed reveal points enumerated in
 tools/secrecy_allowlist.txt. Tier 1 of the enforcement is the
 Secret<T>/Masked<T> type wall in src/mpc/secrecy.h; this tool is Tier 2,
-a whole-tree flow check that also covers the deliberately plain-typed
-legacy primitives (annotated DASH_SECRET_SOURCE) that the type system
-cannot see.
+a whole-tree flow check that also follows secret words after the MPC
+layer has unwrapped them into plain types, where the type system cannot
+see them.
 
 Rules (stable IDs, mirrored by tools/dash_lint.py's DLxxx scheme):
 
   TL001 secret flows into a sink
       A value seeded tainted — declared Secret<T>/Masked<T>, assigned
-      from a DASH_SECRET_SOURCE function, or derived from either —
+      from a function returning one, or derived from either —
       reaches a sink (DASH_LOG, std::cout/cerr/clog, printf/fprintf,
       ByteWriter::Put*, Transport::Send, ProtocolTrace::Record) without
       passing through an allowlisted reveal point or DASH_DECLASSIFY.
@@ -91,7 +91,6 @@ FIXTURE_AS_RE = re.compile(r"dash-taint-fixture-as:\s*(\S+)")
 
 SECRET_TYPE_RE = re.compile(r"\b(?:dash::)?(Secret|Masked)\s*<")
 DECLASSIFY_RE = re.compile(r"\bDASH_DECLASSIFY\s*\(")
-SECRET_SOURCE_ANNOT = "DASH_SECRET_SOURCE"
 DEFINE_INTERNAL_RE = re.compile(r"^\s*#\s*define\s+DASH_MPC_INTERNAL\b")
 
 # Sinks: where bytes become observable. Matched against comment-stripped
@@ -199,30 +198,17 @@ class Findings:
 
 
 def scrape_secret_sources():
-    """Function names whose results are secret material.
-
-    DASH_SECRET_SOURCE-annotated declarations (the plain-typed legacy
-    primitives) plus every function declared in a src/ header to return
-    a type mentioning Secret</Masked<.
+    """Function names whose results are secret material: every function
+    declared in a src/ header to return a type mentioning Secret</Masked<.
     """
     sources = set()
     for dirpath, _, files in os.walk(os.path.join(REPO_ROOT, "src")):
         for f in sorted(files):
             if not f.endswith(".h"):
                 continue
-            lines = read_lines(os.path.join(dirpath, f))
-            pending_annot = False
-            for raw in lines:
+            for raw in read_lines(os.path.join(dirpath, f)):
                 code, _ = strip_noise(raw, False)
-                if SECRET_SOURCE_ANNOT in code:
-                    pending_annot = True
-                    continue
                 m = re.search(r"\b([A-Za-z_]\w*)\s*\(", code)
-                if pending_annot and m:
-                    sources.add(m.group(1))
-                    pending_annot = False
-                elif pending_annot and code.strip():
-                    pending_annot = False
                 # Return type mentions Secret</Masked< and this line
                 # declares a function (name followed by open paren).
                 if SECRET_TYPE_RE.search(code) and m:

@@ -2,7 +2,8 @@
 //
 // Known-clean fixture: a Secret share leaving via the allowlisted
 // SerializeShareForHolder reveal point, directly on the Send line — the
-// shape RunAdditive uses. The allowlisted call blesses the sink line.
+// shape the additive share round uses. The allowlisted call blesses the
+// sink line.
 
 #include <cstdint>
 #include <utility>

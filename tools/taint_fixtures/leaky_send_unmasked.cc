@@ -1,4 +1,4 @@
-// dash-taint-fixture-as: src/transport/evil_send.cc
+// dash-taint-fixture-as: src/mpc/evil_send.cc
 //
 // Known-leaky fixture: a raw share is serialized straight into a
 // ByteWriter and shipped — bypassing SerializeShareForHolder, the
@@ -6,8 +6,6 @@
 // Put line (where the secret meets the serializer).
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "mpc/additive_sharing.h"
 #include "net/serialization.h"
@@ -17,10 +15,11 @@
 
 namespace dash {
 
-Status BroadcastRawShare(Transport* transport, Rng* rng) {
-  const std::vector<uint64_t> share = AdditiveShare(99, 2, rng);
+Status SendRawShare(Transport* transport, const Secret<RingVector>& value,
+                    Rng* rng) {
+  const auto shares = AdditiveShareVector(value, 2, rng);
   ByteWriter w;
-  w.PutU64Vector(share);  // EXPECT-TAINT: TL001@23
+  w.PutU64Vector(shares[1].Reveal(MpcPass::Get()));  // EXPECT-TAINT: TL001@22
   return transport->Send(0, 1, MessageTag::kAdditiveShare, w.Take());
 }
 
